@@ -20,6 +20,15 @@ frame is sealed/opened twice per hop), so :func:`_keystream` dispatches
 the entire block range to a batched kernel
 (:mod:`repro.crypto.kernels`) when the active backend allows it; the
 scalar per-block loop remains as the ``pure`` reference oracle.
+
+A broadcast is sealed once and opened by every neighbour, and each of
+those calls needs the same keystream: it is a pure function of (key,
+counter, length). :func:`_keystream` therefore keeps the most recent
+keystreams in a small bounded memo, so the sender's seal computes a
+frame's keystream and every receiver's open (after its own MAC check)
+reuses it. The memo is keyed on the *resolved* backend as well, so a
+``vector`` call never returns bytes a ``pure`` call produced and the
+backend parity tests keep comparing two real computations.
 """
 
 from __future__ import annotations
@@ -35,6 +44,17 @@ from repro.util.bytesutil import xor_bytes
 MAX_COUNTER = 1 << 48
 
 _MAX_BLOCKS = 1 << 16
+
+#: Most keystreams :func:`_keystream` keeps for reuse (oldest evicted
+#: first). A frame's receivers open it within a few hundred keystream
+#: requests of its seal even on a lossy soak with retransmits; 64
+#: entries served ~18% fewer opens there.
+KEYSTREAM_MEMO_SIZE = 512
+
+#: (cipher instance, message counter, length, resolved backend) ->
+#: keystream bytes, in insertion order. It takes no lock: every caller of
+#: seal/open runs on its deployment's event-loop thread.
+_memo: dict[tuple[BlockCipher, int, int, str], bytes] = {}
 
 
 def message_counter(value: int) -> int:
@@ -61,20 +81,35 @@ def _keystream(
 
     ``backend`` overrides the process-wide kernel backend for this call
     (``None`` = use the active default, see :mod:`repro.crypto.kernels`).
+    A keystream requested again for the same cipher instance, counter,
+    length and resolved backend is served from the memo.
     """
     n_blocks = -(-length // cipher.block_size)
     if n_blocks > _MAX_BLOCKS:
         raise ValueError(f"message too long: {length} bytes exceeds the counter segment")
-    base = counter << 16
+    resolved = kernels.resolve_backend(backend)
+    vector = kernels.use_vector(cipher.name, n_blocks, resolved)
     STATS.keystream_blocks += n_blocks
-    if kernels.use_vector(cipher.name, n_blocks, backend):
+    if vector:
         STATS.keystream_vector_blocks += n_blocks
+    memo_key = (cipher, counter, length, resolved)
+    ks = _memo.get(memo_key)
+    if ks is not None:
+        STATS.keystream_reused_blocks += n_blocks
+        return ks
+    base = counter << 16
+    if vector:
         ks = kernels.keystream(cipher, base, n_blocks)
     else:
         ks = b"".join(
             cipher.encrypt_block(struct.pack(">Q", base + i)) for i in range(n_blocks)
         )
-    return ks[:length] if len(ks) != length else ks
+    if len(ks) != length:
+        ks = ks[:length]
+    _memo[memo_key] = ks
+    if len(_memo) > KEYSTREAM_MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    return ks
 
 
 def ctr_encrypt(

@@ -23,6 +23,7 @@ class CryptoStats:
         "opens",
         "keystream_blocks",
         "keystream_vector_blocks",
+        "keystream_reused_blocks",
     )
 
     def __init__(self) -> None:
@@ -34,6 +35,7 @@ class CryptoStats:
         self.opens = 0
         self.keystream_blocks = 0
         self.keystream_vector_blocks = 0
+        self.keystream_reused_blocks = 0
 
     def snapshot(self) -> dict[str, int]:
         """Current totals as a plain dict (stable key order)."""

@@ -143,6 +143,9 @@ class ChurnDriver:
     Sec. IV-D: the victim's own cluster is revoked via the hash chain,
     and its (now keyless) members are decommissioned once the flood has
     propagated — replacement capacity arrives through the join pipeline.
+    A join that completes into a cluster while its revocation is in
+    flight is decommissioned too, so no alive node keeps a revoked
+    cluster's key or stays orphaned by it.
     Departed and revoked nodes are evicted from the gateway state store
     so the query plane never serves their stale readings.
     """
@@ -246,7 +249,7 @@ class ChurnDriver:
     def _finalize_join(self, joiner: "JoiningNodeAgent") -> None:
         trace = self.live.trace
         try:
-            finalize_join(self._deployed, joiner)
+            agent = finalize_join(self._deployed, joiner)
         except RuntimeError:
             # No verifiable response inside the window (lossy channel or
             # a refresh raced the handshake): the node powers down
@@ -258,6 +261,21 @@ class ChurnDriver:
             return
         self.joins_completed += 1
         trace.count("lifecycle.nodes.joined")
+        revoked = self._deployed.bs_agent.revoked_cids
+        st = agent.state
+        if st.cid is None or st.cid in revoked:
+            # Joined a cluster whose revocation was in flight: the flood
+            # either cleared the new member's cluster id or passed before
+            # it was listening and left it holding the revoked key.
+            self._power_down(joiner.node.id)
+            self._deployed.assign_gradient()
+            return
+        # A joiner ignores REVOKE frames during its window, so it may
+        # have stored a neighbouring cluster's key after that cluster was
+        # revoked; delete it as the missed flood would have.
+        for stale in revoked.intersection(st.keyring.cluster_ids()):
+            st.keyring.remove(stale)
+            trace.count("revoke.key_deleted")
 
     def _leave(self) -> None:
         live = self.live
@@ -286,30 +304,31 @@ class ChurnDriver:
             return
         cid = agents[victim].state.cid
         assert cid is not None
-        members = [
-            nid
-            for nid, agent in agents.items()
-            if agent.state.cid == cid and live.nodes[nid].alive
-        ]
         # The victim's end-to-end key is no longer trusted by the BS.
         self._deployed.registry.node_keys.pop(victim, None)
         self._deployed.bs_agent.revoke_clusters([cid])
         self.clusters_revoked += 1
         live.trace.count("lifecycle.clusters.revoked")
         self._deployed.schedule(
-            self.REVOKE_SETTLE_S, lambda: self._decommission(members)
+            self.REVOKE_SETTLE_S, lambda: self._decommission(cid)
         )
 
-    def _decommission(self, members: list[int]) -> None:
+    def _decommission(self, cid: int) -> None:
+        # The list is built once the flood has settled, not when the
+        # revocation was issued, so members whose join completed in
+        # between are included. A member the flood reached has already
+        # cleared its cluster id; one it missed still holds ``cid``.
         live = self.live
-        for nid in members:
-            if not live.nodes[nid].alive:
-                continue
-            live.nodes[nid].die()
-            self.nodes_revoked += 1
-            live.trace.count("lifecycle.nodes.revoked")
-            self._evict(nid)
+        for nid, agent in self._deployed.agents.items():
+            if live.nodes[nid].alive and agent.state.cid in (cid, None):
+                self._power_down(nid)
         self._deployed.assign_gradient()
+
+    def _power_down(self, node_id: int) -> None:
+        self.live.nodes[node_id].die()
+        self.nodes_revoked += 1
+        self.live.trace.count("lifecycle.nodes.revoked")
+        self._evict(node_id)
 
     def _refresh_tick(self) -> None:
         if self._refresh is None:

@@ -58,4 +58,6 @@ class CryptoMetricsPublisher:
             reg.inc("crypto.keystream_blocks", delta)
         if delta := current["keystream_vector_blocks"] - last["keystream_vector_blocks"]:
             reg.inc("crypto.keystream_vector_blocks", delta)
+        if delta := current["keystream_reused_blocks"] - last["keystream_reused_blocks"]:
+            reg.inc("crypto.keystream_reused_blocks", delta)
         reg.gauge("crypto.backend_vector", 1.0 if active_backend() == "vector" else 0.0)

@@ -139,3 +139,37 @@ def test_is_orphan_classification():
     # Losing the cluster key (revocation) orphans the node.
     agent.state.keyring.remove(agent.state.cid)
     assert ConvergenceTracker.is_orphan(agent)
+
+
+# -- join vs revocation race -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        1007,  # node 41 joins cluster 36 just before the revocation flood clears it
+        3009,  # node 42 joins cluster 11 after the revocation flood passed it
+        27,  # node 41 stores revoked cluster 28's key as a neighbour during its join
+    ],
+)
+def test_join_racing_a_revocation_leaves_no_orphan_and_no_revoked_key(seed, monkeypatch):
+    from repro.runtime import lifecycle
+
+    seen = {}
+    deploy_live = lifecycle.deploy_live
+
+    def capture(*args, **kwargs):
+        out = deploy_live(*args, **kwargs)
+        seen["deployed"] = out[0]
+        return out
+
+    monkeypatch.setattr(lifecycle, "deploy_live", capture)
+    result = run_churn(ChurnScenario(seed=seed))
+    deployed = seen["deployed"]
+    revoked = deployed.bs_agent.revoked_cids
+    assert result.clusters_revoked == 1 and revoked
+    assert result.final_orphans == 0
+    for nid in deployed.network.alive_sensor_ids():
+        agent = deployed.agents.get(nid)
+        assert not ConvergenceTracker.is_orphan(agent), nid
+        assert not revoked.intersection(agent.state.keyring.cluster_ids()), nid

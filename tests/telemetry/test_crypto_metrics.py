@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.crypto import modes
 from repro.crypto.aead import AeadConfig, open_, seal
 from repro.crypto.kernels import active_backend, set_backend
 from repro.crypto.stats import STATS
@@ -77,3 +78,17 @@ def test_telemetry_snapshot_publishes_crypto():
     assert snap["counters"]["crypto.seals"] >= 1
     assert "crypto.keystream_blocks" in snap["counters"]
     assert "crypto.backend_vector" in snap["gauges"]
+
+
+def test_publisher_reports_reused_keystream_blocks():
+    """Opening a frame reuses the keystream its seal computed."""
+    modes._memo.clear()
+    registry = MetricsRegistry()
+    publisher = CryptoMetricsPublisher(registry)
+    sealed = seal(KEY, 7, b"broadcast reading")
+    open_(KEY, 7, sealed)
+    open_(KEY, 7, sealed)
+    publisher.publish()
+    blocks = registry.counter("crypto.keystream_blocks")
+    assert blocks == 9  # three requests of three 8-byte blocks
+    assert registry.counter("crypto.keystream_reused_blocks") == 6
