@@ -41,11 +41,10 @@ def run_field(loss: float) -> None:
     # Stagger the reporting duty cycle: synchronized transmissions would
     # collide at every receiver no matter the MAC (hidden terminals).
     sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0][:30]
-    sim = net.sim
     for i, src in enumerate(sources):
         agent = deployed.agents[src]
-        sim.schedule(1.0 + 2.0 * i, lambda a=agent: a.send_reading(b"harsh"))
-    sim.run(until=sim.now + 2.0 * len(sources) + 60)
+        deployed.schedule(1.0 + 2.0 * i, lambda a=agent: a.send_reading(b"harsh"))
+    deployed.run_until(deployed.now() + 2.0 * len(sources) + 60)
     got = len({r.source for r in deployed.bs_agent.delivered})
 
     print(

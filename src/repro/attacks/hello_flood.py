@@ -31,7 +31,7 @@ from repro.protocol import messages
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.setup import DeployedProtocol
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 class HelloFloodAttacker:
@@ -39,7 +39,7 @@ class HelloFloodAttacker:
 
     def __init__(self, deployed: "DeployedProtocol", position: Sequence[float]) -> None:
         self.deployed = deployed
-        self.node: "SensorNode" = deployed.network.add_node(np.asarray(position, dtype=float))
+        self.node: "NodeRuntime" = deployed.network.add_node(np.asarray(position, dtype=float))
         self.node.app = self
         self.recorded_hellos: list[bytes] = []
         self._monitoring = False

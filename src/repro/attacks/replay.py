@@ -18,7 +18,7 @@ from repro.protocol import messages
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.setup import DeployedProtocol
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 class ReplayAttacker:
@@ -26,7 +26,7 @@ class ReplayAttacker:
 
     def __init__(self, deployed: "DeployedProtocol", position: Sequence[float]) -> None:
         self.deployed = deployed
-        self.node: "SensorNode" = deployed.network.add_node(np.asarray(position, dtype=float))
+        self.node: "NodeRuntime" = deployed.network.add_node(np.asarray(position, dtype=float))
         self.node.app = self
         self.recorded: list[bytes] = []
         deployed.network.radio.monitors.append(self._monitor)

@@ -22,7 +22,7 @@ from repro.protocol.forwarding import build_inner, wrap_hop
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.config import ProtocolConfig
     from repro.protocol.setup import DeployedProtocol
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 class CloneAgent:
@@ -30,7 +30,7 @@ class CloneAgent:
 
     def __init__(
         self,
-        node: "SensorNode",
+        node: "NodeRuntime",
         config: "ProtocolConfig",
         capture: CaptureResult,
     ) -> None:
@@ -73,7 +73,7 @@ class CloneAgent:
             self.capture.node_id,
             self._seq,
             0x7FFF,  # claim maximal distance so every receiver is "downhill"
-            self.node.network.sim.now,
+            self.node.now(),
             c1,
             self.config.aead,
         )

@@ -19,7 +19,7 @@ from repro.protocol.forwarding import build_inner, wrap_hop
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.setup import DeployedProtocol
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 class SybilAttacker:
@@ -32,7 +32,7 @@ class SybilAttacker:
         stolen_cluster_keys: dict[int, bytes] | None = None,
     ) -> None:
         self.deployed = deployed
-        self.node: "SensorNode" = deployed.network.add_node(np.asarray(position, dtype=float))
+        self.node: "NodeRuntime" = deployed.network.add_node(np.asarray(position, dtype=float))
         self.node.app = self
         self.stolen = stolen_cluster_keys or {}
         self.identities_used: set[int] = set()
@@ -60,7 +60,7 @@ class SybilAttacker:
             identity,
             self._seq,
             0x7FFF,
-            self.node.network.sim.now,
+            self.node.now(),
             c1,
             self.deployed.config.aead,
         )

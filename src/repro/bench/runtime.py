@@ -4,9 +4,9 @@ Times a full key setup (deploy + cluster election + key distribution to
 quiescence) across the runtime backends and writes the machine-readable
 trajectory to ``BENCH_runtime.json``:
 
-* **sim / loopback / loopback+faults** — the single-process backends at
-  laptop sizes (the loopback rows are the tuned per-event hot path; the
-  faulted row prices the fault decorator plus the reliability layer);
+* **loopback / loopback+faults** — the single-process fabric at laptop
+  sizes (the loopback rows are the tuned per-event hot path; the faulted
+  row prices the fault decorator plus the reliability layer);
 * **loopback at n=2500 and n=3600** — the paper's deployment scale on
   one process: the honest baseline the sharded runtime is judged
   against;
@@ -41,7 +41,7 @@ SIZES = (100, 400)
 PAPER_SIZES = (2500, 3600)
 
 #: Single-process backend variants measured at each laptop size.
-VARIANTS = ("sim", "loopback", "loopback+faults")
+VARIANTS = ("loopback", "loopback+faults")
 
 DENSITY = 10.0
 
@@ -49,10 +49,7 @@ DENSITY = 10.0
 def _events_executed(deployed) -> int:
     """Events the backend executed, unwrapping the fault decorator."""
     transport = deployed.network.transport
-    transport = getattr(transport, "inner", transport)
-    if transport.name == "sim":
-        return transport._network.sim.events_executed
-    return transport.events_executed
+    return getattr(transport, "inner", transport).events_executed
 
 
 def run_setup_row(variant: str, n: int, seed: int = 0) -> dict:
@@ -129,18 +126,15 @@ def bench_runtime(quick: bool = False, seed: int = 0, shards: int = 4) -> dict:
         loopback = indexed_rows.get(("loopback", n))
         assert loopback is not None
         # A throughput number for a *different* computation would be
-        # noise: every deterministic backend must reproduce the same
-        # cluster structure. (The faulted variant legitimately diverges:
-        # 15% setup loss.)
-        baseline_clusters = loopback["clusters"]
-        for other in ("sim", f"shard{shards}"):
-            row = indexed_rows.get((other, n))
-            if row is not None:
-                found_clusters = row["clusters"]
-                assert found_clusters == baseline_clusters, (
-                    f"{other} diverged from loopback at n={n}: "
-                    f"{found_clusters} != {baseline_clusters} clusters"
-                )
+        # noise: the sharded runtime must reproduce the same cluster
+        # structure. (The faulted variant legitimately diverges: 15%
+        # setup loss.)
+        sharded = indexed_rows.get((f"shard{shards}", n))
+        if sharded is not None:
+            assert sharded["clusters"] == loopback["clusters"], (
+                f"shard{shards} diverged from loopback at n={n}: "
+                f"{sharded['clusters']} != {loopback['clusters']} clusters"
+            )
     rows.sort(key=lambda row: (row["transport"], row["n"]))
     return {
         "benchmark": "runtime_setup_throughput",

@@ -175,9 +175,9 @@ def _cmd_run_live(args: argparse.Namespace) -> int:
     if args.transport not in TRANSPORTS:
         print(
             f"unknown transport {args.transport!r}: choose one of "
-            f"{', '.join(TRANSPORTS)} (loopback = deterministic in-process "
-            f"asyncio; udp = real datagram sockets on 127.0.0.1; sim = the "
-            f"discrete-event simulator)"
+            f"{', '.join(TRANSPORTS)} (loopback = the deterministic in-process "
+            f"fabric with the radio model; udp = real datagram sockets on "
+            f"127.0.0.1)"
         )
         return 2
 
@@ -749,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_live.add_argument(
         "--transport",
         default="loopback",
-        metavar="{loopback,udp,sim}",
+        metavar="{loopback,udp}",
         help="network backend to run the nodes on (default: loopback)",
     )
     run_live.add_argument(
@@ -808,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--transport",
         default="loopback",
-        metavar="{loopback,sim}",
+        metavar="{loopback}",
         help="backend the mesh runs on (default: loopback)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
@@ -874,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--transport",
         default="loopback",
-        metavar="{loopback,udp,sim}",
+        metavar="{loopback,udp}",
         help="network backend to inject faults into (default: loopback)",
     )
     chaos.add_argument(
@@ -944,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument(
         "--transport",
         default="loopback",
-        help="transport backend (loopback, udp, sim; default: loopback)",
+        help="transport backend (loopback, udp; default: loopback)",
     )
     churn.add_argument(
         "--mobility",

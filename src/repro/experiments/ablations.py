@@ -91,7 +91,7 @@ def run_fusion(
                 deployed.agents[int(origin)].send_reading(
                     encode_reading(event, 20.0 + event, int(origin))
                 )
-        deployed.network.sim.run(until=deployed.network.sim.now + 60)
+        deployed.run_for(60)
         events_seen = {
             int.from_bytes(r.data[:4], "big") for r in deployed.bs_agent.delivered
         }
@@ -139,8 +139,7 @@ def run_refresh(n: int = 300, density: float = 12.0, seed: int = 0) -> Experimen
             nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0
         )
         deployed.agents[src].send_reading(b"post-refresh")
-        sim = deployed.network.sim
-        sim.run(until=sim.now + 30)
+        deployed.run_for(30)
         delivered = any(
             r.data == b"post-refresh" for r in deployed.bs_agent.delivered
         )
@@ -176,13 +175,12 @@ def run_counter_mode(n: int = 200, density: float = 12.0, seed: int = 0) -> Expe
         agent = deployed.agents[src]
         frames0, bytes0 = radio.frames_sent, radio.bytes_sent
         agent.send_reading(b"0123456789")
-        sim = deployed.network.sim
-        sim.run(until=sim.now + 30)
+        deployed.run_for(30)
         per_frame = (radio.bytes_sent - bytes0) / (radio.frames_sent - frames0)
         for _ in range(500):
             agent.state.next_e2e_counter()
         agent.send_reading(b"after-desync")
-        sim.run(until=sim.now + 30)
+        deployed.run_for(30)
         survived = any(r.data == b"after-desync" for r in deployed.bs_agent.delivered)
         table.add_row(mode, per_frame, str(survived))
     table.notes.append(

@@ -62,7 +62,7 @@ def run(n: int = 250, density: float = 12.0, seed: int = 3) -> ExperimentTable:
         if agent.state.hops_to_bs > 0:
             agent.send_reading(b"reading")
             sent += 1
-    deployed.network.sim.run(until=deployed.network.sim.now + 30)
+    deployed.run_for(30)
     got = len(deployed.bs_agent.delivered)
     ratio = got / sent if sent else 1.0
     table.add_row(
@@ -85,7 +85,7 @@ def run(n: int = 250, density: float = 12.0, seed: int = 3) -> ExperimentTable:
     )
     before = trace["bs.delivered"]
     syb.emit_many(20, cid=cap.own_cid, rng=rng)
-    deployed.network.sim.run(until=deployed.network.sim.now + 20)
+    deployed.run_for(20)
     accepted = trace["bs.delivered"] - before
     table.add_row(
         "sybil (20 identities, insider)",
@@ -101,8 +101,8 @@ def run(n: int = 250, density: float = 12.0, seed: int = 3) -> ExperimentTable:
     attacker.wire_to_victims(net.sensor_ids())
     for a in dp.agents.values():
         a.start_setup()
-    net.sim.schedule(0.01, lambda: attacker.flood_forged(50, rng))
-    net.sim.run(until=dp.config.setup_end_s)
+    net.transport.schedule(0.01, lambda: attacker.flood_forged(50, rng))
+    net.transport.run(until=dp.config.setup_end_s)
     dp.assign_gradient()
     drops = net.trace["drop.hello_bad_auth"]
     joined_attacker = sum(
@@ -151,10 +151,10 @@ def run(n: int = 250, density: float = 12.0, seed: int = 3) -> ExperimentTable:
         deployed, deployed.network.deployment.positions[src - 1] + 0.5
     )
     deployed.agents[src].send_reading(b"legit")
-    deployed.network.sim.run(until=deployed.network.sim.now + 20)
+    deployed.run_for(20)
     before = trace["bs.delivered"]
     replayed = rp.replay_all()
-    deployed.network.sim.run(until=deployed.network.sim.now + 20)
+    deployed.run_for(20)
     extra = trace["bs.delivered"] - before
     table.add_row(
         f"replay ({replayed} recorded frames)",

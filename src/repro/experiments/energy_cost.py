@@ -87,8 +87,7 @@ def run_reporting_cost(
                 deployed.agents[int(origin)].send_reading(
                     encode_reading(event, 20.0, int(origin))
                 )
-        sim = deployed.network.sim
-        sim.run(until=sim.now + 120)
+        deployed.run_for(120)
         spent = report.snapshot().minus(baseline)
         per_event = spent.total / n_events
         # Network-wide daily spend if this workload repeats all day,

@@ -68,8 +68,7 @@ def run(
         )
         collisions_before = deployed.network.radio.frames_collided
         workload.start()
-        sim = deployed.network.sim
-        sim.run(until=sim.now + workload.duration_s + 30.0)
+        deployed.run_until(deployed.now() + workload.duration_s + 30.0)
         lat = sorted(workload.latencies())
         table.add_row(
             period,

@@ -63,7 +63,7 @@ def measure_km_window(
     network.radio.monitors.append(monitor)
     for agent in deployed.agents.values():
         agent.start_setup()
-    network.sim.run(until=config.setup_end_s)
+    network.transport.run(until=config.setup_end_s)
     return last_setup_tx, config.setup_end_s, network.radio.frames_sent
 
 

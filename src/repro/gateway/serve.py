@@ -4,7 +4,7 @@ Composes the pieces of :mod:`repro.gateway` over a
 :func:`~repro.runtime.cluster.deploy_live` deployment:
 
 * the mesh runs key setup and a continuous periodic-reporting workload
-  on the loopback (or sim) transport;
+  on the loopback transport;
 * the base station's verified readings stream into a
   :class:`~repro.gateway.store.GatewayStateStore` via the delivery
   listener added in :mod:`repro.protocol.base_station`;
@@ -75,9 +75,9 @@ class ServeOptions:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range knobs."""
-        if self.transport not in ("loopback", "sim"):
+        if self.transport != "loopback":
             raise ValueError(
-                f"serve supports the loopback and sim transports, not {self.transport!r}"
+                f"serve supports the loopback transport, not {self.transport!r}"
             )
         for name, value in (
             ("period_s", self.period_s),

@@ -28,7 +28,7 @@ from repro.crypto.keys import SymmetricKey
 from repro.leap import messages
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 def master_derived_key(k_init: bytes, node_id: int) -> bytes:
@@ -52,7 +52,7 @@ class LeapAgent:
 
     def __init__(
         self,
-        node: "SensorNode",
+        node: "NodeRuntime",
         k_init: SymmetricKey,
         aead: AeadConfig,
         timer_rng,

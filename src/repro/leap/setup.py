@@ -76,9 +76,9 @@ def run_leap_bootstrap(
             for forged in flood_ids:
                 attacker.broadcast(messages.encode_discovery_hello(forged))
 
-        network.sim.schedule(discovery_window_s * 0.1, flood)
+        network.transport.schedule(discovery_window_s * 0.1, flood)
 
-    network.sim.run(until=discovery_window_s + 1.5)
+    network.transport.run(until=discovery_window_s + 1.5)
     return LeapDeployment(network, agents, aead)
 
 

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from repro.protocol.setup import DeployedProtocol
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 class JoiningNodeAgent:
@@ -45,7 +45,7 @@ class JoiningNodeAgent:
 
     def __init__(
         self,
-        node: "SensorNode",
+        node: "NodeRuntime",
         config: ProtocolConfig,
         preload: Preload,
         timer_rng,

@@ -40,7 +40,7 @@ from repro.protocol.state import NodeState, Preload, Role
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.aggregation import FusionFilter
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 class ProtocolError(RuntimeError):
@@ -63,7 +63,7 @@ class ProtocolAgent:
 
     def __init__(
         self,
-        node: "SensorNode",
+        node: "NodeRuntime",
         config: ProtocolConfig,
         preload: Preload,
         timer_rng,

@@ -46,10 +46,11 @@ class SecureSensorNetwork:
         density: float,
         seed: int = 0,
         config: ProtocolConfig | None = None,
-        **network_kwargs,
+        **deploy_kwargs,
     ) -> "SecureSensorNetwork":
-        """Deploy ``n`` sensors at the given mean density and run key setup."""
-        deployed, metrics = _deploy(n, density, seed=seed, config=config, **network_kwargs)
+        """Deploy ``n`` sensors at the given mean density and run key setup
+        (``deploy_kwargs`` as for :func:`repro.protocol.setup.deploy`)."""
+        deployed, metrics = _deploy(n, density, seed=seed, config=config, **deploy_kwargs)
         return cls(deployed, metrics)
 
     @classmethod

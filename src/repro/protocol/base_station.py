@@ -37,7 +37,7 @@ from repro.protocol.forwarding import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 @dataclass
@@ -72,7 +72,7 @@ class BaseStationAgent:
 
     def __init__(
         self,
-        node: "SensorNode",
+        node: "NodeRuntime",
         config: ProtocolConfig,
         registry: KeyRegistry,
     ) -> None:

@@ -79,7 +79,7 @@ class ProtocolConfig:
 
     # -- hop-by-hop reliability (live-runtime extension, default off) --------
     #: Per-hop custody ACKs + retransmission. Off by default: the paper's
-    #: protocol has no ACKs, and sim/loopback parity tests pin the default
+    #: protocol has no ACKs, and the runtime parity tests pin the default
     #: behavior. Enable for lossy live fabrics (see docs/RUNTIME.md).
     hop_ack_enabled: bool = False
     #: Base wait for a custody ACK before the first retransmission.

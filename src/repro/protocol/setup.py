@@ -15,7 +15,7 @@ figures are computed from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.kdf import derive_cluster_key
 from repro.crypto.keychain import KeyChain
@@ -25,6 +25,11 @@ from repro.protocol.base_station import BaseStationAgent, KeyRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.metrics import SetupMetrics, compute_setup_metrics
 from repro.sim.network import Network
+from repro.sim.radio import RadioConfig
+from repro.sim.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.faults import FaultPlan
 
 
 @dataclass
@@ -44,21 +49,19 @@ class DeployedProtocol:
     # -- timer interface ---------------------------------------------------
     #
     # All orchestration (refresh rounds, workloads, experiments) goes
-    # through these three methods rather than touching ``network.sim``
-    # directly, so a deployment backed by a live transport (see
-    # :mod:`repro.runtime`) drives the exact same code.
+    # through these three methods, which drive the network's transport.
 
     def now(self) -> float:
-        """Current protocol time (simulated or transport-provided)."""
-        return self.network.sim.now
+        """Current protocol time."""
+        return self.network.transport.now
 
     def schedule(self, delay: float, callback: Callable[[], Any]):
         """Arm ``callback`` to fire ``delay`` protocol-seconds from now."""
-        return self.network.sim.schedule(delay, callback)
+        return self.network.transport.schedule(delay, callback)
 
     def run_until(self, time_s: float) -> float:
         """Drive the clock to absolute protocol time ``time_s``."""
-        return self.network.sim.run(until=time_s)
+        return self.network.transport.run(until=time_s)
 
     def run_for(self, duration_s: float) -> float:
         """Drive the clock forward by ``duration_s`` protocol-seconds."""
@@ -79,11 +82,8 @@ class DeployedProtocol:
 def provision(network: Network, config: ProtocolConfig | None = None) -> DeployedProtocol:
     """Initialization phase: manufacture keys and attach agents.
 
-    ``network`` may be the discrete-event :class:`~repro.sim.network.Network`
-    or any structurally compatible deployment (``sensor_ids``/``node``/
-    ``rng``/``bs``), e.g. :class:`repro.runtime.cluster.LiveNetwork` —
-    agents only ever see the node-level surface (broadcast / schedule /
-    now / trace), never the simulator.
+    Agents only ever see the node-level surface (broadcast / schedule /
+    now / trace), never the network or its transport.
     """
     config = config or ProtocolConfig()
     key_rng = network.rng.stream("keys")
@@ -155,8 +155,37 @@ def deploy(
     density: float,
     seed: int = 0,
     config: ProtocolConfig | None = None,
-    **network_kwargs,
+    *,
+    transport: str = "loopback",
+    radio_config: RadioConfig | None = None,
+    fault_plan: "FaultPlan | None" = None,
+    event_log_limit: int = 0,
+    **transport_kwargs,
 ) -> tuple[DeployedProtocol, SetupMetrics]:
-    """One-call convenience: build a network and run key setup on it."""
-    network = Network.build(n, density, seed=seed, **network_kwargs)
+    """Deploy ``n`` nodes on ``transport`` and run key setup on them.
+
+    Builds the topology at the requested mean density, brings up one
+    node runtime per node on the named fabric (``loopback``, the
+    deterministic in-process fabric with the radio link model, or
+    ``udp``), runs the paper's cluster key setup and returns the
+    operational :class:`DeployedProtocol` plus the setup metrics. Extra
+    keyword arguments go to the transport constructor (``pace`` for
+    loopback; ``base_port`` / ``host`` / ``time_scale`` for UDP).
+
+    ``fault_plan`` wraps the fabric in a
+    :class:`~repro.runtime.faults.FaultInjectingTransport`, so the whole
+    deployment — key setup included — runs under the plan's faults.
+
+    ``event_log_limit`` > 0 enables the telemetry event buffer *before*
+    key setup runs, so a JSONL exporter attached afterwards (``run-live
+    --metrics-out``) still replays the setup-phase events.
+    """
+    # Local imports: the runtime package builds on this module.
+    from repro.runtime.cluster import build_transport
+    from repro.runtime.faults import FaultInjectingTransport
+
+    fabric = build_transport(transport, trace=Trace(log_limit=event_log_limit), **transport_kwargs)
+    if fault_plan is not None:
+        fabric = FaultInjectingTransport(fabric, fault_plan)
+    network = Network.build(n, density, seed=seed, radio_config=radio_config, transport=fabric)
     return run_key_setup(network, config)

@@ -28,7 +28,7 @@ from repro.crypto.kdf import prf
 from repro.randkp import messages
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.node import SensorNode
+    from repro.runtime.node import NodeRuntime
 
 
 def link_key_from_pool(pool_key: bytes, u: int, v: int) -> bytes:
@@ -42,7 +42,7 @@ class RandKpAgent:
 
     def __init__(
         self,
-        node: "SensorNode",
+        node: "NodeRuntime",
         ring: dict[int, bytes],
         aead: AeadConfig,
         timer_rng,

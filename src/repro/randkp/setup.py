@@ -146,5 +146,5 @@ def run_randkp_bootstrap(
         agents[nid] = agent
         agent.start_bootstrap()
 
-    network.sim.run(until=discovery_window_s + 2.0)
+    network.transport.run(until=discovery_window_s + 2.0)
     return RandKpDeployment(network, agents, pool_size, ring_size, aead)

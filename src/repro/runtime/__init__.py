@@ -1,20 +1,20 @@
-"""repro.runtime — live, transport-agnostic protocol runtime.
+"""repro.runtime — the transport-agnostic protocol runtime.
 
-Runs the paper's protocol agents as real networked processes instead of
-simulator entities. The pieces:
+Runs the paper's protocol agents on a pluggable network fabric. The
+pieces:
 
 * :class:`~repro.runtime.transport.Transport` — the clock/timer/broadcast
-  abstraction, with three backends:
-  :class:`~repro.runtime.transport.SimTransport` (the discrete-event
-  simulator, bit-reproducible),
-  :class:`~repro.runtime.loopback.LoopbackTransport` (in-process asyncio,
-  deterministic) and :class:`~repro.runtime.udp.UdpTransport` (real
-  datagram sockets, per-node ports);
-* :class:`~repro.runtime.node.NodeRuntime` — hosts one unmodified
-  protocol agent on any transport;
-* :class:`~repro.runtime.cluster.LiveNetwork` /
-  :func:`~repro.runtime.cluster.deploy_live` — N-node live deployments
-  driven through the standard key-setup orchestration;
+  abstraction, with two backends:
+  :class:`~repro.runtime.loopback.LoopbackTransport` (the in-process,
+  deterministic run loop, with :class:`~repro.sim.radio.Radio` as its
+  link model — the simulator) and :class:`~repro.runtime.udp.UdpTransport`
+  (real datagram sockets, per-node ports); the sharded runtime
+  (:mod:`repro.runtime.shard`) runs one loopback fabric per region;
+* :class:`~repro.runtime.node.NodeRuntime` — the node: hosts one
+  unmodified protocol agent on any transport and owns its battery;
+* :func:`~repro.runtime.cluster.build_transport` — ``--transport`` names
+  to fabrics, for :func:`repro.protocol.setup.deploy` (also exported here
+  under its older name ``deploy_live``);
 * :class:`~repro.runtime.gateway.GatewayService` — JSON status/metrics
   snapshots over the base station;
 * :class:`~repro.runtime.faults.FaultPlan` /
@@ -51,12 +51,11 @@ from repro.runtime.faults import (
 from repro.runtime.gateway import GatewayService
 from repro.runtime.loopback import LoopbackTransport
 from repro.runtime.node import NodeRuntime
-from repro.runtime.transport import SimTransport, Transport
+from repro.runtime.transport import Transport
 from repro.runtime.udp import UdpTransport
 
 __all__ = [
     "Transport",
-    "SimTransport",
     "LoopbackTransport",
     "UdpTransport",
     "NodeRuntime",

@@ -111,7 +111,7 @@ class ChaosResult:
 def run_chaos(scenario: ChaosScenario) -> ChaosResult:
     """Execute one scenario and return its measurements.
 
-    Deterministic for deterministic transports (loopback, sim): the
+    Deterministic on the loopback transport: the
     deployment seed fixes the topology and protocol timers, the plan seed
     fixes every fault decision.
     """

@@ -1,218 +1,39 @@
-"""Live deployments: N protocol nodes on a pluggable transport.
+"""Transport selection for deployments.
 
-:class:`LiveNetwork` is the runtime twin of
-:class:`repro.sim.network.Network`: the same structural surface
-(``sensor_ids`` / ``node`` / ``bs`` / ``rng`` / ``trace`` / ``sim`` /
-``hop_gradient``), but its nodes are :class:`~repro.runtime.node.NodeRuntime`
-hosts on a :class:`~repro.runtime.transport.Transport` instead of
-simulator entities. Because :func:`repro.protocol.setup.provision` and
-:func:`~repro.protocol.setup.run_key_setup` only touch that surface, the
-entire key-setup orchestration — and every agent — runs unmodified on
-any backend.
-
-Topology still comes from a :class:`~repro.sim.network.Network` build:
-the unit-disk deployment, its adjacency map (reused as each transport's
-static neighbor map) and the named RNG streams are shared with the sim
-path, which is what makes sim/loopback parity and sim-transport
-bit-reproducibility possible in the first place.
+A deployment is one :class:`~repro.sim.network.Network` whose nodes are
+:class:`~repro.runtime.node.NodeRuntime` hosts on a transport, set up by
+:func:`repro.protocol.setup.deploy`. This module maps the CLI's
+``--transport`` names onto fabrics. ``LiveNetwork`` and ``deploy_live``
+are aliases of :class:`~repro.sim.network.Network` and
+:func:`~repro.protocol.setup.deploy`, kept for callers of those names.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.sim.network import BS_ID, Network
-from repro.sim.radio import RadioConfig
-from repro.runtime.faults import FaultInjectingTransport, FaultPlan
+from repro.protocol.setup import deploy
+from repro.sim.network import Network
 from repro.runtime.loopback import LoopbackTransport
-from repro.runtime.node import NodeRuntime
-from repro.runtime.transport import SimTransport, Transport
+from repro.runtime.transport import Transport
 from repro.runtime.udp import UdpTransport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocol.config import ProtocolConfig
-    from repro.protocol.metrics import SetupMetrics
-    from repro.protocol.setup import DeployedProtocol
 
 __all__ = ["TRANSPORTS", "LiveNetwork", "build_transport", "deploy_live"]
 
 #: Transport backends selectable by name (CLI ``--transport`` values).
-TRANSPORTS = ("loopback", "udp", "sim")
+TRANSPORTS = ("loopback", "udp")
+
+LiveNetwork = Network
+deploy_live = deploy
 
 
-class LiveNetwork:
-    """A deployed set of node runtimes plus the base station, on one transport."""
-
-    def __init__(self, network: Network, transport: Transport) -> None:
-        self._net = network
-        self.transport = transport
-        self.deployment = network.deployment
-        self.rng = network.rng
-        self.nodes: dict[int, NodeRuntime] = {}
-        for nid in sorted(network.nodes):
-            self.nodes[nid] = NodeRuntime(transport, nid, network.nodes[nid].position)
-        self.bs = self.nodes[BS_ID]
-        # Sorted sensor-id list (hot via alive_sensor_ids), cached and
-        # invalidated by add_node — live membership can now grow mid-run.
-        self._sensor_ids: list[int] | None = [nid for nid in self.nodes if nid != BS_ID]
-
-    # -- the network surface the protocol layer programs against ------------
-
-    @property
-    def sim(self):
-        """Simulator-compatible clock handle (the transport itself)."""
-        return self.transport
-
-    @property
-    def trace(self):
-        """The shared counter/event trace."""
-        return self.transport.trace
-
-    def node(self, node_id: int) -> NodeRuntime:
-        """Node runtime by id (including the base station)."""
-        return self.nodes[node_id]
-
-    def adjacency(self, node_id: int) -> list[int]:
-        """Static neighbor map of ``node_id`` (includes BS where in range)."""
-        return self._net.adjacency(node_id)
-
-    def sensor_ids(self) -> list[int]:
-        """Ids of ordinary sensors (excludes the base station), sorted.
-
-        Cached; invalidated by :meth:`add_node`. Callers must not mutate
-        the result.
-        """
-        if self._sensor_ids is None:
-            self._sensor_ids = sorted(nid for nid in self.nodes if nid != BS_ID)
-        return self._sensor_ids
-
-    def alive_sensor_ids(self) -> list[int]:
-        """Ids of sensors whose runtimes are still up."""
-        return [nid for nid in self.sensor_ids() if self.nodes[nid].alive]
-
-    # -- dynamic membership and topology (lifecycle runtime) -----------------
-
-    def add_node(self, position) -> NodeRuntime:
-        """Deploy one new node runtime at ``position`` mid-run.
-
-        Extends the underlying :class:`~repro.sim.network.Network`'s
-        adjacency (cell-grid disk query, symmetric), brings up a
-        :class:`NodeRuntime` registered on the live transport, and pushes
-        the grown neighbor lists to fabrics holding static copies. The
-        protocol-level join handshake is
-        :mod:`repro.protocol.addition`'s job, exactly as on the sim path.
-        """
-        sim_node = self._net.add_node(position)
-        runtime = NodeRuntime(self.transport, sim_node.id, sim_node.position)
-        self.nodes[sim_node.id] = runtime
-        self._sensor_ids = None
-        self._push_neighbors([sim_node.id, *self._net.adjacency(sim_node.id)])
-        return runtime
-
-    def update_topology(self, positions, adjacency) -> None:
-        """Apply a mobility step: moved positions + changed neighbor lists.
-
-        ``adjacency`` must contain symmetric updates (both endpoints of
-        every changed link), as produced by
-        :class:`repro.sim.mobility.MobileTopology` deltas. The change is
-        written through to the underlying network (the sim transport and
-        the hop gradient read it live) and to the transport's static
-        neighbor map (loopback/UDP).
-        """
-        self._net.update_topology(positions, adjacency)
-        for nid, position in positions.items():
-            self.nodes[nid].position = self._net.nodes[nid].position
-        self._push_neighbors(adjacency)
-
-    def _push_neighbors(self, node_ids) -> None:
-        """Sync the transport's static neighbor map for ``node_ids``."""
-        for nid in node_ids:
-            self.transport.set_neighbors(nid, self._net.adjacency(nid))
-
-    def hop_gradient(self) -> dict[int, int]:
-        """Hop count to the base station per node id (-1 unreachable)."""
-        hops = {BS_ID: 0}
-        frontier = [BS_ID]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for u in frontier:
-                for v in self._net.adjacency(u):
-                    if v not in hops and self.nodes[v].alive:
-                        hops[v] = level
-                        nxt.append(v)
-            frontier = nxt
-        for nid in self.nodes:
-            hops.setdefault(nid, -1)
-        return hops
-
-
-def build_transport(kind: str, network: Network, **transport_kwargs) -> Transport:
-    """Construct the ``kind`` transport over ``network``'s topology.
-
-    Every backend shares ``network``'s trace/telemetry store (pass an
-    explicit ``trace=`` to override for loopback/udp), so counters and
-    events land in one registry regardless of the fabric.
+def build_transport(kind: str, **transport_kwargs) -> Transport:
+    """Construct the ``kind`` transport (``pace`` for loopback;
+    ``base_port`` / ``host`` / ``time_scale`` for UDP; ``trace`` for both).
 
     Raises:
         ValueError: unknown ``kind`` (valid names are in :data:`TRANSPORTS`).
     """
-    if kind == "sim":
-        if transport_kwargs:
-            raise ValueError(
-                f"the sim transport takes no options, got {sorted(transport_kwargs)}"
-            )
-        return SimTransport(network)
     if kind == "loopback":
-        transport_kwargs.setdefault("trace", network.trace)
-        return LoopbackTransport.for_network(network, **transport_kwargs)
+        return LoopbackTransport(**transport_kwargs)
     if kind == "udp":
-        transport_kwargs.setdefault("trace", network.trace)
-        return UdpTransport.for_network(network, **transport_kwargs)
+        return UdpTransport(**transport_kwargs)
     raise ValueError(f"unknown transport {kind!r}; choose one of {', '.join(TRANSPORTS)}")
-
-
-def deploy_live(
-    n: int,
-    density: float,
-    seed: int = 0,
-    transport: str = "loopback",
-    config: "ProtocolConfig | None" = None,
-    radio_config: RadioConfig | None = None,
-    event_log_limit: int = 0,
-    fault_plan: FaultPlan | None = None,
-    **transport_kwargs,
-) -> "tuple[DeployedProtocol, SetupMetrics]":
-    """Deploy ``n`` live nodes on ``transport`` and run key setup on them.
-
-    The one-call live counterpart of :func:`repro.protocol.setup.deploy`:
-    builds the topology, brings up node runtimes on the requested backend,
-    runs the paper's cluster key setup over it and returns the operational
-    :class:`~repro.protocol.setup.DeployedProtocol` (whose ``network`` is
-    a :class:`LiveNetwork`) plus the usual setup metrics. Extra keyword
-    arguments go to the transport constructor (``pace`` for loopback;
-    ``base_port`` / ``host`` / ``time_scale`` for UDP).
-
-    ``fault_plan`` wraps the chosen backend in a
-    :class:`~repro.runtime.faults.FaultInjectingTransport` so the whole
-    deployment — key setup included — runs under the plan's injected
-    faults (see :mod:`repro.runtime.faults`).
-
-    ``event_log_limit`` > 0 enables the telemetry event buffer *before*
-    key setup runs, so a JSONL exporter attached afterwards (``run-live
-    --metrics-out``) still replays the setup-phase events.
-    """
-    from repro.protocol.setup import run_key_setup  # local import: avoid cycle
-    from repro.sim.trace import Trace
-
-    network = Network.build(n, density, seed=seed, radio_config=radio_config)
-    if event_log_limit:
-        # Fresh store with buffering on; nothing has counted into the
-        # build-time trace yet, so swapping it is observationally clean.
-        network.trace = Trace(log_limit=event_log_limit)
-    fabric = build_transport(transport, network, **transport_kwargs)
-    if fault_plan is not None:
-        fabric = FaultInjectingTransport(fabric, fault_plan)
-    live = LiveNetwork(network, fabric)
-    return run_key_setup(live, config)

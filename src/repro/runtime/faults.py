@@ -1,29 +1,29 @@
-"""Deterministic fault injection for any live transport.
+"""Deterministic fault injection for any transport.
 
-The simulator models a hostile channel (per-link loss, collisions, CSMA
-in :mod:`repro.sim.radio`), but the live transports are ideal MACs: no
-frame is ever dropped, duplicated, reordered, delayed or corrupted. This
-module closes that gap with one fault vocabulary shared by every
-backend:
+The radio link model (:mod:`repro.sim.radio`) covers per-link loss,
+collisions and CSMA on the in-process fabric, and UDP is an ideal MAC:
+neither duplicates, reorders, delays or corrupts a frame, crashes a node
+or partitions the field. This module adds those with one fault
+vocabulary shared by every backend:
 
 * :class:`FaultPlan` — a *seeded*, declarative description of what goes
   wrong: global and per-link drop / duplicate / reorder / corrupt /
   delay rates, node crash-and-restart schedules, and network partitions;
 * :class:`FaultInjectingTransport` — a decorator that wraps **any**
-  :class:`~repro.runtime.transport.Transport` (loopback, UDP, sim) and
+  :class:`~repro.runtime.transport.Transport` (loopback, UDP) and
   applies the plan on the delivery path, so the protocol under test
   cannot tell injected faults from real ones.
 
 Fault decisions are drawn from a ``numpy`` generator seeded by the plan,
-so on a deterministic transport (loopback, sim) a chaos run is exactly
+so on the deterministic loopback fabric a chaos run is exactly
 reproducible — the property the ``repro chaos`` CLI and the chaos-smoke
 CI job rely on.
 
 Semantics note: ``drop`` is evaluated once per *(sender, receiver)*
 delivery attempt — the same per-link independent-loss semantics as
-``RadioConfig.loss_probability`` in the simulator, so a sim run with
-``loss_probability=p`` and a live run with ``FaultPlan`` drop ``p`` mean
-the same thing (see :meth:`FaultPlan.from_radio_config`).
+``RadioConfig.loss_probability`` in the radio link model, so a run with
+``loss_probability=p`` and a run with ``FaultPlan`` drop ``p`` mean the
+same thing (see :meth:`FaultPlan.from_radio_config`).
 
 Every injected fault is counted in the deployment's trace under
 ``fault.*`` (see docs/TELEMETRY.md).
@@ -32,12 +32,15 @@ Every injected fault is counted in the deployment's trace under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.runtime.transport import ReceiveEndpoint, TimerHandle, Transport
 from repro.util.validate import check_probability
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.network import Network
 
 __all__ = [
     "LinkFaults",
@@ -53,8 +56,8 @@ class CrashableEndpoint(Protocol):
     """Endpoint a crash schedule can take down and bring back.
 
     :class:`~repro.runtime.node.NodeRuntime` implements this surface
-    (``offline`` / ``online``); plain sim nodes only support one-way
-    ``die`` and cannot be restarted by a plan.
+    (``offline`` / ``online``); an endpoint without it cannot be
+    crashed by a plan.
     """
 
     def offline(self) -> None:  # pragma: no cover - protocol stub
@@ -217,7 +220,9 @@ class FaultInjectingTransport(Transport):
     before reaching the node, and arms the plan's crash and restart
     timers on the inner transport's clock when :meth:`run` is first
     called. Clock, timers and the broadcast path are forwarded verbatim,
-    so the wrapper composes with loopback, UDP and sim alike.
+    so the wrapper composes with loopback and UDP alike. The send-side
+    counters read through to ``inner``, so every layer reports one
+    ``frames_sent`` / ``bytes_sent``.
     """
 
     def __init__(self, inner: Transport, plan: FaultPlan) -> None:
@@ -230,7 +235,21 @@ class FaultInjectingTransport(Transport):
         self._endpoints: dict[int, _FaultedEndpoint] = {}
         self._crashes_armed = False
 
+    @property
+    def frames_sent(self) -> int:  # type: ignore[override]
+        """Frames the inner fabric put on the air."""
+        return self.inner.frames_sent
+
+    @property
+    def bytes_sent(self) -> int:  # type: ignore[override]
+        """Bytes the inner fabric put on the air, link header included."""
+        return self.inner.bytes_sent
+
     # -- Transport interface -------------------------------------------------
+
+    def attach(self, network: "Network") -> None:
+        """Bind the inner fabric to ``network``."""
+        self.inner.attach(network)
 
     def register(self, node: ReceiveEndpoint) -> None:
         """Attach ``node`` behind a fault-applying delivery shim."""
@@ -249,13 +268,7 @@ class FaultInjectingTransport(Transport):
 
     def broadcast(self, sender_id: int, frame: bytes) -> None:
         """Transmit on the inner fabric (faults apply at delivery)."""
-        self.frames_sent += 1
-        self.bytes_sent += len(frame)
         self.inner.broadcast(sender_id, frame)
-
-    def set_neighbors(self, node_id: int, receivers: list[int]) -> None:
-        """Forward a topology change to the inner fabric's neighbor map."""
-        self.inner.set_neighbors(node_id, receivers)
 
     def run(self, until: float | None = None) -> float:
         """Arm the crash schedule (once), then drive the inner transport."""
@@ -347,8 +360,8 @@ class FaultInjectingTransport(Transport):
 class _FaultedEndpoint:
     """Registered in place of the real endpoint; routes deliveries
     through the fault plan. Exposes the full ``ReceiveEndpoint``
-    surface, so inner transports (and the sim's node-app patching)
-    cannot tell it from a real node runtime."""
+    surface, so inner transports cannot tell it from a real node
+    runtime."""
 
     __slots__ = ("transport", "node", "id")
 
@@ -365,9 +378,6 @@ class _FaultedEndpoint:
     def receive(self, sender_id: int, frame: bytes) -> None:
         """Delivery entry point: apply the fault plan, then forward."""
         self.transport._inject(self.node, sender_id, frame)
-
-    #: Sim-transport delivery calls ``app.on_frame``; same path.
-    on_frame = receive
 
 
 class _CrashFire:

@@ -66,9 +66,9 @@ class GatewayService:
         """
         clusters = cluster_assignment(self.deployed)
         alive = sum(1 for a in self.deployed.agents.values() if a.node.alive)
-        transport = getattr(self.deployed.network, "transport", None)
+        transport = self.deployed.network.transport
         snapshot = {
-            "transport": getattr(transport, "name", "sim"),
+            "transport": transport.name,
             "clock_s": round(self.deployed.now(), 6),
             "nodes": len(self.deployed.agents),
             "nodes_alive": alive,
@@ -79,13 +79,12 @@ class GatewayService:
             "revoked_clusters": sorted(self.bs.revoked_cids),
             "suspicious_clusters": self.bs.suspicious_clusters(),
             "telemetry": self.telemetry.snapshot(),
-        }
-        if transport is not None:
-            snapshot["frames"] = {
+            "frames": {
                 "sent": transport.frames_sent,
                 "delivered": transport.frames_delivered,
                 "bytes_sent": transport.bytes_sent,
-            }
+            },
+        }
         return snapshot
 
     def to_json(self, indent: int | None = 2, **extra) -> str:

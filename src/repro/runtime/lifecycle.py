@@ -44,9 +44,10 @@ from repro.gateway.store import GatewayStateStore
 from repro.protocol.addition import deploy_new_node, finalize_join
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.refresh import RefreshCoordinator
-from repro.runtime.cluster import LiveNetwork, deploy_live
+from repro.runtime.cluster import deploy_live
 from repro.runtime.faults import FaultPlan, LinkFaults
 from repro.sim.mobility import MOBILITY_MODELS, MobileTopology, build_mobility_model
+from repro.sim.network import Network
 from repro.workloads.traffic import ContinuousReporting
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,8 +70,8 @@ class MobilityDriver:
 
     Every ``step_s`` of protocol time the model advances, the
     :class:`~repro.sim.mobility.MobileTopology` computes the exact edge
-    delta, and the live network is updated: node positions, the
-    transport's neighbor map, and — only when links actually changed —
+    delta, and the network is updated: node positions, the adjacency
+    every fabric reads on send, and — only when links actually changed —
     a fresh hop gradient. BS and joined-but-static nodes live in the
     topology without being in the model, so their links still follow
     everyone else's motion.
@@ -193,11 +194,9 @@ class ChurnDriver:
         self.refresh_rounds = 0
 
     @property
-    def live(self) -> LiveNetwork:
-        """The live network the driver churns."""
-        network = self._deployed.network
-        assert isinstance(network, LiveNetwork)
-        return network
+    def live(self) -> Network:
+        """The network the driver churns."""
+        return self._deployed.network
 
     def start(self) -> None:
         """Schedule every churn event and refresh tick on the clock."""
@@ -600,7 +599,7 @@ class ChurnResult:
 def run_churn(scenario: ChurnScenario) -> ChurnResult:
     """Execute one lifecycle scenario and return its measurements.
 
-    Deterministic for deterministic transports (loopback, sim): the
+    Deterministic on the loopback transport: the
     deployment seed fixes topology and protocol timers, the fault-plan
     seed fixes every injected fault, and dedicated RNG streams
     (``mobility``, ``churn``) fix motion and the churn timeline.
@@ -615,7 +614,6 @@ def run_churn(scenario: ChurnScenario) -> ChurnResult:
     )
     deployed.assign_gradient()
     live = deployed.network
-    assert isinstance(live, LiveNetwork)
     trace = live.trace
 
     # One full-region gateway store rides along: the BS delivery stream

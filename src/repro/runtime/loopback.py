@@ -1,95 +1,70 @@
-"""In-process asyncio loopback transport.
+"""The in-process event fabric: one synchronous ``(time, seq)`` run loop.
 
-Runs every node in one process over an asyncio-driven event fabric with a
-*virtual* protocol clock: timers and frame deliveries are ``(time, seq)``
-ordered exactly like the discrete-event simulator's calendar queue, and
-deliveries are delayed by the same propagation + airtime model the
-simulated radio uses. With ``pace=0`` (the default) the loop executes
-events as fast as possible and a run is bit-deterministic — the property
-the sim/loopback parity tests pin. With ``pace > 0`` each event waits the
-scaled wall-clock delta first, turning the deployment into a live,
-watchable system without touching protocol code.
+Runs every node in one process on a *virtual* protocol clock: timers and
+frame deliveries share one :class:`~repro.sim.engine.EventQueue`, so a
+run is bit-deterministic for a fixed seed. This is the only in-process
+run loop; the shard fabric
+(:class:`~repro.runtime.shard.transport.ShardTransport`) runs its windows
+on it too. With ``pace > 0`` the loop sleeps the scaled wall-clock delta
+before each event, turning the deployment into a live, watchable system
+without touching protocol code.
 
-The fabric itself is an ideal MAC: every broadcast reaches every alive
-neighbor, and energy, collisions and CSMA are not modeled (deployments
-needing the full radio model stay on
-:class:`~repro.runtime.transport.SimTransport`). Link loss, duplication,
-reordering, delay, corruption, crashes and partitions are *not* inherent
-limits, though — wrap the transport in
-:class:`~repro.runtime.faults.FaultInjectingTransport` with a
-:class:`~repro.runtime.faults.FaultPlan` (``deploy_live(...,
-fault_plan=...)``) to impose any of them, with the same per-delivery
-loss semantics as ``RadioConfig.loss_probability``.
+On every send the fabric consults its network's
+:class:`~repro.sim.radio.Radio`, the link model: the radio decides at
+send time which neighbors a frame reaches and when (liveness, loss,
+collisions, CSMA deferral, energy), and the fabric queues one fan-out
+event that hands the frame to those receivers at the arrival instant.
+Faults beyond the radio model — duplication, reordering, delay,
+corruption, crashes, partitions — come from wrapping the fabric in
+:class:`~repro.runtime.faults.FaultInjectingTransport` (``deploy(...,
+fault_plan=...)``).
 """
 
 from __future__ import annotations
 
-import asyncio
+import math
+import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import EventHandle, EventQueue
-from repro.sim.radio import RadioConfig
 from repro.sim.trace import Trace
 from repro.runtime.transport import ReceiveEndpoint, Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
+    from repro.sim.radio import Radio
 
 __all__ = ["LoopbackTransport"]
 
 
 class LoopbackTransport(Transport):
-    """Deterministic in-process transport on a virtual asyncio clock."""
+    """Deterministic in-process fabric on a virtual clock."""
 
     name = "loopback"
 
-    def __init__(
-        self,
-        neighbors: dict[int, list[int]],
-        radio_config: RadioConfig | None = None,
-        trace: Trace | None = None,
-        pace: float = 0.0,
-    ) -> None:
-        """``neighbors`` is the static broadcast map: sender id -> receiver
-        ids, standing in for unit-disk connectivity. ``pace`` is wall
-        seconds per protocol second (0 = run events back-to-back)."""
+    def __init__(self, trace: Trace | None = None, pace: float = 0.0) -> None:
+        """``pace`` is wall seconds per protocol second (0 = run events
+        back-to-back). The link model comes from the network the fabric
+        is attached to."""
         if pace < 0:
             raise ValueError("pace must be >= 0")
         super().__init__(trace=trace)
-        self._neighbors = {nid: list(nbrs) for nid, nbrs in neighbors.items()}
-        self.config = radio_config or RadioConfig()
         self.pace = pace
+        self.radio: "Radio | None" = None
         self._nodes: dict[int, ReceiveEndpoint] = {}
         self._events = EventQueue()
         self._now = 0.0
         self.events_executed = 0
 
-    @classmethod
-    def for_network(cls, network: "Network", **kwargs) -> "LoopbackTransport":
-        """Loopback fabric over an existing deployment's adjacency map.
-
-        Copies the network's neighbor lists (in their canonical order, so
-        delivery scheduling order matches the simulated radio's) and its
-        physical-layer latency parameters.
-        """
-        neighbors = {nid: list(network.adjacency(nid)) for nid in network.nodes}
-        kwargs.setdefault("radio_config", network.radio.config)
-        return cls(neighbors, **kwargs)
-
     # -- Transport interface -------------------------------------------------
+
+    def attach(self, network: "Network") -> None:
+        """Use ``network``'s radio as the link model."""
+        self.radio = network.radio
 
     def register(self, node: ReceiveEndpoint) -> None:
         """Attach ``node`` as the receive endpoint for its id."""
         self._nodes[node.id] = node
-
-    def set_neighbors(self, node_id: int, receivers: list[int]) -> None:
-        """Replace ``node_id``'s static broadcast neighbor list.
-
-        The mobility/churn runtime pushes topology changes through this
-        hook; the canonical (sorted-id) receiver order is preserved so
-        delivery scheduling stays deterministic across runs.
-        """
-        self._neighbors[node_id] = list(receivers)
 
     @property
     def now(self) -> float:
@@ -102,54 +77,57 @@ class LoopbackTransport(Transport):
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self._events.push(self._now + delay, callback)
 
-    def broadcast(self, sender_id: int, frame: bytes) -> None:
-        """Schedule delivery of ``frame`` to the sender's static neighbors."""
-        nbytes = len(frame) + self.config.header_bytes
-        self.frames_sent += 1
-        self.bytes_sent += nbytes
-        self.trace.count("net.frames_sent")
-        self.trace.count("net.bytes_sent", nbytes)
-        receivers = self._neighbors.get(sender_id)
-        if not receivers:
-            return
-        # Same delivery latency as the simulated radio, so election races
-        # resolve identically and parity with SimTransport holds. All
-        # receivers of one broadcast share the delivery instant, so the
-        # whole fan-out is ONE queue entry (a ~mean-degree reduction in
-        # heap traffic); receivers are visited in neighbor-map order,
-        # matching the per-receiver scheduling order of the simulated
-        # radio, and alive-ness is checked at delivery time as before.
-        delay = self.config.propagation_delay_s + self.config.airtime(len(frame))
-        self.schedule(delay, _FanoutDelivery(self, receivers, sender_id, frame))
+    def broadcast(self, sender_id: int, frame: bytes, _attempt: int = 0) -> None:
+        """Put ``frame`` on the air and queue its fan-out.
 
-    def _deliver(self, receiver_id: int, sender_id: int, frame: bytes) -> None:
-        receiver = self._nodes.get(receiver_id)
-        if receiver is None or not receiver.alive:
+        ``_attempt`` counts CSMA retries: a deferred frame re-enters here
+        from the radio's backoff timer.
+        """
+        radio = self.radio
+        assert radio is not None, "fabric is not attached to a network"
+        sent = radio.transmit(self, sender_id, frame, _attempt)
+        if sent is None:
             return
-        self.frames_delivered += 1
-        self.trace.count("net.frames_delivered")
-        receiver.receive(sender_id, frame)
+        self.frames_sent += 1
+        self.bytes_sent += len(frame) + radio.config.header_bytes
+        arrival, receivers = sent
+        self._fan_out(sender_id, frame, arrival, receivers)
+
+    def _fan_out(
+        self, sender_id: int, frame: bytes, arrival: float, receivers: list[int]
+    ) -> None:
+        """Queue one delivery event for every receiver of one frame."""
+        if receivers:
+            self.schedule(
+                arrival - self._now, _FanoutDelivery(self, receivers, sender_id, frame)
+            )
 
     def run(self, until: float | None = None) -> float:
-        """Drive the fabric synchronously (wraps :meth:`run_async`)."""
-        return asyncio.run(self.run_async(until))
+        """Execute pending events up to ``until`` and advance the clock to it."""
+        return self._run_loop(until, True)
 
-    async def run_async(self, until: float | None = None) -> float:
-        """Execute pending events in (time, seq) order up to ``until``."""
+    def _run_loop(self, limit: float | None, inclusive: bool) -> float:
+        """The run loop: pop due events in ``(time, seq)`` order and fire them.
+
+        Events at exactly ``limit`` fire when ``inclusive``; the clock
+        then advances to a finite ``limit``. Returns the clock.
+        """
         events = self._events
         pace = self.pace
         while True:
-            item = events.pop_due(until)
+            item = events.pop_due(limit, inclusive)
             if item is None:
                 break
-            time, callback = item
-            if pace > 0.0 and time > self._now:
-                await asyncio.sleep((time - self._now) * pace)
-            self._now = time
+            when, callback = item
+            if pace > 0.0 and when > self._now:
+                time.sleep((when - self._now) * pace)
+            self._now = when
+            # Incremented per event (not batched): samplers scheduled as
+            # events read this counter mid-run.
             self.events_executed += 1
             callback()
-        if until is not None and until > self._now:
-            self._now = until
+        if limit is not None and self._now < limit < math.inf:
+            self._now = limit
         return self._now
 
     @property
@@ -159,14 +137,13 @@ class LoopbackTransport(Transport):
 
 
 class _FanoutDelivery:
-    """Bound delivery of one broadcast to every receiver (one queue entry).
+    """Bound delivery of one frame to every surviving receiver (one event).
 
-    Receivers are visited in neighbor-map order — the order the simulated
-    radio schedules its per-receiver deliveries in — so frame-arrival
-    ordering at every node is unchanged. ``events_executed`` is bumped by
+    All receivers of a frame share its arrival instant, so one queue entry
+    stands for all of them, visited in adjacency order. Liveness is checked
+    again at delivery. ``events_executed`` is bumped by
     ``len(receivers) - 1`` so the throughput metric keeps counting
-    per-receiver deliveries (comparable with the sim transport), not
-    queue pops.
+    per-receiver deliveries, not queue pops.
     """
 
     __slots__ = ("transport", "receivers", "sender_id", "frame")
@@ -185,8 +162,10 @@ class _FanoutDelivery:
 
     def __call__(self) -> None:
         transport = self.transport
-        transport.events_executed += len(self.receivers) - 1
-        sender_id = self.sender_id
-        frame = self.frame
-        for receiver_id in self.receivers:
-            transport._deliver(receiver_id, sender_id, frame)
+        receivers = self.receivers
+        transport.events_executed += len(receivers) - 1
+        radio = transport.radio
+        assert radio is not None
+        transport.frames_delivered += radio.deliver(
+            transport._nodes, receivers, self.sender_id, self.frame
+        )

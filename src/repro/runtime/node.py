@@ -1,14 +1,20 @@
-"""The per-node runtime host.
+"""The node: one deployed sensor (or the base station) on a transport.
 
-:class:`NodeRuntime` is the live counterpart of
-:class:`repro.sim.node.SensorNode`: it exposes the exact node surface a
+:class:`NodeRuntime` exposes the exact node surface a
 :class:`~repro.protocol.agent.ProtocolAgent` (or the base-station agent,
-or a joining-node agent) touches — ``id``, ``alive``, ``broadcast``,
-``schedule``, ``now``, ``trace``, ``die`` — and maps it onto a
-:class:`~repro.runtime.transport.Transport`. Hosting an agent is one
-assignment (``runtime.app = agent``); the agent cannot tell whether its
-frames travel through the simulated radio, an in-process loopback, or
-real UDP sockets.
+a joining-node agent, or an adversarial implant) touches — ``id``,
+``alive``, ``broadcast``, ``schedule``, ``now``, ``trace``, ``die`` — and
+maps it onto a :class:`~repro.runtime.transport.Transport`. It also owns
+the node's battery (:class:`~repro.sim.energy.EnergyMeter`), which the
+radio link model charges. Hosting an agent is one assignment
+(``runtime.app = agent``); the agent cannot tell whether its frames travel
+through the in-process fabric or real UDP sockets.
+
+The link-layer ``sender_id`` passed to applications mirrors the
+unauthenticated source field of a real radio header: adversaries can and
+do spoof it, so protocol logic must never trust it for security
+decisions (the protocol authenticates identities cryptographically
+inside the payload instead).
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
+
+from repro.sim.energy import EnergyMeter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.transport import TimerHandle, Transport
@@ -25,17 +33,19 @@ __all__ = ["NodeRuntime"]
 
 
 class NodeRuntime:
-    """One protocol node hosted on a live transport."""
+    """One protocol node hosted on a transport."""
 
     def __init__(
         self,
         transport: "Transport",
         node_id: int,
-        position: np.ndarray | None = None,
+        position: np.ndarray,
+        energy: EnergyMeter,
     ) -> None:
         self.transport = transport
         self.id = node_id
         self.position = position
+        self.energy = energy
         self.alive = True
         #: The hosted application (protocol agent, BS agent, joiner, ...).
         self.app: Any = None
@@ -70,7 +80,7 @@ class NodeRuntime:
         return self.transport.trace
 
     def die(self) -> None:
-        """Take the node offline (crash injection, battery death)."""
+        """Remove the node from the network (battery death, capture, leave)."""
         self.alive = False
         self._notify_app("on_offline")
 
@@ -118,18 +128,20 @@ class NodeRuntime:
         self.receive_listeners.append(listener)
 
     def receive(self, sender_id: int, frame: bytes) -> None:
-        """Deliver one frame up to the hosted application."""
+        """Deliver one frame up to the hosted application.
+
+        A node whose battery has run out dies on its next reception.
+        """
         if not self.alive:
             return
         self.frames_received += 1
+        if self.energy.depleted:
+            self.die()
+            return
         if self.app is not None:
             self.app.on_frame(sender_id, frame)
         for listener in self.receive_listeners:
             listener(sender_id, frame)
-
-    #: NodeApp-compatible alias: under :class:`SimTransport` the sim node's
-    #: ``app`` is this runtime, and sim delivery calls ``app.on_frame``.
-    on_frame = receive
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"

@@ -1,7 +1,7 @@
 """Region-sharded multi-process runtime for paper-scale deployments.
 
-The single-process :class:`~repro.runtime.cluster.LiveNetwork` runs all
-agents, transport and telemetry under one GIL; at the paper's deployment
+A single-process :class:`~repro.sim.network.Network` runs all agents,
+transport and telemetry under one GIL; at the paper's deployment
 sizes (2,500–3,600 nodes) the per-delivery AEAD work saturates that one
 core. This package carves the field into contiguous regions (one worker
 process each, :mod:`~repro.runtime.shard.partition`), carries cross-region
@@ -17,7 +17,8 @@ Entry point: :func:`run_sharded_setup` (CLI: ``repro run-live --shards N``).
 
 from repro.runtime.shard.coordinator import ShardedSetupResult, run_sharded_setup
 from repro.runtime.shard.partition import ShardPlan, partition_network
-from repro.runtime.shard.transport import NullTransport, ShardTransport
+from repro.runtime.shard.transport import ShardTransport
+from repro.runtime.transport import NullTransport
 from repro.runtime.shard.worker import build_shard_world
 
 __all__ = [

@@ -12,7 +12,7 @@ therefore advance as ``[T, min-next-event + L)``: each shard executes its
 local events inside the window in parallel, emitted cross-shard frames
 are routed between windows, and no shard can ever receive a frame for a
 time it has already passed. The final window at the protocol deadline is
-boundary-inclusive, matching ``Simulator.run(until)`` semantics.
+boundary-inclusive, matching ``LoopbackTransport.run(until)`` semantics.
 
 The coordinator owns the deployment (it builds the same seeded network
 the workers rebuild), launches one OS process per shard (``fork`` where

@@ -1,34 +1,33 @@
-"""Shard-local transports: the windowed event fabric and the RNG stub.
+"""The shard-local event fabric.
 
 :class:`ShardTransport` is a :class:`~repro.runtime.loopback.LoopbackTransport`
-whose neighbor map covers only the shard's *local* receivers; a broadcast
-from a border node additionally lands in :attr:`ShardTransport.outbox` for
+whose fan-outs keep only the shard's *local* receivers; a broadcast from
+a border node additionally lands in :attr:`ShardTransport.outbox` for
 the coordinator to route across the interconnect, and frames arriving
 from other shards are injected at their model-exact arrival instant.
 :meth:`ShardTransport.run_window` executes events up to a window boundary
-(exclusive or inclusive) — the primitive the conservative window
-synchronization in :mod:`repro.runtime.shard.coordinator` is built from.
+(exclusive or inclusive) on the loopback run loop — the primitive the
+conservative window synchronization in
+:mod:`repro.runtime.shard.coordinator` is built from.
 
-:class:`NullTransport` hosts the *foreign* node runtimes a worker builds
-purely for determinism: provisioning and ``start_setup`` must consume the
-shared ``keys``/``timers`` RNG streams for every node in global id order
-— exactly as the single-process runtime does — or local timer draws would
-diverge from the unsharded run. Foreign agents therefore get constructed
-and started for real, but their timers and broadcasts land here and are
-discarded; their behaviour is computed by whichever shard owns them.
+The *foreign* node runtimes a worker builds purely for determinism live
+on a :class:`~repro.runtime.transport.NullTransport`: provisioning and
+``start_setup`` must consume the shared ``keys``/``timers`` RNG streams
+for every node in global id order — exactly as the single-process
+runtime does — or local timer draws would diverge from the unsharded
+run. Foreign agents therefore get constructed and started for real, but
+their timers and broadcasts are discarded; their behaviour is computed
+by whichever shard owns them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
 
-from repro.sim.radio import RadioConfig
 from repro.sim.trace import Trace
 from repro.runtime.loopback import LoopbackTransport, _FanoutDelivery
-from repro.runtime.transport import ReceiveEndpoint, Transport
 
-__all__ = ["NullTransport", "ShardTransport"]
+__all__ = ["ShardTransport"]
 
 
 class ShardTransport(LoopbackTransport):
@@ -38,17 +37,17 @@ class ShardTransport(LoopbackTransport):
 
     def __init__(
         self,
-        neighbors: dict[int, list[int]],
+        local_ids: frozenset[int],
         border_senders: frozenset[int],
         ingress_neighbors: dict[int, list[int]],
-        radio_config: RadioConfig | None = None,
         trace: Trace | None = None,
     ) -> None:
-        """``neighbors`` maps each local sender to its *local* receivers;
+        """``local_ids`` are the node ids this shard hosts;
         ``border_senders`` are local ids with at least one remote
         neighbor; ``ingress_neighbors`` maps each remote border sender to
         its receivers inside this shard."""
-        super().__init__(neighbors, radio_config=radio_config, trace=trace)
+        super().__init__(trace=trace)
+        self._local = local_ids
         self._border = border_senders
         self._ingress = ingress_neighbors
         #: Frames awaiting coordinator routing: (emit_time, sender, payload).
@@ -56,9 +55,14 @@ class ShardTransport(LoopbackTransport):
         self.cross_frames_in = 0
         self.cross_frames_out = 0
 
-    def broadcast(self, sender_id: int, frame: bytes) -> None:
+    def _fan_out(
+        self, sender_id: int, frame: bytes, arrival: float, receivers: list[int]
+    ) -> None:
         """Local fan-out plus egress capture for border senders."""
-        super().broadcast(sender_id, frame)
+        local = self._local
+        super()._fan_out(
+            sender_id, frame, arrival, [nid for nid in receivers if nid in local]
+        )
         if sender_id in self._border:
             self.outbox.append((self._now, sender_id, frame))
             self.cross_frames_out += 1
@@ -74,11 +78,9 @@ class ShardTransport(LoopbackTransport):
         receivers = self._ingress.get(sender_id)
         if not receivers:
             return
-        arrival = (
-            emit_time
-            + self.config.propagation_delay_s
-            + self.config.airtime(len(frame))
-        )
+        assert self.radio is not None
+        config = self.radio.config
+        arrival = emit_time + config.propagation_delay_s + config.airtime(len(frame))
         if arrival < self._now:
             raise RuntimeError(
                 f"cross-shard frame would arrive in the past "
@@ -95,69 +97,11 @@ class ShardTransport(LoopbackTransport):
         interior window, whose boundary is the lookahead horizon).
         Returns the next pending event time (``inf`` when idle).
         """
-        events = self._events
-        while True:
-            item = events.pop_due(limit, inclusive)
-            if item is None:
-                break
-            time, callback = item
-            self._now = time
-            self.events_executed += 1
-            callback()
-        if math.isfinite(limit) and limit > self._now:
-            self._now = limit
-        next_time = events.peek_time()
-        return float("inf") if next_time is None else next_time
+        self._run_loop(limit, inclusive)
+        next_time = self._events.peek_time()
+        return math.inf if next_time is None else next_time
 
     def drain_outbox(self) -> list[tuple[float, int, bytes]]:
         """Return and clear the pending cross-shard egress frames."""
         out, self.outbox = self.outbox, []
         return out
-
-    def run(self, until: float | None = None) -> float:
-        """Synchronous drive (single-shard/test use; no asyncio loop)."""
-        self.run_window(math.inf if until is None else until, True)
-        return self._now
-
-
-class _NullTimer:
-    """Inert timer handle returned for foreign-agent schedules."""
-
-    __slots__ = ()
-
-    def cancel(self) -> None:
-        """No-op; the timer was never armed."""
-
-
-class NullTransport(Transport):
-    """Transport stub that discards everything (foreign node runtimes).
-
-    Exists so a worker can construct and ``start_setup`` every agent in
-    the deployment — consuming the shared RNG streams in global order —
-    while only the locally-owned agents ever execute. Owns a private
-    :class:`~repro.sim.trace.Trace` so nothing a foreign agent might
-    count could leak into the shard's real telemetry.
-    """
-
-    name = "null"
-
-    _TIMER = _NullTimer()
-
-    def register(self, node: ReceiveEndpoint) -> None:
-        """Accept and forget; foreign runtimes never receive."""
-
-    @property
-    def now(self) -> float:
-        """Frozen clock (foreign agents only schedule relative timers)."""
-        return 0.0
-
-    def schedule(self, delay: float, callback: Callable[[], Any]) -> _NullTimer:
-        """Swallow the timer; returns a shared inert handle."""
-        return self._TIMER
-
-    def broadcast(self, sender_id: int, frame: bytes) -> None:
-        """Discard; a foreign agent's frames originate on its own shard."""
-
-    def run(self, until: float | None = None) -> float:
-        """Nothing to drive."""
-        return 0.0

@@ -4,9 +4,10 @@ Each worker rebuilds the **full** network deterministically from the
 shared seed (named RNG streams make this cheap to reason about: the
 ``deployment`` stream yields the identical topology everywhere), then
 recomputes the same :class:`~repro.runtime.shard.partition.ShardPlan` the
-coordinator did. It hosts its own region's runtimes on a
+coordinator did. It builds a :class:`~repro.sim.network.Network` that
+hosts its own region's runtimes on a
 :class:`~repro.runtime.shard.transport.ShardTransport` and every foreign
-runtime on a :class:`~repro.runtime.shard.transport.NullTransport` — so
+runtime on a :class:`~repro.runtime.transport.NullTransport` — so
 :func:`repro.protocol.setup.provision` and ``start_setup`` run over *all*
 agents in global id order, consuming the shared ``keys`` and ``timers``
 RNG streams exactly as the single-process runtime does. That stream
@@ -28,9 +29,8 @@ from typing import TYPE_CHECKING
 
 from repro.sim.network import BS_ID, Network
 from repro.sim.radio import RadioConfig
-from repro.runtime.node import NodeRuntime
 from repro.runtime.shard.partition import ShardPlan, partition_network
-from repro.runtime.shard.transport import NullTransport, ShardTransport
+from repro.runtime.shard.transport import ShardTransport
 from repro.runtime.shard.wire import (
     MSG_DONE,
     MSG_FINISH,
@@ -54,86 +54,11 @@ __all__ = ["ShardWorld", "build_shard_world", "worker_main"]
 
 #: Set by the coordinator immediately before forking workers so children
 #: inherit the already-built (network, plan) via copy-on-write instead of
-#: rebuilding them from the seed. Keyed by the full build spec; a spawn
-#: start method re-imports this module and sees ``None``, which falls back
-#: to the deterministic rebuild path. Tuple shape: (spec, network, plan).
+#: rebuilding them from the seed; a worker reuses the network's deployment.
+#: Keyed by the full build spec; a spawn start method re-imports this
+#: module and sees ``None``, which falls back to the deterministic rebuild
+#: path. Tuple shape: (spec, network, plan).
 _FORK_PREBUILT: tuple[tuple, Network, ShardPlan] | None = None
-
-
-class ShardLiveNetwork:
-    """The LiveNetwork surface over one shard's mixed runtime population.
-
-    Structurally identical to :class:`repro.runtime.cluster.LiveNetwork`
-    (``sensor_ids`` / ``node`` / ``bs`` / ``rng`` / ``trace`` / ``sim`` /
-    ``adjacency`` / ``hop_gradient``), but each runtime is hosted on the
-    shard fabric if local, the null stub if foreign. Provisioning code
-    cannot tell the difference — which is the point.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        transport: ShardTransport,
-        local_ids: frozenset[int],
-    ) -> None:
-        """Build runtimes for every node, picking the fabric per node."""
-        self._net = network
-        self.transport = transport
-        self.null_transport = NullTransport()
-        self.deployment = network.deployment
-        self.rng = network.rng
-        self.local_ids = local_ids
-        self.nodes: dict[int, NodeRuntime] = {}
-        for nid in sorted(network.nodes):
-            fabric = transport if nid in local_ids else self.null_transport
-            self.nodes[nid] = NodeRuntime(fabric, nid, network.nodes[nid].position)
-        self.bs = self.nodes[BS_ID]
-        self._sensor_ids = [nid for nid in self.nodes if nid != BS_ID]
-
-    @property
-    def sim(self) -> ShardTransport:
-        """Clock handle: the shard fabric."""
-        return self.transport
-
-    @property
-    def trace(self):
-        """The shard's counter/event trace."""
-        return self.transport.trace
-
-    def node(self, node_id: int) -> NodeRuntime:
-        """Runtime by id (foreign ids return their inert twin)."""
-        return self.nodes[node_id]
-
-    def adjacency(self, node_id: int) -> list[int]:
-        """Full unit-disk adjacency (identical on every shard)."""
-        return self._net.adjacency(node_id)
-
-    def sensor_ids(self) -> list[int]:
-        """All sensor ids, globally — provisioning order must match the
-        single-process runtime draw for draw."""
-        return self._sensor_ids
-
-    def alive_sensor_ids(self) -> list[int]:
-        """Sensor ids whose runtimes are up (foreign twins count as up)."""
-        return [nid for nid in self._sensor_ids if self.nodes[nid].alive]
-
-    def hop_gradient(self) -> dict[int, int]:
-        """Global BFS hop gradient (deterministic, so shards agree)."""
-        hops = {BS_ID: 0}
-        frontier = [BS_ID]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for u in frontier:
-                for v in self._net.adjacency(u):
-                    if v not in hops and self.nodes[v].alive:
-                        hops[v] = level
-                        nxt.append(v)
-            frontier = nxt
-        for nid in self.nodes:
-            hops.setdefault(nid, -1)
-        return hops
 
 
 class ShardWorld:
@@ -144,20 +69,18 @@ class ShardWorld:
         shard: int,
         plan: ShardPlan,
         network: Network,
-        live: ShardLiveNetwork,
         deployed: "DeployedProtocol",
     ) -> None:
         """Bundle the built state (see :func:`build_shard_world`)."""
         self.shard = shard
         self.plan = plan
         self.network = network
-        self.live = live
         self.deployed = deployed
 
     @property
     def transport(self) -> ShardTransport:
         """The shard's event fabric."""
-        transport = self.live.transport
+        transport = self.network.transport
         assert isinstance(transport, ShardTransport)
         return transport
 
@@ -167,7 +90,7 @@ class ShardWorld:
 
     def assign_local_gradient(self) -> None:
         """Give local agents their hop distance to the base station."""
-        hops = self.live.hop_gradient()
+        hops = self.network.hop_gradient()
         for nid in self.local_sensor_ids():
             self.deployed.agents[nid].state.hops_to_bs = hops[nid]
 
@@ -211,41 +134,36 @@ def build_shard_world(
 
     spec = (n, density, seed, num_shards, radio_config)
     if _FORK_PREBUILT is not None and _FORK_PREBUILT[0] == spec:
-        _, network, plan = _FORK_PREBUILT
+        _, full, plan = _FORK_PREBUILT
     else:
-        network = Network.build(n, density, seed=seed, radio_config=radio_config)
-        plan = partition_network(network, num_shards)
+        full = Network.build(n, density, seed=seed, radio_config=radio_config)
+        plan = partition_network(full, num_shards)
     local_ids = plan.local_ids(shard)
 
-    neighbors: dict[int, list[int]] = {}
     border: set[int] = set()
     ingress: dict[int, list[int]] = {}
     for nid in local_ids:
-        local_receivers = []
-        for peer in network.adjacency(nid):
-            if peer in local_ids:
-                local_receivers.append(peer)
-            else:
+        for peer in full.adjacency(nid):
+            if peer not in local_ids:
                 border.add(nid)
                 # The reverse link makes ``peer`` a remote sender whose
                 # broadcasts this shard must deliver locally.
                 ingress.setdefault(peer, []).append(nid)
-        neighbors[nid] = local_receivers
     for receivers in ingress.values():
         receivers.sort()
 
-    transport = ShardTransport(
-        neighbors,
-        frozenset(border),
-        ingress,
-        radio_config=network.radio.config,
-        trace=network.trace,
+    transport = ShardTransport(local_ids, frozenset(border), ingress)
+    network = Network(
+        full.deployment,
+        seed=seed,
+        radio_config=radio_config,
+        transport=transport,
+        local_ids=local_ids,
     )
-    live = ShardLiveNetwork(network, transport, local_ids)
-    deployed = provision(live, config)  # type: ignore[arg-type]
+    deployed = provision(network, config)
     for agent in deployed.agents.values():
         agent.start_setup()
-    return ShardWorld(shard, plan, network, live, deployed)
+    return ShardWorld(shard, plan, network, deployed)
 
 
 def serve(world: ShardWorld, sock: socket.socket) -> None:

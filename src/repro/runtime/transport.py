@@ -10,15 +10,17 @@ environment, reduced to four operations:
 * ``register(node)`` — attach a receive endpoint (anything with ``id``,
   ``alive`` and ``receive(sender_id, frame)``).
 
-The discrete-event simulator, the in-process asyncio loopback and the
-real-socket UDP backend all implement this surface, so the *same*
+The in-process loopback fabric, the real-socket UDP backend and the
+shard fabric all implement this surface, so the *same*
 :class:`~repro.protocol.agent.ProtocolAgent` code — unmodified — runs on
-any of them (see :mod:`repro.runtime.cluster`).
+any of them. A :class:`~repro.sim.network.Network` binds its fabric with
+:meth:`Transport.attach`; fabrics read the sender's neighbors from that
+network on every send, so topology changes need no push.
 
 ``run(until)`` drives the transport's clock from the outside. For the
-simulator and the loopback backend this executes queued events; for UDP
-it pumps the asyncio loop in real (scaled) time while datagrams and
-timers fire on their own.
+loopback backend this executes queued events; for UDP it pumps the
+asyncio loop in real (scaled) time while datagrams and timers fire on
+their own.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
     from repro.telemetry import Telemetry
 
-__all__ = ["TimerHandle", "ReceiveEndpoint", "Transport", "SimTransport"]
+__all__ = ["TimerHandle", "ReceiveEndpoint", "Transport", "NullTransport"]
 
 
 @runtime_checkable
@@ -46,7 +48,7 @@ class TimerHandle(Protocol):
 
 @runtime_checkable
 class ReceiveEndpoint(Protocol):
-    """What a transport delivers frames to (a node runtime or sim node)."""
+    """What a transport delivers frames to (a node runtime or a fault shim)."""
 
     id: int
     alive: bool
@@ -59,16 +61,19 @@ class ReceiveEndpoint(Protocol):
 class Transport(ABC):
     """Abstract clock + timer + broadcast fabric for protocol nodes."""
 
-    #: Human-readable backend name ("sim", "loopback", "udp").
+    #: Human-readable backend name ("loopback", "udp", "shard", ...).
     name: str = "abstract"
 
+    #: Frames put on the air, frames handed to endpoints, and bytes sent.
+    frames_sent = 0
+    frames_delivered = 0
+    bytes_sent = 0
+
     def __init__(self, trace: Trace | None = None) -> None:
-        """``trace`` shares an existing counter/event store (e.g. the
-        network's); omitted, the transport owns a fresh one."""
+        """``trace`` shares an existing counter/event store; omitted, the
+        transport owns a fresh one. A network built on this transport
+        uses the transport's store as its own."""
         self.trace = trace if trace is not None else Trace()
-        self.frames_sent = 0
-        self.frames_delivered = 0
-        self.bytes_sent = 0
 
     @property
     def telemetry(self) -> "Telemetry":
@@ -76,6 +81,10 @@ class Transport(ABC):
         return self.trace.telemetry
 
     # -- node attachment ---------------------------------------------------
+
+    def attach(self, network: "Network") -> None:
+        """Bind the network whose topology (and link model) this fabric
+        carries. Called once by :class:`~repro.sim.network.Network`."""
 
     @abstractmethod
     def register(self, node: ReceiveEndpoint) -> None:
@@ -98,16 +107,6 @@ class Transport(ABC):
     def broadcast(self, sender_id: int, frame: bytes) -> None:
         """One local broadcast from ``sender_id`` to its neighbors."""
 
-    def set_neighbors(self, node_id: int, receivers: list[int]) -> None:
-        """Replace ``node_id``'s broadcast neighbor set (topology change).
-
-        The mobility/churn runtime calls this whenever the unit-disk
-        graph changes mid-run (node movement, joins). The default is a
-        no-op — correct for backends that read adjacency live from the
-        network at transmit time (the sim transport); backends holding a
-        static neighbor copy (loopback, UDP) override it.
-        """
-
     # -- driving -----------------------------------------------------------
 
     @abstractmethod
@@ -119,47 +118,45 @@ class Transport(ABC):
         """
 
 
-class SimTransport(Transport):
-    """The discrete-event simulator as a transport backend.
+class _NullTimer:
+    """Inert timer handle returned by :class:`NullTransport`."""
 
-    A thin adapter over an existing :class:`~repro.sim.network.Network`:
-    timers go to its calendar queue, broadcasts to its unit-disk radio,
-    and registered node runtimes are patched in as the sim nodes' apps.
-    Everything — event ordering, radio latency model, energy accounting,
-    the shared trace — is the seed simulator's, so runs are bit-identical
-    to a classic :func:`repro.protocol.setup.deploy`.
+    __slots__ = ()
+
+    def cancel(self) -> None:
+        """No-op; the timer was never armed."""
+
+
+class NullTransport(Transport):
+    """Transport stub that discards everything.
+
+    Hosts node runtimes that must exist but never run: a shard worker
+    builds and starts every agent of the deployment — consuming the
+    shared RNG streams in global order — while only its own region's
+    agents execute (:mod:`repro.runtime.shard.worker`). Owns a private
+    :class:`~repro.sim.trace.Trace`, so nothing a hosted agent counts
+    leaks into the real telemetry.
     """
 
-    name = "sim"
+    name = "null"
 
-    def __init__(self, network: "Network") -> None:
-        super().__init__(trace=network.trace)
-        self._network = network
+    _TIMER = _NullTimer()
 
     def register(self, node: ReceiveEndpoint) -> None:
-        """Patch ``node`` in as the sim node's application.
-
-        The sim node stays the radio endpoint (keeping energy accounting
-        and alive checks); received frames chain through to the runtime.
-        """
-        self._network.node(node.id).app = node
+        """Accept and forget; hosted runtimes never receive."""
 
     @property
     def now(self) -> float:
-        """The discrete-event engine's clock."""
-        return self._network.sim.now
+        """Frozen clock (hosted agents only schedule relative timers)."""
+        return 0.0
 
-    def schedule(self, delay: float, callback: Callable[[], Any]) -> TimerHandle:
-        """Arm a timer on the engine's calendar queue."""
-        return self._network.sim.schedule(delay, callback)
+    def schedule(self, delay: float, callback: Callable[[], Any]) -> _NullTimer:
+        """Swallow the timer; returns a shared inert handle."""
+        return self._TIMER
 
     def broadcast(self, sender_id: int, frame: bytes) -> None:
-        """Transmit via the simulated unit-disk radio (which does the
-        ``net.*`` telemetry accounting, shared with the plain sim path)."""
-        self.frames_sent += 1
-        self.bytes_sent += len(frame) + self._network.radio.config.header_bytes
-        self._network.node(sender_id).broadcast(frame)
+        """Discard the frame."""
 
     def run(self, until: float | None = None) -> float:
-        """Execute queued simulator events (to ``until`` if given)."""
-        return self._network.sim.run(until=until)
+        """Nothing to drive."""
+        return 0.0

@@ -1,8 +1,8 @@
 """Real-socket UDP transport.
 
 Every node binds its own datagram socket on ``host`` at
-``base_port + node_id``; a broadcast is one ``sendto`` per entry in the
-sender's static neighbor map (the live stand-in for unit-disk radio
+``base_port + node_id``; a broadcast is one ``sendto`` per neighbor in
+the attached network's adjacency (the live stand-in for unit-disk radio
 range — real sensor deployments configure exactly such a map when they
 bridge motes onto IP). Frames are prefixed with the sender's id, the
 same untrusted link-layer source field the simulated radio passes up, so
@@ -84,7 +84,6 @@ class UdpTransport(Transport):
 
     def __init__(
         self,
-        neighbors: dict[int, list[int]],
         base_port: int = 47_000,
         host: str = "127.0.0.1",
         time_scale: float = 10.0,
@@ -97,7 +96,7 @@ class UdpTransport(Transport):
         if not (0 < base_port < 65_536):
             raise ValueError(f"base_port out of range: {base_port}")
         super().__init__(trace=trace)
-        self._neighbors = {nid: list(nbrs) for nid, nbrs in neighbors.items()}
+        self._network: "Network | None" = None
         self.base_port = base_port
         self.host = host
         self.time_scale = time_scale
@@ -113,33 +112,21 @@ class UdpTransport(Transport):
         self._now = 0.0
         self.send_errors = 0
 
-    @classmethod
-    def for_network(cls, network: "Network", **kwargs) -> "UdpTransport":
-        """UDP fabric using an existing deployment's adjacency as the
-        static neighbor map."""
-        neighbors = {nid: list(network.adjacency(nid)) for nid in network.nodes}
-        return cls(neighbors, **kwargs)
-
     def port_of(self, node_id: int) -> int:
         """The UDP port node ``node_id`` listens on."""
         return self.base_port + node_id
 
     # -- Transport interface -------------------------------------------------
 
+    def attach(self, network: "Network") -> None:
+        """Send to ``network``'s unit-disk neighbors."""
+        self._network = network
+
     def register(self, node: ReceiveEndpoint) -> None:
         """Attach ``node``; its socket binds on the next :meth:`run`."""
         if self._endpoints is not None:
             raise RuntimeError("cannot register nodes while the loop is running")
         self._nodes[node.id] = node
-
-    def set_neighbors(self, node_id: int, receivers: list[int]) -> None:
-        """Replace ``node_id``'s static broadcast neighbor list.
-
-        Safe while the loop runs: the map is only read on the send path,
-        and a node registered after a topology change binds its socket
-        on the next :meth:`run` like any other late registration.
-        """
-        self._neighbors[node_id] = list(receivers)
 
     @property
     def now(self) -> float:
@@ -159,7 +146,7 @@ class UdpTransport(Transport):
         return timer
 
     def broadcast(self, sender_id: int, frame: bytes) -> None:
-        """One ``sendto`` per static neighbor, sender id prefixed in clear."""
+        """One ``sendto`` per neighbor, sender id prefixed in clear."""
         if self._endpoints is None:
             # Called between runs (e.g. a BS revocation queued from the
             # orchestrator): send on the next run's first tick instead.
@@ -174,7 +161,9 @@ class UdpTransport(Transport):
         self.bytes_sent += len(datagram)
         self.trace.count("net.frames_sent")
         self.trace.count("net.bytes_sent", len(datagram))
-        for receiver_id in self._neighbors.get(sender_id, ()):
+        network = self._network
+        neighbors = network.adjacency(sender_id) if network is not None else ()
+        for receiver_id in neighbors:
             if receiver_id not in self._nodes:
                 continue
             try:

@@ -1,14 +1,14 @@
-"""Discrete-event simulation engine.
+"""Discrete-event calendar queue.
 
-A classic calendar-queue engine on :mod:`heapq`: events are ``(time, seq,
+A classic calendar queue on :mod:`heapq`: events are ``(time, seq,
 handle, callback)`` entries, ``seq`` breaks ties deterministically in
 scheduling order, and cancellation is lazy (cancelled handles are skipped
 when popped, which keeps :meth:`EventHandle.cancel` O(1) — important
 because cluster formation cancels one pending timer per node that joins a
 cluster).
 
-The queue itself lives in :class:`EventQueue`, shared by the simulator and
-the loopback runtime transport. It maintains a live (non-cancelled,
+:class:`EventQueue` is the queue under the in-process run loop
+(:class:`~repro.runtime.loopback.LoopbackTransport`). It maintains a live (non-cancelled,
 non-fired) event count so ``pending`` is O(1) instead of a heap scan, and
 compacts the heap when cancelled tombstones outnumber live events — an
 election over n nodes cancels O(n) timers that would otherwise sit in the
@@ -146,65 +146,3 @@ class EventQueue:
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
-
-
-class Simulator:
-    """Single-threaded discrete-event simulator.
-
-    Time is in seconds (float). Events scheduled for the same instant fire
-    in scheduling order, making runs bit-reproducible for a fixed seed.
-    """
-
-    def __init__(self) -> None:
-        self._events = EventQueue()
-        self.now = 0.0
-        self.events_executed = 0
-
-    def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.at(self.now + delay, callback)
-
-    def at(self, time: float, callback: Callable[[], Any]) -> EventHandle:
-        """Schedule ``callback`` at absolute simulation ``time``."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        return self._events.push(time, callback)
-
-    def run(self, until: float | None = None) -> float:
-        """Drain the event queue, optionally stopping at time ``until``.
-
-        Returns the simulation time reached. With ``until`` set, the clock
-        is advanced to exactly ``until`` even if the queue empties earlier.
-        """
-        events = self._events
-        while True:
-            item = events.pop_due(until)
-            if item is None:
-                break
-            time, callback = item
-            self.now = time
-            # Incremented per event (not batched): samplers scheduled as
-            # events read this counter mid-run.
-            self.events_executed += 1
-            callback()
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-    def step(self) -> bool:
-        """Execute the single next pending event; False when queue is empty."""
-        item = self._events.pop()
-        if item is None:
-            return False
-        time, _handle, callback = item
-        self.now = time
-        self.events_executed += 1
-        callback()
-        return True
-
-    @property
-    def pending(self) -> int:
-        """Number of queued live (non-cancelled) events — O(1)."""
-        return len(self._events)

@@ -1,22 +1,29 @@
-"""The Network facade: deployment + nodes + base station + radio + clock.
+"""The Network: deployment, nodes, base station, radio and fabric.
 
-Builds every simulation object from a deployment and a master seed, and
-precomputes the adjacency map (including base-station links) that the
-radio consults on each broadcast. Supports post-deployment node addition
-(Sec. IV-E of the paper) by extending the adjacency incrementally.
+Builds every deployment object from a deployment and a master seed: the
+named RNG streams, the adjacency map (including base-station links), the
+radio link model and one :class:`~repro.runtime.node.NodeRuntime` per
+node on the chosen transport — the in-process
+:class:`~repro.runtime.loopback.LoopbackTransport` unless another fabric
+is passed. The trace is the transport's. Supports post-deployment node
+addition (Sec. IV-E of the paper) and mid-run movement by changing the
+adjacency in place; every fabric reads it on each send.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.sim.energy import EnergyMeter, EnergyModel
-from repro.sim.engine import Simulator
-from repro.sim.node import SensorNode
 from repro.sim.radio import Radio, RadioConfig
 from repro.sim.rng import RngManager
 from repro.sim.topology import Deployment
-from repro.sim.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.node import NodeRuntime
+    from repro.runtime.transport import Transport
 
 #: Link-layer id of the base station. Ordinary nodes are numbered from 1 so
 #: that id 0 stays free as an explicit "unset" sentinel in wire formats.
@@ -25,7 +32,7 @@ FIRST_NODE_ID = 1
 
 
 class Network:
-    """A deployed sensor network plus its base station."""
+    """A deployed sensor network plus its base station, on one transport."""
 
     def __init__(
         self,
@@ -34,30 +41,33 @@ class Network:
         radio_config: RadioConfig | None = None,
         energy_model: EnergyModel | None = None,
         bs_position: np.ndarray | None = None,
+        transport: "Transport | None" = None,
+        local_ids: frozenset[int] | None = None,
     ) -> None:
+        """``transport`` hosts the nodes (default: a fresh loopback
+        fabric). With ``local_ids`` set, only those nodes live on it; the
+        rest are hosted on a :class:`~repro.runtime.transport.NullTransport`
+        (the shard worker's foreign nodes)."""
+        # Local imports: the runtime package builds on this module.
+        from repro.runtime.loopback import LoopbackTransport
+        from repro.runtime.node import NodeRuntime
+        from repro.runtime.transport import NullTransport
+
         self.deployment = deployment
-        self.sim = Simulator()
         self.rng = RngManager(seed)
-        self.trace = Trace()
+        self.transport = transport if transport is not None else LoopbackTransport()
+        self.trace = self.transport.trace
         self.energy_model = energy_model or EnergyModel()
         self.radio = Radio(self, radio_config or RadioConfig(), self.rng.stream("radio"))
 
-        self.nodes: dict[int, SensorNode] = {}
         self._adjacency: dict[int, list[int]] = {}
-
-        # Ordinary sensors: deployment index i -> node id i + FIRST_NODE_ID.
         for i in range(deployment.n):
-            nid = i + FIRST_NODE_ID
-            self.nodes[nid] = SensorNode(
-                self, nid, deployment.positions[i], EnergyMeter(self.energy_model)
-            )
-            self._adjacency[nid] = [int(j) + FIRST_NODE_ID for j in deployment.neighbors[i]]
-
+            self._adjacency[i + FIRST_NODE_ID] = [
+                int(j) + FIRST_NODE_ID for j in deployment.neighbors[i]
+            ]
         # Base station: field center by default, mains-powered.
         if bs_position is None:
             bs_position = np.array([deployment.side / 2.0, deployment.side / 2.0])
-        self.bs = SensorNode(self, BS_ID, bs_position, EnergyMeter(self.energy_model))
-        self.nodes[BS_ID] = self.bs
         bs_neighbors = [
             int(j) + FIRST_NODE_ID
             for j in deployment.nodes_within(bs_position, deployment.radius)
@@ -65,6 +75,17 @@ class Network:
         self._adjacency[BS_ID] = bs_neighbors
         for nid in bs_neighbors:
             self._adjacency[nid].append(BS_ID)
+        self.transport.attach(self)
+
+        # Ordinary sensors (deployment index i -> node id i + FIRST_NODE_ID),
+        # then the base station.
+        foreign = NullTransport() if local_ids is not None else self.transport
+        self.nodes: dict[int, NodeRuntime] = {}
+        for nid in (*range(FIRST_NODE_ID, deployment.n + FIRST_NODE_ID), BS_ID):
+            position = bs_position if nid == BS_ID else deployment.positions[nid - FIRST_NODE_ID]
+            host = self.transport if local_ids is None or nid in local_ids else foreign
+            self.nodes[nid] = NodeRuntime(host, nid, position, EnergyMeter(self.energy_model))
+        self.bs = self.nodes[BS_ID]
 
         self._next_node_id = deployment.n + FIRST_NODE_ID
         # Nodes outside the deployment's spatial index (the BS and any
@@ -81,15 +102,22 @@ class Network:
         radius: float = 10.0,
         radio_config: RadioConfig | None = None,
         energy_model: EnergyModel | None = None,
+        transport: "Transport | None" = None,
     ) -> "Network":
         """Deploy ``n`` nodes uniformly at the requested mean density."""
         rng = RngManager(seed)
         deployment = Deployment.random_uniform(n, density, rng.stream("deployment"), radius)
-        return cls(deployment, seed=seed, radio_config=radio_config, energy_model=energy_model)
+        return cls(
+            deployment,
+            seed=seed,
+            radio_config=radio_config,
+            energy_model=energy_model,
+            transport=transport,
+        )
 
     # -- accessors ---------------------------------------------------------
 
-    def node(self, node_id: int) -> SensorNode:
+    def node(self, node_id: int) -> "NodeRuntime":
         """Node by link-layer id (including the base station)."""
         return self.nodes[node_id]
 
@@ -113,16 +141,19 @@ class Network:
 
     # -- dynamic membership (Sec. IV-E) -------------------------------------
 
-    def add_node(self, position: np.ndarray) -> SensorNode:
+    def add_node(self, position: np.ndarray) -> "NodeRuntime":
         """Deploy one new sensor at ``position`` after initial rollout.
 
-        Adjacency is extended symmetrically; the protocol-level join
-        handshake is :mod:`repro.protocol.addition`'s job.
+        Adjacency is extended symmetrically and the node comes up on the
+        network's transport; the protocol-level join handshake is
+        :mod:`repro.protocol.addition`'s job.
         """
+        from repro.runtime.node import NodeRuntime  # local import: see __init__
+
         nid = self._next_node_id
         self._next_node_id += 1
         position = np.asarray(position, dtype=float)
-        node = SensorNode(self, nid, position, EnergyMeter(self.energy_model))
+        node = NodeRuntime(self.transport, nid, position, EnergyMeter(self.energy_model))
         self.nodes[nid] = node
         radius = self.deployment.radius
         # Original deployment: one cell-grid disk query instead of an

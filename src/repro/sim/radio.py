@@ -7,6 +7,11 @@ per byte on both ends, delays delivery by propagation + airtime at the
 configured bitrate, applies independent per-link loss, and can optionally
 drop overlapping receptions as collisions.
 
+:class:`Radio` is the link model of the in-process fabric
+(:class:`~repro.runtime.loopback.LoopbackTransport`): the fabric asks it
+on every send which receivers a frame reaches and when, then queues one
+fan-out event for them.
+
 A passive *monitor* hook sees every frame on the air regardless of
 position — that is the paper's adversary model ("the broadcast nature of
 the transmission medium makes information more vulnerable"), and the
@@ -16,11 +21,13 @@ attack tooling in :mod:`repro.attacks` uses it to eavesdrop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.util.validate import check_positive, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.loopback import LoopbackTransport
+    from repro.runtime.transport import ReceiveEndpoint
     from repro.sim.network import Network
 
 # (time, sender_id, frame) for every transmission on the air.
@@ -74,7 +81,15 @@ class RadioConfig:
 
 
 class Radio:
-    """The shared broadcast medium."""
+    """The shared broadcast medium: the in-process fabric's link model.
+
+    :meth:`transmit` makes every per-frame decision at send time, in
+    adjacency order: sender liveness, CSMA deferral, energy and
+    counters, then each receiver's liveness, loss and collision.
+    :meth:`deliver` hands a frame to its surviving receivers when the
+    fabric's fan-out event fires. The radio schedules no delivery events
+    itself; the fabric queues one fan-out per frame.
+    """
 
     def __init__(self, network: "Network", config: RadioConfig, rng) -> None:
         self._network = network
@@ -93,106 +108,115 @@ class Radio:
         self.csma_drops = 0
         self.bytes_sent = 0
 
-    def broadcast(self, sender_id: int, frame: bytes, _attempt: int = 0) -> None:
-        """Transmit ``frame`` from ``sender_id`` to all its alive neighbors.
+    def transmit(
+        self, fabric: "LoopbackTransport", sender_id: int, frame: bytes, attempt: int = 0
+    ) -> tuple[float, list[int]] | None:
+        """Put ``frame`` from ``sender_id`` on the air.
 
-        Under the CSMA MAC, a busy channel defers the transmission by a
-        random slotted backoff (up to ``csma_max_attempts`` tries, then
-        the frame is dropped and counted in ``csma_drops``).
+        Returns ``(arrival, receivers)``: the arrival instant and the
+        neighbors the frame survives to, in adjacency order. Returns None
+        when nothing went on the air: a dead sender, or a busy channel
+        under the CSMA MAC. A deferred frame is retried on ``fabric``
+        after a random slotted backoff, up to ``csma_max_attempts``
+        tries; then it is dropped and counted in ``csma_drops``.
         """
         net = self._network
-        sim = net.sim
-        sender = net.node(sender_id)
+        config = self.config
+        nodes = net.nodes
+        sender = nodes[sender_id]
         if not sender.alive:
-            return
-        if self.config.mac == "csma":
-            if sim.now < self._carrier_until.get(sender_id, -1.0):
-                if _attempt >= self.config.csma_max_attempts:
-                    self.csma_drops += 1
-                    return
-                self.csma_deferrals += 1
-                backoff = float(self._rng.integers(1, 33)) * self.config.csma_slot_s
-                sim.schedule(
-                    backoff, _Retry(self, sender_id, frame, _attempt + 1)
-                )
-                return
-        nbytes = len(frame) + self.config.header_bytes
+            return None
+        now = fabric.now
+        csma = config.mac == "csma"
+        if csma and now < self._carrier_until.get(sender_id, -1.0):
+            if attempt >= config.csma_max_attempts:
+                self.csma_drops += 1
+                return None
+            self.csma_deferrals += 1
+            backoff = float(self._rng.integers(1, 33)) * config.csma_slot_s
+            fabric.schedule(backoff, _Retry(fabric, sender_id, frame, attempt + 1))
+            return None
+        nbytes = len(frame) + config.header_bytes
         sender.energy.charge_tx(nbytes)
         self.frames_sent += 1
         self.bytes_sent += nbytes
-        net.trace.count("net.frames_sent")
-        net.trace.count("net.bytes_sent", nbytes)
+        trace = net.trace
+        trace.count("net.frames_sent")
+        trace.count("net.bytes_sent", nbytes)
 
         for monitor in self.monitors:
-            monitor(sim.now, sender_id, frame)
+            monitor(now, sender_id, frame)
 
-        arrival = sim.now + self.config.propagation_delay_s + self.config.airtime(len(frame))
-        if self.config.mac == "csma":
+        arrival = now + config.propagation_delay_s + config.airtime(len(frame))
+        neighbors = net.adjacency(sender_id)
+        if csma:
             # The carrier is sensed busy at the sender and at every node in
             # range until the frame finishes.
-            for nid in (sender_id, *net.adjacency(sender_id)):
+            for nid in (sender_id, *neighbors):
                 self._carrier_until[nid] = max(self._carrier_until.get(nid, 0.0), arrival)
-        for receiver_id in net.adjacency(sender_id):
-            receiver = net.node(receiver_id)
-            if not receiver.alive:
-                continue
-            if self.config.loss_probability > 0.0 and (
-                self._rng.random() < self.config.loss_probability
-            ):
-                self.frames_lost += 1
-                net.trace.count("net.frames_lost")
-                continue
-            if self.config.model_collisions:
-                busy_until = self._rx_busy_until.get(receiver_id, -1.0)
-                if sim.now < busy_until:
-                    # Receiver is mid-reception of another frame: the new
-                    # frame is destroyed (we keep the earlier one, modeling
-                    # capture of the stronger first arrival).
-                    self.frames_collided += 1
-                    net.trace.count("net.frames_collided")
-                    continue
-                self._rx_busy_until[receiver_id] = arrival
-            sim.schedule(
-                arrival - sim.now,
-                _Delivery(self, receiver_id, sender_id, frame, nbytes),
-            )
+        receivers = [rid for rid in neighbors if nodes[rid].alive]
+        if config.loss_probability > 0.0 or config.model_collisions:
+            receivers = [rid for rid in receivers if self._survives(rid, now, arrival)]
+        return arrival, receivers
 
-    def _deliver(self, receiver_id: int, sender_id: int, frame: bytes, nbytes: int) -> None:
-        receiver = self._network.node(receiver_id)
-        if not receiver.alive:
-            return
-        receiver.energy.charge_rx(nbytes)
-        self.frames_delivered += 1
-        self._network.trace.count("net.frames_delivered")
-        receiver.receive(sender_id, frame)
+    def _survives(self, receiver_id: int, now: float, arrival: float) -> bool:
+        """Per-link loss, then collision, for one alive receiver of a frame."""
+        config = self.config
+        trace = self._network.trace
+        if config.loss_probability > 0.0 and self._rng.random() < config.loss_probability:
+            self.frames_lost += 1
+            trace.count("net.frames_lost")
+            return False
+        if config.model_collisions:
+            if now < self._rx_busy_until.get(receiver_id, -1.0):
+                # Receiver is mid-reception of another frame: the new
+                # frame is destroyed (we keep the earlier one, modeling
+                # capture of the stronger first arrival).
+                self.frames_collided += 1
+                trace.count("net.frames_collided")
+                return False
+            self._rx_busy_until[receiver_id] = arrival
+        return True
+
+    def deliver(
+        self,
+        endpoints: "Mapping[int, ReceiveEndpoint]",
+        receivers: list[int],
+        sender_id: int,
+        frame: bytes,
+    ) -> int:
+        """Hand ``frame`` to each receiver still alive at arrival.
+
+        ``endpoints`` are the fabric's registered receive endpoints by
+        node id. Each reception's energy is charged before the receiver
+        handles it. Returns the number of receptions.
+        """
+        nodes = self._network.nodes
+        nbytes = len(frame) + self.config.header_bytes
+        delivered = 0
+        for receiver_id in receivers:
+            endpoint = endpoints[receiver_id]
+            if not endpoint.alive:
+                continue
+            nodes[receiver_id].energy.charge_rx(nbytes)
+            delivered += 1
+            endpoint.receive(sender_id, frame)
+        if delivered:
+            self.frames_delivered += delivered
+            self._network.trace.count("net.frames_delivered", delivered)
+        return delivered
 
 
 class _Retry:
     """Bound CSMA retransmission event."""
 
-    __slots__ = ("radio", "sender_id", "frame", "attempt")
+    __slots__ = ("fabric", "sender_id", "frame", "attempt")
 
-    def __init__(self, radio: Radio, sender_id: int, frame: bytes, attempt: int):
-        self.radio = radio
+    def __init__(self, fabric: "LoopbackTransport", sender_id: int, frame: bytes, attempt: int):
+        self.fabric = fabric
         self.sender_id = sender_id
         self.frame = frame
         self.attempt = attempt
 
     def __call__(self) -> None:
-        self.radio.broadcast(self.sender_id, self.frame, _attempt=self.attempt)
-
-
-class _Delivery:
-    """Bound delivery event (avoids a closure per scheduled reception)."""
-
-    __slots__ = ("radio", "receiver_id", "sender_id", "frame", "nbytes")
-
-    def __init__(self, radio: Radio, receiver_id: int, sender_id: int, frame: bytes, nbytes: int):
-        self.radio = radio
-        self.receiver_id = receiver_id
-        self.sender_id = sender_id
-        self.frame = frame
-        self.nbytes = nbytes
-
-    def __call__(self) -> None:
-        self.radio._deliver(self.receiver_id, self.sender_id, self.frame, self.nbytes)
+        self.fabric.broadcast(self.sender_id, self.frame, _attempt=self.attempt)

@@ -19,7 +19,7 @@ __all__ = ["RunSummary", "summarize_records", "render_summary"]
 class RunSummary:
     """Counter/gauge totals of one run, named like ``SetupMetrics``."""
 
-    #: Transport backend the run used ("sim", "loopback", "udp", or "?").
+    #: Transport backend the run used ("loopback", "udp", or "?").
     transport: str
     #: Number of sensor nodes (0 when the stream did not record it).
     n: int

@@ -16,7 +16,7 @@ Measurement discipline:
 * payload values come from per-node :mod:`repro.workloads.streams`
   generators, so dedup and fusion see realistic (non-constant) readings;
 * latency is protocol time from first send to base-station accept —
-  deterministic on the sim/loopback fabrics;
+  deterministic on the loopback fabric;
 * hop latency normalizes each reading's latency by its source's hop
   distance at send time, making numbers comparable across topologies.
 

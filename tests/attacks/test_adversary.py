@@ -65,6 +65,6 @@ def test_revoked_keys_are_not_capturable():
     victim = sorted(deployed.agents)[5]
     cids = list(deployed.agents[victim].state.keyring.cluster_ids())
     deployed.bs_agent.revoke_clusters(cids)
-    deployed.network.sim.run(until=deployed.network.sim.now + 10)
+    deployed.network.transport.run(until=deployed.network.transport.now + 10)
     cap = Adversary(deployed).capture(victim)
     assert cap.cluster_keys == {}  # nothing left in memory to steal

@@ -53,8 +53,8 @@ class TestHelloFlood:
         for agent in deployed.agents.values():
             agent.start_setup()
         rng = np.random.default_rng(2)
-        net.sim.schedule(0.01, lambda: attacker.flood_forged(40, rng))
-        net.sim.run(until=deployed.config.setup_end_s)
+        net.transport.schedule(0.01, lambda: attacker.flood_forged(40, rng))
+        net.transport.run(until=deployed.config.setup_end_s)
         assert net.trace["drop.hello_bad_auth"] > 0
         assert all(a.state.cid != attacker.node.id for a in deployed.agents.values())
         # The flood cannot prevent legitimate clustering either.
@@ -79,11 +79,11 @@ class TestHelloFlood:
         attacker.start_monitoring()
         for agent in deployed.agents.values():
             agent.start_setup()
-        net.sim.run(until=deployed.config.setup_end_s)
+        net.transport.run(until=deployed.config.setup_end_s)
         assert attacker.recorded_hellos
         cids_before = {nid: a.state.cid for nid, a in deployed.agents.items()}
         attacker.replay_recorded()
-        net.sim.run(until=net.sim.now + 10)
+        net.transport.run(until=net.transport.now + 10)
         assert {nid: a.state.cid for nid, a in deployed.agents.items()} == cids_before
 
     def test_forged_refresh_cannot_extend_reach(self):

@@ -62,7 +62,7 @@ def test_one_broadcast_reaches_all_neighbors(leap):
     node = leap.network.node(nid)
     sent_before = node.frames_sent
     agent.broadcast_payload(b"leap-broadcast")
-    leap.network.sim.run(until=leap.network.sim.now + 5)
+    leap.network.transport.run(until=leap.network.transport.now + 5)
     assert node.frames_sent == sent_before + 1
     receivers = [
         other

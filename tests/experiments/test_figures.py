@@ -140,3 +140,19 @@ def test_table_rendering():
     assert "density" in text
     assert "note:" in text
     assert table.column("density") == ["10.000"]
+
+
+#: sha256 of ``repro figures --n 200 --runs 1`` (Figs 1 and 6–9), recorded
+#: before the simulator and the live runtime were merged into one fabric.
+#: A fabric change that moves any paper figure changes this digest.
+FIGURES_N200_SHA256 = "ef96b7850ce9244a67594f4333bf7951b95fa39f3a1d7293efc12040d3bde035"
+
+
+def test_rendered_paper_figures_are_pinned(capsys):
+    import hashlib
+
+    from repro.cli import main
+
+    assert main(["figures", "--n", "200", "--runs", "1"]) == 0
+    rendered = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(rendered).hexdigest() == FIGURES_N200_SHA256

@@ -159,8 +159,7 @@ class TestValidation:
 
     def test_crash_requires_a_crashable_endpoint(self):
         from repro.runtime.faults import FaultInjectingTransport
-        from repro.sim.network import Network
-        from repro.runtime.transport import SimTransport
+        from repro.runtime.loopback import LoopbackTransport
 
         class Shim:
             id = 1
@@ -169,12 +168,22 @@ class TestValidation:
             def receive(self, sender_id: int, frame: bytes) -> None:
                 pass
 
-            on_frame = receive
-
-        network = Network.build(10, 6.0, seed=0)
         fabric = FaultInjectingTransport(
-            SimTransport(network), FaultPlan(crashes=(CrashEvent(1, at_s=1.0),))
+            LoopbackTransport(), FaultPlan(crashes=(CrashEvent(1, at_s=1.0),))
         )
         fabric.register(Shim())
         with pytest.raises(TypeError):
             fabric.run(5.0)
+
+
+def test_faulted_status_frames_match_the_trace_counters():
+    from repro.runtime import GatewayService
+
+    deployed, _ = deploy_live(
+        30, 8.0, seed=1, fault_plan=FaultPlan(seed=1, defaults=LinkFaults(drop=0.1))
+    )
+    frames = GatewayService(deployed).status()["frames"]
+    trace = counters(deployed)
+    assert trace.get("fault.drop", 0) > 0
+    assert frames["sent"] == trace["net.frames_sent"]
+    assert frames["bytes_sent"] == trace["net.bytes_sent"]

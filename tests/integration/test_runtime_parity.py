@@ -1,22 +1,23 @@
-"""Runtime/simulator parity: the transport must not change the protocol.
+"""Runtime parity: the transport must not change the protocol.
 
-The live runtime's whole claim is that agents are unmodified — so for the
+The runtime's whole claim is that agents are unmodified — so for the
 same topology and seed, key setup must produce the same cluster structure
-no matter which backend carries the frames. Three levels of strictness:
+no matter which entry point or backend carries the frames:
 
-* ``SimTransport`` is the simulator wrapped in the Transport interface;
-  it must be *bit-identical* to the plain seed path (clusters, per-node
-  key counts and every trace counter);
-* ``LoopbackTransport`` re-implements the calendar queue and the radio's
-  latency model, so election races resolve identically: clusters and key
-  counts must match the simulator exactly;
+* ``deploy`` and ``deploy_live`` are one function on one in-process
+  fabric: clusters, per-node key counts, every trace counter and the
+  executed-event count are identical, and wrapping the fabric in a no-op
+  ``FaultPlan`` changes none of them;
 * ``UdpTransport`` runs on real sockets in scaled wall time and is
   inherently racy — it only has to form a valid clustering (smoke test).
 """
 
+import pytest
+
 from repro.protocol.metrics import validate_clusters
 from repro.protocol.setup import deploy
-from repro.runtime import build_transport, deploy_live
+from repro.runtime import TRANSPORTS, build_transport, deploy_live
+from repro.runtime.faults import FaultPlan
 
 N, DENSITY, SEED = 80, 10.0, 7
 
@@ -25,27 +26,24 @@ def keys_by_node(deployed) -> dict[int, int]:
     return {nid: a.state.stored_key_count() for nid, a in deployed.agents.items()}
 
 
-def test_sim_transport_bit_identical_to_seed_simulator():
+@pytest.mark.parametrize(
+    "fault_plan", [None, FaultPlan(seed=SEED)], ids=["bare", "noop-faults"]
+)
+def test_deploy_and_deploy_live_are_one_run(fault_plan):
+    assert deploy_live is deploy
     seed_deployed, seed_metrics = deploy(N, DENSITY, seed=SEED)
-    live_deployed, live_metrics = deploy_live(N, DENSITY, seed=SEED, transport="sim")
+    live_deployed, live_metrics = deploy_live(
+        N, DENSITY, seed=SEED, transport="loopback", fault_plan=fault_plan
+    )
     assert live_metrics.clusters == seed_metrics.clusters
     assert keys_by_node(live_deployed) == keys_by_node(seed_deployed)
     assert dict(live_deployed.network.trace.counters) == dict(
         seed_deployed.network.trace.counters
     )
-
-
-def test_loopback_reproduces_sim_cluster_structure():
-    sim_deployed, sim_metrics = deploy_live(N, DENSITY, seed=SEED, transport="sim")
-    lb_deployed, lb_metrics = deploy_live(N, DENSITY, seed=SEED, transport="loopback")
-    assert lb_metrics.clusters == sim_metrics.clusters
-    assert keys_by_node(lb_deployed) == keys_by_node(sim_deployed)
-    # Same frames on the air too: the latency model is shared, so the
-    # election/link phases replay message-for-message.
-    assert lb_deployed.network.trace["tx.hello"] == sim_deployed.network.trace["tx.hello"]
+    live_fabric = live_deployed.network.transport
     assert (
-        lb_deployed.network.trace["tx.linkinfo"]
-        == sim_deployed.network.trace["tx.linkinfo"]
+        getattr(live_fabric, "inner", live_fabric).events_executed
+        == seed_deployed.network.transport.events_executed
     )
 
 
@@ -66,10 +64,8 @@ def test_udp_forms_valid_clusters():
 
 
 def test_unknown_transport_is_rejected_with_the_valid_names():
-    import pytest
-
-    from repro.sim.network import Network
-
-    network = Network.build(10, 6.0, seed=0)
+    assert TRANSPORTS == ("loopback", "udp")
     with pytest.raises(ValueError, match="loopback"):
-        build_transport("tcp", network)
+        build_transport("tcp")
+    with pytest.raises(ValueError, match="udp"):
+        deploy_live(10, 6.0, seed=0, transport="sim")

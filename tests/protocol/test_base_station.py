@@ -75,7 +75,7 @@ def test_unknown_source_rejected():
     c1 = build_inner(ghost, b"x", bytes(16), 1, deployed.config.aead)
     frame = wrap_hop(
         st.keyring.get(st.cid).material, st.cid, bs_neighbor, st.next_hop_seq(),
-        st.hops_to_bs, deployed.network.sim.now, c1, deployed.config.aead,
+        st.hops_to_bs, deployed.network.transport.now, c1, deployed.config.aead,
     )
     deployed.network.node(bs_neighbor).broadcast(frame)
     run_for(deployed, 10)
@@ -116,7 +116,7 @@ def test_rejections_attributed_to_cluster():
     for seq in range(6):
         c1 = build_inner(999, b"x", None, None, deployed.config.aead)
         frame = wrap_hop(bytes(16), cid, 999, seq + 1, 5,
-                         deployed.network.sim.now, c1, deployed.config.aead)
+                         deployed.network.transport.now, c1, deployed.config.aead)
         deployed.network.node(bs_neighbor).broadcast(frame)
     run_for(deployed, 10)
     assert deployed.bs_agent.rejections_by_cluster[cid] >= 6

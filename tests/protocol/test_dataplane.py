@@ -110,7 +110,7 @@ def test_tampered_frame_dropped(deployed):
                      deployed.config.aead)
     frame = bytearray(
         wrap_hop(st.keyring.get(st.cid).material, st.cid, src, st.next_hop_seq(),
-                 st.hops_to_bs, deployed.network.sim.now, c1, deployed.config.aead)
+                 st.hops_to_bs, deployed.network.transport.now, c1, deployed.config.aead)
     )
     frame[-1] ^= 1
     before = trace["drop.data_bad_auth"]
@@ -131,7 +131,7 @@ def test_stale_frame_dropped():
     st = agent.state
     c1 = build_inner(src, b"old", st.preload.node_key.material, st.next_e2e_counter(),
                      config.aead)
-    stale_tau = deployed.network.sim.now - 10.0
+    stale_tau = deployed.network.transport.now - 10.0
     frame = wrap_hop(st.keyring.get(st.cid).material, st.cid, src, st.next_hop_seq(),
                      st.hops_to_bs, stale_tau, c1, config.aead)
     trace = deployed.network.trace

@@ -71,7 +71,7 @@ def test_truncations_of_valid_frames_are_safe(prefix):
         st_.node_id,
         st_.hop_seq + 1000,
         st_.hops_to_bs,
-        _DEPLOYED.network.sim.now,
+        _DEPLOYED.network.transport.now,
         c1,
         _DEPLOYED.config.aead,
     )
@@ -88,7 +88,7 @@ def test_joining_node_survives_garbage():
     joiner.on_frame(0, bytes([messages.JOIN_RESP]) + bytes(50))
     joiner.on_frame(0, bytes(100))
     # And it still completes its handshake afterwards.
-    sim = deployed.network.sim
+    sim = deployed.network.transport
     sim.run(until=sim.now + deployed.config.join_window_s + 1.0)
     assert joiner.completed
 

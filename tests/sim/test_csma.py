@@ -31,7 +31,7 @@ def test_csma_defers_second_transmission():
     # Node 2 transmits; node 1 (in range) tries while the carrier is busy.
     net.node(2).broadcast(b"a" * 30)
     net.node(1).broadcast(b"b" * 30)
-    net.sim.run()
+    net.transport.run()
     assert net.radio.csma_deferrals > 0
     assert net.radio.frames_collided == 0
     # Both frames eventually arrive at node 2's neighbor set.
@@ -44,7 +44,7 @@ def test_ideal_mac_collides_at_common_receiver():
     net = line_network(mac="ideal", model_collisions=True)
     net.node(1).broadcast(b"a" * 30)
     net.node(3).broadcast(b"b" * 30)
-    net.sim.run()
+    net.transport.run()
     assert net.radio.frames_collided > 0
 
 
@@ -54,7 +54,7 @@ def test_csma_hidden_terminal_still_collides():
     net = line_network(mac="csma", model_collisions=True)
     net.node(1).broadcast(b"a" * 30)
     net.node(3).broadcast(b"b" * 30)
-    net.sim.run()
+    net.transport.run()
     assert net.radio.csma_deferrals == 0
     assert net.radio.frames_collided > 0
 
@@ -65,14 +65,14 @@ def test_csma_gives_up_after_max_attempts():
     net.node(2).broadcast(b"x" * 500)
     net.node(1).broadcast(b"y")
     net.node(1).broadcast(b"z")
-    net.sim.run()
+    net.transport.run()
     assert net.radio.csma_drops >= 1
 
 
 def test_csma_does_not_delay_idle_channel():
     net = line_network(mac="csma")
     net.node(1).broadcast(b"solo")
-    net.sim.run()
+    net.transport.run()
     assert net.radio.csma_deferrals == 0
     assert len(net.node(2).app.frames) == 1
 

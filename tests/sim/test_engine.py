@@ -1,118 +1,111 @@
-"""Discrete-event engine semantics."""
+"""Event-queue semantics and the in-process run loop built on it."""
 
 import pytest
 
-from repro.sim.engine import _COMPACT_MIN_CANCELLED, EventQueue, Simulator
+from repro.runtime.loopback import LoopbackTransport
+from repro.sim.engine import _COMPACT_MIN_CANCELLED, EventQueue
 
 
 def test_events_fire_in_time_order():
-    sim = Simulator()
+    loop = LoopbackTransport()
     fired = []
-    sim.schedule(3.0, lambda: fired.append("c"))
-    sim.schedule(1.0, lambda: fired.append("a"))
-    sim.schedule(2.0, lambda: fired.append("b"))
-    sim.run()
+    loop.schedule(3.0, lambda: fired.append("c"))
+    loop.schedule(1.0, lambda: fired.append("a"))
+    loop.schedule(2.0, lambda: fired.append("b"))
+    loop.run()
     assert fired == ["a", "b", "c"]
-    assert sim.now == 3.0
+    assert loop.now == 3.0
 
 
 def test_ties_break_in_scheduling_order():
-    sim = Simulator()
+    loop = LoopbackTransport()
     fired = []
     for name in "abc":
-        sim.schedule(1.0, lambda n=name: fired.append(n))
-    sim.run()
+        loop.schedule(1.0, lambda n=name: fired.append(n))
+    loop.run()
     assert fired == ["a", "b", "c"]
 
 
 def test_cancellation():
-    sim = Simulator()
+    loop = LoopbackTransport()
     fired = []
-    handle = sim.schedule(1.0, lambda: fired.append("x"))
+    handle = loop.schedule(1.0, lambda: fired.append("x"))
     handle.cancel()
-    sim.run()
+    loop.run()
     assert fired == []
-    assert sim.events_executed == 0
+    assert loop.events_executed == 0
 
 
 def test_cancel_after_fire_is_noop():
-    sim = Simulator()
-    handle = sim.schedule(0.5, lambda: None)
-    sim.run()
+    loop = LoopbackTransport()
+    handle = loop.schedule(0.5, lambda: None)
+    loop.run()
     handle.cancel()  # must not raise
 
 
 def test_run_until_stops_and_advances_clock():
-    sim = Simulator()
+    loop = LoopbackTransport()
     fired = []
-    sim.schedule(1.0, lambda: fired.append(1))
-    sim.schedule(5.0, lambda: fired.append(5))
-    sim.run(until=2.0)
+    loop.schedule(1.0, lambda: fired.append(1))
+    loop.schedule(5.0, lambda: fired.append(5))
+    assert loop.run(until=2.0) == 2.0
     assert fired == [1]
-    assert sim.now == 2.0
-    sim.run()
+    assert loop.now == 2.0
+    loop.run()
     assert fired == [1, 5]
+    # An idle queue still moves the clock to the horizon.
+    assert loop.run(until=9.0) == 9.0
 
 
 def test_nested_scheduling():
-    sim = Simulator()
+    loop = LoopbackTransport()
     fired = []
 
     def outer():
-        fired.append(("outer", sim.now))
-        sim.schedule(0.5, lambda: fired.append(("inner", sim.now)))
+        fired.append(("outer", loop.now))
+        loop.schedule(0.5, lambda: fired.append(("inner", loop.now)))
 
-    sim.schedule(1.0, outer)
-    sim.run()
+    loop.schedule(1.0, outer)
+    loop.run()
     assert fired == [("outer", 1.0), ("inner", 1.5)]
 
 
 def test_cannot_schedule_into_past():
-    sim = Simulator()
+    loop = LoopbackTransport()
     with pytest.raises(ValueError):
-        sim.schedule(-0.1, lambda: None)
-    sim.schedule(1.0, lambda: None)
-    sim.run()
+        loop.schedule(-0.1, lambda: None)
+    loop.schedule(1.0, lambda: None)
+    loop.run()
     with pytest.raises(ValueError):
-        sim.at(0.5, lambda: None)
-
-
-def test_step():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: fired.append(1))
-    sim.schedule(2.0, lambda: fired.append(2))
-    assert sim.step() and fired == [1]
-    assert sim.step() and fired == [1, 2]
-    assert not sim.step()
+        loop.schedule(-0.5, lambda: None)
 
 
 def test_pending_excludes_cancelled():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    h = sim.schedule(2.0, lambda: None)
+    loop = LoopbackTransport()
+    loop.schedule(1.0, lambda: None)
+    h = loop.schedule(2.0, lambda: None)
     h.cancel()
-    assert sim.pending == 1
+    assert loop.pending == 1
 
 
 def test_double_cancel_counts_once():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    h = sim.schedule(2.0, lambda: None)
+    loop = LoopbackTransport()
+    loop.schedule(1.0, lambda: None)
+    h = loop.schedule(2.0, lambda: None)
     h.cancel()
     h.cancel()  # must not decrement the live count twice
-    assert sim.pending == 1
+    assert loop.pending == 1
 
 
 def test_pending_after_fire():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    assert sim.pending == 2
-    sim.step()
-    assert sim.pending == 1
-    sim.run()
-    assert sim.pending == 0
+    loop = LoopbackTransport()
+    loop.schedule(1.0, lambda: None)
+    loop.schedule(2.0, lambda: None)
+    assert loop.pending == 2
+    loop.run(until=1.0)
+    assert loop.pending == 1
+    loop.run()
+    assert loop.pending == 0
 
 
 def test_queue_compaction_preserves_order():
@@ -157,9 +150,7 @@ def test_cancel_fired_handle_is_noop():
 
 
 def test_loopback_pending_matches_engine_semantics():
-    from repro.runtime.loopback import LoopbackTransport
-
-    transport = LoopbackTransport({1: [2], 2: [1]})
+    transport = LoopbackTransport()
     transport.schedule(1.0, lambda: None)
     h = transport.schedule(2.0, lambda: None)
     h.cancel()
@@ -246,3 +237,16 @@ def test_below_threshold_cancels_keep_tombstones():
         handle.cancel()
     assert len(q) == 1
     assert len(q._heap) == 60  # all tombstones still parked
+
+
+def test_pace_sleeps_the_scaled_wall_delta():
+    import time
+
+    loop = LoopbackTransport(pace=0.02)
+    fired = []
+    loop.schedule(1.0, lambda: fired.append(loop.now))
+    loop.schedule(2.0, lambda: fired.append(loop.now))
+    start = time.monotonic()
+    loop.run()
+    assert fired == [1.0, 2.0]
+    assert time.monotonic() - start >= 0.04

@@ -31,7 +31,7 @@ def line_network(n=4, spacing=1.0, radius=1.2, **radio_kwargs) -> Network:
 def test_broadcast_reaches_exactly_neighbors():
     net = line_network()
     net.node(2).broadcast(b"ping")
-    net.sim.run()
+    net.transport.run()
     received = {nid: net.node(nid).app.frames for nid in net.sensor_ids()}
     assert [s for s, _ in received[1]] == [2]
     assert [s for s, _ in received[3]] == [2]
@@ -42,9 +42,9 @@ def test_broadcast_reaches_exactly_neighbors():
 def test_airtime_delay():
     net = line_network()
     net.node(1).broadcast(b"x" * 10)
-    net.sim.run()
+    net.transport.run()
     expected = RadioConfig().airtime(10) + RadioConfig().propagation_delay_s
-    assert math.isclose(net.sim.now, expected, rel_tol=1e-9)
+    assert math.isclose(net.transport.now, expected, rel_tol=1e-9)
 
 
 def test_airtime_formula():
@@ -55,7 +55,7 @@ def test_airtime_formula():
 def test_tx_rx_energy_charged():
     net = line_network()
     net.node(2).broadcast(b"hello")
-    net.sim.run()
+    net.transport.run()
     nbytes = 5 + RadioConfig().header_bytes
     assert math.isclose(net.node(2).energy.tx_consumed, net.energy_model.tx_cost(nbytes))
     assert math.isclose(net.node(1).energy.rx_consumed, net.energy_model.rx_cost(nbytes))
@@ -65,7 +65,7 @@ def test_dead_sender_stays_silent():
     net = line_network()
     net.node(2).die()
     net.node(2).broadcast(b"ghost")
-    net.sim.run()
+    net.transport.run()
     assert net.node(1).app.frames == []
 
 
@@ -73,7 +73,7 @@ def test_dead_receiver_gets_nothing():
     net = line_network()
     net.node(1).die()
     net.node(2).broadcast(b"msg")
-    net.sim.run()
+    net.transport.run()
     assert net.node(1).app.frames == []
     assert net.node(3).app.frames != []
 
@@ -81,7 +81,7 @@ def test_dead_receiver_gets_nothing():
 def test_total_loss_drops_everything():
     net = line_network(loss_probability=1.0)
     net.node(2).broadcast(b"msg")
-    net.sim.run()
+    net.transport.run()
     assert net.node(1).app.frames == []
     assert net.radio.frames_lost > 0
 
@@ -90,7 +90,7 @@ def test_partial_loss_statistics():
     net = line_network(loss_probability=0.5)
     for _ in range(200):
         net.node(2).broadcast(b"m")
-    net.sim.run()
+    net.transport.run()
     delivered = len(net.node(1).app.frames)
     assert 60 < delivered < 140  # ~100 expected
 
@@ -100,7 +100,7 @@ def test_collisions_drop_overlapping_receptions():
     # Two back-to-back transmissions from different senders overlap at 2.
     net.node(1).broadcast(b"a" * 20)
     net.node(3).broadcast(b"b" * 20)
-    net.sim.run()
+    net.transport.run()
     assert net.radio.frames_collided > 0
     assert len(net.node(2).app.frames) == 1
 
@@ -108,9 +108,9 @@ def test_collisions_drop_overlapping_receptions():
 def test_no_collision_when_spaced():
     net = line_network(model_collisions=True)
     net.node(1).broadcast(b"a")
-    net.sim.run()
+    net.transport.run()
     net.node(3).broadcast(b"b")
-    net.sim.run()
+    net.transport.run()
     assert net.radio.frames_collided == 0
     assert len(net.node(2).app.frames) == 2
 
@@ -121,14 +121,14 @@ def test_monitor_sees_everything():
     net.radio.monitors.append(lambda t, s, f: seen.append((s, f)))
     net.node(1).broadcast(b"m1")
     net.node(4).broadcast(b"m2")
-    net.sim.run()
+    net.transport.run()
     assert seen == [(1, b"m1"), (4, b"m2")]
 
 
 def test_counters():
     net = line_network()
     net.node(2).broadcast(b"msg")
-    net.sim.run()
+    net.transport.run()
     assert net.radio.frames_sent == 1
     assert net.radio.frames_delivered == 2
     assert net.radio.bytes_sent == 3 + RadioConfig().header_bytes
@@ -141,3 +141,24 @@ def test_config_validation():
         RadioConfig(loss_probability=1.5)
     with pytest.raises(ValueError):
         RadioConfig(header_bytes=-1)
+
+
+def test_receiver_down_at_send_time_is_left_out_of_the_fan_out():
+    net = line_network()
+    net.node(1).die()
+    net.node(2).broadcast(b"msg")
+    net.transport.run()
+    # One fan-out event for the one surviving receiver (node 3).
+    assert net.transport.events_executed == 1
+    assert net.radio.frames_delivered == 1
+
+
+def test_receiver_dying_in_flight_gets_nothing():
+    net = line_network()
+    net.node(2).broadcast(b"msg")
+    net.node(1).die()  # after the send, before the arrival
+    net.transport.run()
+    assert net.node(1).app.frames == []
+    assert net.node(3).app.frames == [(2, b"msg")]
+    assert net.transport.events_executed == 2
+
