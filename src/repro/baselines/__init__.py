@@ -1,32 +1,35 @@
-"""Baseline key-management schemes the paper compares against.
+"""The key-distribution scheme interface and its closed-form schemes.
 
-Each scheme is a *structural model* over a deployment: it answers, for a
-given topology, (a) how many keys each node stores, (b) how many
-transmissions a local broadcast costs, (c) which links a captured node's
-key material compromises. Those three quantities are exactly what the
-paper's comparative claims (Secs. II, III, VI) are about.
+:class:`KeySchemeModel` is the one interface every scheme the paper
+compares against answers, in the storage / broadcast-cost / resilience
+taxonomy of the key-distribution surveys: how many keys a node stores,
+how many transmissions a local broadcast and the bootstrap cost, and
+which links a captured node's key material compromises. The derived
+metrics (storage, secured-link fraction, resilience, compromise locality)
+are defined once, on the interface.
 
-Schemes: pebblenets-style global key, full pairwise, Eschenauer–Gligor
-random key predistribution, Chan–Perrig–Song q-composite, LEAP (including
-the HELLO-flood weakness described in Sec. III), and an adapter exposing
-this paper's protocol through the same interface.
+Who implements it:
+
+* :class:`GlobalKeyScheme` (pebblenets) and :class:`FullPairwiseScheme`
+  are closed-form: their answers follow from the topology alone;
+* :class:`LdpSchemeModel` adapts this paper's live protocol;
+* :class:`repro.leap.LeapDeployment` and
+  :class:`repro.randkp.RandKpDeployment` (Eschenauer–Gligor, and
+  q-composite with ``q > 1``) implement it themselves, answering from
+  their agents' real key state after a live bootstrap.
 """
 
-from repro.baselines.common import KeySchemeModel, all_links
+from repro.baselines.common import KeySchemeModel, all_links, link_fraction, node_ids
 from repro.baselines.global_key import GlobalKeyScheme
 from repro.baselines.ldp_adapter import LdpSchemeModel
-from repro.baselines.leap import LeapScheme
 from repro.baselines.pairwise import FullPairwiseScheme
-from repro.baselines.q_composite import QCompositeScheme
-from repro.baselines.random_kp import EschenauerGligorScheme
 
 __all__ = [
     "KeySchemeModel",
     "all_links",
+    "link_fraction",
+    "node_ids",
     "GlobalKeyScheme",
     "FullPairwiseScheme",
-    "EschenauerGligorScheme",
-    "QCompositeScheme",
-    "LeapScheme",
     "LdpSchemeModel",
 ]

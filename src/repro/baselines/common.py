@@ -1,33 +1,53 @@
-"""Shared interface of the structural key-scheme models.
+"""The one interface every key-distribution scheme answers.
 
-Nodes are addressed by deployment index (0-based). Key material is
-represented by opaque hashable ids (e.g. ``("pool", 17)``,
-``("cluster", 42)``): capturing nodes yields a set of ids, and each link
-knows which id(s) protect it. This structural view is sufficient — and
-standard — for the storage / broadcast-cost / resilience comparisons the
-paper makes; the full cryptographic data path is exercised by
-:mod:`repro.protocol` itself.
+Nodes are addressed by network node id, the convention of
+:mod:`repro.sim.network` and of every live agent. :func:`node_ids` is the
+only place a deployment index becomes a node id. Key material is any
+hashable value: opaque ids such as ``("pair", 3, 9)`` or ``("cluster", 42)``,
+or the real key bytes a live agent holds. Capturing nodes yields a set of
+them, and each link knows which of them protect it.
+That view is what the paper's storage / broadcast-cost / resilience
+comparisons need.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
+from repro.sim.network import FIRST_NODE_ID
 from repro.sim.topology import Deployment
 
 KeyId = Hashable
 Link = tuple[int, int]
 
 
+def node_ids(deployment: Deployment) -> range:
+    """Node ids of the deployment's sensors, in deployment-index order.
+
+    ``node_ids(d)[i]`` is the id of deployment index ``i`` and
+    ``node_ids(d).index(node)`` the way back.
+    """
+    return range(FIRST_NODE_ID, FIRST_NODE_ID + deployment.n)
+
+
 def all_links(deployment: Deployment) -> list[Link]:
-    """Undirected unit-disk edges ``(u, v)`` with ``u < v``."""
-    links: list[Link] = []
-    for u in range(deployment.n):
-        for v in deployment.neighbors[u]:
-            if u < v:
-                links.append((u, int(v)))
-    return links
+    """Undirected unit-disk edges ``(u, v)`` as node ids, ``u < v``."""
+    ids = node_ids(deployment)
+    return [
+        (ids[u], ids[int(v)])
+        for u in range(deployment.n)
+        for v in deployment.neighbors[u]
+        if u < v
+    ]
+
+
+def link_fraction(deployment: Deployment, holds: Callable[[int, int], bool]) -> float:
+    """Fraction of physical links ``(u, v)`` for which ``holds(u, v)``."""
+    links = all_links(deployment)
+    if not links:
+        return 1.0
+    return sum(1 for u, v in links if holds(u, v)) / len(links)
 
 
 class KeySchemeModel(ABC):
@@ -38,17 +58,6 @@ class KeySchemeModel(ABC):
 
     def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
-        self._ready = False
-
-    def setup(self) -> None:
-        """Run key (pre-)distribution; idempotent."""
-        if not self._ready:
-            self._setup()
-            self._ready = True
-
-    @abstractmethod
-    def _setup(self) -> None:
-        """Scheme-specific distribution work."""
 
     # -- storage and broadcast cost (Secs. II/III claims) ----------------
 
@@ -80,7 +89,7 @@ class KeySchemeModel(ABC):
 
     @abstractmethod
     def captured_material(self, nodes: Iterable[int]) -> set[KeyId]:
-        """Key ids an adversary extracts by capturing ``nodes``."""
+        """Key material an adversary extracts by capturing ``nodes``."""
 
     @abstractmethod
     def link_compromised(self, u: int, v: int, material: set[KeyId]) -> bool:
@@ -90,17 +99,12 @@ class KeySchemeModel(ABC):
     # -- derived metrics ---------------------------------------------------
 
     def keys_per_node(self) -> list[int]:
-        """Storage across all nodes."""
-        self.setup()
-        return [self.keys_stored(i) for i in range(self.deployment.n)]
+        """Storage across all nodes, in deployment order."""
+        return [self.keys_stored(node) for node in node_ids(self.deployment)]
 
     def secured_link_fraction(self) -> float:
         """Fraction of physical links that end up secured (connectivity)."""
-        self.setup()
-        links = all_links(self.deployment)
-        if not links:
-            return 1.0
-        return sum(1 for u, v in links if self.link_secured(u, v)) / len(links)
+        return link_fraction(self.deployment, self.link_secured)
 
     def resilience(self, captured: list[int]) -> float:
         """The Eschenauer–Gligor resilience metric: the fraction of secured
@@ -110,7 +114,6 @@ class KeySchemeModel(ABC):
         Lower is better; 0 means node capture is perfectly localized to
         the captured nodes' own communications.
         """
-        self.setup()
         material = self.captured_material(captured)
         captured_set = set(captured)
         remote = [
@@ -131,9 +134,9 @@ class KeySchemeModel(ABC):
         compromised fraction collapses to ~0 beyond a couple of hops,
         while for random predistribution it is flat across the network.
         """
-        self.setup()
         material = self.captured_material([captured_node])
-        hops = self.deployment.hop_counts_from([captured_node])
+        ids = node_ids(self.deployment)
+        hops = dict(zip(ids, self.deployment.hop_counts_from([ids.index(captured_node)])))
         buckets: dict[int, list[int]] = {}
         for u, v in all_links(self.deployment):
             if captured_node in (u, v) or not self.link_secured(u, v):

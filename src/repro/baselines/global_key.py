@@ -21,9 +21,6 @@ class GlobalKeyScheme(KeySchemeModel):
 
     name = "global-key"
 
-    def _setup(self) -> None:
-        pass  # nothing to distribute: everyone is manufactured with the key
-
     def keys_stored(self, node: int) -> int:
         """Always exactly one key."""
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.baselines.common import KeyId, KeySchemeModel
+from repro.baselines.common import KeyId, KeySchemeModel, node_ids
 
 
 def _pair(u: int, v: int) -> KeyId:
@@ -22,16 +22,14 @@ class FullPairwiseScheme(KeySchemeModel):
 
     name = "full-pairwise"
 
-    def _setup(self) -> None:
-        pass  # keys exist implicitly for every pair
-
     def keys_stored(self, node: int) -> int:
         """One key for every other node in the network."""
         return self.deployment.n - 1
 
     def broadcast_transmissions(self, node: int) -> int:
         """Each neighbor needs its own encryption of the message."""
-        return max(1, len(self.deployment.neighbors[node]))
+        index = node_ids(self.deployment).index(node)
+        return max(1, len(self.deployment.neighbors[index]))
 
     def link_secured(self, u: int, v: int) -> bool:
         """Every pair shares a dedicated key."""
@@ -41,7 +39,7 @@ class FullPairwiseScheme(KeySchemeModel):
         """All pair keys incident to any captured node."""
         material: set[KeyId] = set()
         for u in nodes:
-            for v in range(self.deployment.n):
+            for v in node_ids(self.deployment):
                 if v != u:
                     material.add(_pair(u, v))
         return material

@@ -13,18 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import (
-    EschenauerGligorScheme,
-    FullPairwiseScheme,
-    GlobalKeyScheme,
-    LdpSchemeModel,
-    LeapScheme,
-    QCompositeScheme,
-)
-from repro.experiments.common import ExperimentTable
+from repro.baselines import FullPairwiseScheme, GlobalKeyScheme, LdpSchemeModel, node_ids
+from repro.experiments.common import ExperimentTable, live_rivals
 from repro.protocol.setup import deploy
 from repro.sim.energy import EnergyModel
-from repro.sim.rng import RngManager
 
 PAPER_FIGURE = "Secs. II/IV (broadcast-cost claim)"
 
@@ -36,25 +28,24 @@ def run(n: int = 400, density: float = 12.5, seed: int = 0) -> ExperimentTable:
     """Per-node broadcast transmissions and energy for every scheme."""
     deployed, _ = deploy(n, density, seed=seed)
     deployment = deployed.network.deployment
-    rng = RngManager(seed)
     energy = EnergyModel()
 
+    leap, eg, qc = live_rivals(n, density, seed)
     schemes = [
         LdpSchemeModel(deployed),
         GlobalKeyScheme(deployment),
-        LeapScheme(deployment),
+        leap,
         FullPairwiseScheme(deployment),
-        EschenauerGligorScheme(deployment, rng.stream("eg"), pool_size=10_000, ring_size=150),
-        QCompositeScheme(deployment, rng.stream("qc"), pool_size=10_000, ring_size=150, q=2),
+        eg,
+        qc,
     ]
     table = ExperimentTable(
         title=f"{PAPER_FIGURE}: broadcast cost per scheme (n={n}, density {density:g})",
         headers=["scheme", "tx/broadcast", "uJ/broadcast", "keys/node", "bootstrap tx/node"],
     )
     for scheme in schemes:
-        scheme.setup()
-        txs = [scheme.broadcast_transmissions(i) for i in range(deployment.n)]
-        boot = [scheme.bootstrap_transmissions(i) for i in range(deployment.n)]
+        txs = [scheme.broadcast_transmissions(i) for i in node_ids(deployment)]
+        boot = [scheme.bootstrap_transmissions(i) for i in node_ids(deployment)]
         mean_tx = float(np.mean(txs))
         table.add_row(
             scheme.name,

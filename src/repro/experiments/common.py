@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.leap import LeapDeployment, run_leap_bootstrap
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.metrics import SetupMetrics
 from repro.protocol.setup import deploy
+from repro.randkp import RandKpDeployment, run_randkp_bootstrap
 from repro.util.stats import mean_confidence_interval
 
 #: The density grid of Figs. 6–9.
@@ -87,3 +89,18 @@ def averaged_metric(
 ) -> tuple[float, float]:
     """Mean and 95%-CI halfwidth of ``metric`` over a group of runs."""
     return mean_confidence_interval(metric(m) for m in runs)
+
+
+def live_rivals(
+    n: int, density: float, seed: int
+) -> tuple[LeapDeployment, RandKpDeployment, RandKpDeployment]:
+    """LEAP, Eschenauer–Gligor and q-composite (q=2), each bootstrapped
+    live on the same ``(n, density, seed)`` field as :func:`deploy`.
+
+    The predistribution schemes use a 10,000-key pool and 150-key rings.
+    """
+    return (
+        run_leap_bootstrap(n, density, seed=seed),
+        run_randkp_bootstrap(n, density, seed=seed, pool_size=10_000, ring_size=150),
+        run_randkp_bootstrap(n, density, seed=seed, pool_size=10_000, ring_size=150, q=2),
+    )

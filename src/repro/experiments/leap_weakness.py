@@ -15,68 +15,77 @@ cluster stores *one* key, not one per claimed neighbor).
 
 from __future__ import annotations
 
-from repro.baselines import LeapScheme
+from repro.baselines import node_ids
 from repro.experiments.common import ExperimentTable
+from repro.leap import LeapDeployment, run_leap_bootstrap
+from repro.leap.setup import capture_leap_node
 from repro.protocol.setup import deploy
-from repro.sim.topology import Deployment
-from repro.sim.rng import RngManager
 
 PAPER_FIGURE = "Section III (LEAP HELLO-flood weakness)"
+
+
+def _impersonable(deployment: LeapDeployment, victim: int) -> int:
+    """Identities whose pairwise key with ``victim`` a capture yields."""
+    return len(capture_leap_node(deployment, victim)["pairwise"])
+
+
+def _flood(
+    n: int, density: float, seed: int, forged: range | None
+) -> tuple[LeapDeployment, LeapDeployment, int]:
+    """A clean live LEAP bootstrap, the same field with its middle node
+    flooded by one HELLO per id in ``forged`` (all real ids when None),
+    and that victim's node id."""
+    clean = run_leap_bootstrap(n, density, seed=seed)
+    ids = node_ids(clean.deployment)
+    victim = ids[n // 2]
+    flooded = run_leap_bootstrap(
+        n, density, seed=seed, flood_victim=victim, flood_ids=ids if forged is None else forged
+    )
+    return clean, flooded, victim
 
 
 def run(n: int = 400, density: float = 12.5, seed: int = 0) -> ExperimentTable:
     """Storage blow-up and impersonation reach of the LEAP attack.
 
-    The structural LEAP model gives the whole-network reach number; the
-    live implementation (:mod:`repro.leap`) confirms the blow-up on a
-    running bootstrap with an actual flooding transmitter.
+    Every LEAP row runs :mod:`repro.leap` end to end: a real discovery
+    window and a real flooding transmitter next to the victim. The main
+    rows forge every real identity; the last forges ids outside the
+    network, on a smaller field.
     """
-    rng = RngManager(seed)
-    deployment = Deployment.random_uniform(n, density, rng.stream("deployment"))
-    victim = n // 2
+    clean, flooded, victim = _flood(n, density, seed, None)
+    keys_before = clean.keys_stored(victim)
 
-    leap = LeapScheme(deployment)
-    leap.setup()
-    keys_before = leap.keys_stored(victim)
-    reach_before = len(leap.impersonable_ids(victim))
-
-    leap.hello_flood(victim, range(n))
-    keys_after = leap.keys_stored(victim)
-    reach_after = len(leap.impersonable_ids(victim))
-
-    # The same flood against a LIVE LEAP bootstrap (real radio, real
-    # discovery window, real forged transmissions).
-    from repro.leap import run_leap_bootstrap
-
-    live_n = min(n, 150)
-    live_victim = live_n // 2
-    live_clean = run_leap_bootstrap(live_n, density, seed=seed)
-    live_flooded = run_leap_bootstrap(
-        live_n, density, seed=seed,
-        flood_victim=live_victim, flood_ids=range(10_000, 10_000 + live_n),
+    small_n = min(n, 150)
+    small_clean, small_flooded, small_victim = _flood(
+        small_n, density, seed, range(10_000, 10_000 + small_n)
     )
-    live_before = live_clean.agents[live_victim].keys_stored()
-    live_after = live_flooded.agents[live_victim].keys_stored()
 
     # Same flood against this paper's protocol: measured on a live network.
     deployed, _ = deploy(n, density, seed=seed)
-    agent = deployed.agents[victim + 1]
-    ldp_keys = agent.state.stored_key_count()
+    ldp_keys = deployed.agents[victim].state.stored_key_count()
 
     table = ExperimentTable(
         title=f"{PAPER_FIGURE}: flood one victim with n={n} forged HELLOs",
         headers=["scheme", "keys before", "keys after flood", "ids impersonable after capture"],
     )
-    table.add_row("leap", keys_before, keys_after, reach_after)
-    table.add_row("leap (no flood)", keys_before, keys_before, reach_before)
-    table.add_row(f"leap (live, n={live_n})", live_before, live_after, live_after - 2)
+    table.add_row(
+        "leap", keys_before, flooded.keys_stored(victim), _impersonable(flooded, victim)
+    )
+    table.add_row("leap (no flood)", keys_before, keys_before, _impersonable(clean, victim))
+    table.add_row(
+        f"leap (forged ids, n={small_n})",
+        small_clean.keys_stored(small_victim),
+        small_flooded.keys_stored(small_victim),
+        _impersonable(small_flooded, small_victim),
+    )
     table.add_row("this-paper", ldp_keys, ldp_keys, 0)
     table.notes.append(
         "paper claim: LEAP victim ends up sharing keys with all nodes; "
         "this paper's nodes accept exactly one cluster assignment"
     )
     table.notes.append(
-        "the live row runs repro.leap end to end with a real flooding node"
+        "impersonable ids = the captured victim's pairwise keys; every row "
+        "runs repro.leap end to end with a real flooding node"
     )
     return table
 

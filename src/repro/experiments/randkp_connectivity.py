@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.baselines.random_kp import expected_share_probability
+from repro.baselines import link_fraction
 from repro.experiments.common import ExperimentTable
 from repro.protocol.setup import deploy
-from repro.randkp import run_randkp_bootstrap
+from repro.randkp import expected_share_probability, run_randkp_bootstrap
 
 PAPER_FIGURE = "Sec. III context: E-G connectivity vs ring size (live)"
 
@@ -53,10 +53,10 @@ def run(
         ) / len(dep.agents)
         table.add_row(
             f"E-G m={m}",
-            dep.secured_fraction("shared"),
+            link_fraction(dep.deployment, dep.shared_key_link),
             expected_share_probability(pool_size, m),
-            dep.secured_fraction(),
-            dep.mean_keys_stored(),
+            dep.secured_link_fraction(),
+            sum(dep.keys_per_node()) / len(dep.agents),
             msgs,
         )
     deployed, metrics = deploy(n, density, seed=seed)

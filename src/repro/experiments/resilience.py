@@ -19,28 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines import (
-    EschenauerGligorScheme,
-    GlobalKeyScheme,
-    LdpSchemeModel,
-    LeapScheme,
-    QCompositeScheme,
-)
-from repro.experiments.common import ExperimentTable
+from repro.baselines import GlobalKeyScheme, KeySchemeModel, LdpSchemeModel, node_ids
+from repro.experiments.common import ExperimentTable, live_rivals
 from repro.protocol.setup import deploy
-from repro.sim.rng import RngManager
 
 PAPER_FIGURE = "Secs. II/VI (resilience claims)"
 
 
-def _schemes(deployed, seed: int):
+def _schemes(deployed, density: float, seed: int) -> list[KeySchemeModel]:
     deployment = deployed.network.deployment
-    rng = RngManager(seed)
     return [
         LdpSchemeModel(deployed),
-        LeapScheme(deployment),
-        EschenauerGligorScheme(deployment, rng.stream("eg"), pool_size=10_000, ring_size=150),
-        QCompositeScheme(deployment, rng.stream("qc"), pool_size=10_000, ring_size=150, q=2),
+        *live_rivals(deployment.n, density, seed),
         GlobalKeyScheme(deployment),
     ]
 
@@ -53,14 +43,14 @@ def run(
 ) -> ExperimentTable:
     """E-G resilience metric vs number of captured nodes, per scheme."""
     deployed, _ = deploy(n, density, seed=seed)
+    ids = node_ids(deployed.network.deployment)
     rng = np.random.default_rng(seed)
-    capture_order = rng.permutation(deployed.network.deployment.n).tolist()
+    capture_order = [ids[i] for i in rng.permutation(len(ids))]
     table = ExperimentTable(
         title=f"{PAPER_FIGURE}: fraction of remote links compromised (n={n})",
         headers=["scheme"] + [f"x={k}" for k in capture_counts],
     )
-    for scheme in _schemes(deployed, seed):
-        scheme.setup()
+    for scheme in _schemes(deployed, density, seed):
         row = [scheme.resilience(capture_order[:k]) for k in capture_counts]
         table.add_row(scheme.name, *row)
     table.notes.append(
@@ -80,14 +70,14 @@ def run_locality(
     pockets whose locality profile would be trivially empty).
     """
     deployed, _ = deploy(n, density, seed=seed)
-    giant = max(deployed.network.deployment.connected_components(), key=len)
-    captured = int(giant[len(giant) // 2])
+    deployment = deployed.network.deployment
+    giant = max(deployment.connected_components(), key=len)
+    captured = node_ids(deployment)[int(giant[len(giant) // 2])]
     table = ExperimentTable(
         title=f"{PAPER_FIGURE}: compromise locality, one captured node (n={n})",
         headers=["scheme"] + [f"d={d}" for d in range(1, max_hops + 1)],
     )
-    for scheme in _schemes(deployed, seed):
-        scheme.setup()
+    for scheme in _schemes(deployed, density, seed):
         profile = scheme.compromise_by_distance(captured)
         table.add_row(
             scheme.name, *(profile.get(d, 0.0) for d in range(1, max_hops + 1))

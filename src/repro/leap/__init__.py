@@ -19,6 +19,10 @@ running code rather than estimated structurally:
   compute and store a pairwise key per forged id; capturing the victim
   afterwards yields its ``K_v``, from which the pairwise key to *any*
   identity can be derived.
+
+A bootstrapped :class:`LeapDeployment` is itself a
+:class:`~repro.baselines.KeySchemeModel`: the storage, broadcast-cost and
+capture-resilience comparisons read its agents' real key state.
 """
 
 from repro.leap.agent import LeapAgent

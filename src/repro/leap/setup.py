@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable
 
+from repro.baselines.common import KeyId, KeySchemeModel
 from repro.crypto.aead import AeadConfig
 from repro.crypto.keys import SymmetricKey
 from repro.leap.agent import LeapAgent, pairwise_key
@@ -12,28 +14,60 @@ from repro.sim.network import Network
 
 
 @dataclass
-class LeapDeployment:
-    """A bootstrapped LEAP network."""
+class LeapDeployment(KeySchemeModel):
+    """A bootstrapped LEAP network, answering the scheme interface from
+    its agents' key state."""
 
     network: Network
     agents: dict[int, LeapAgent]
     aead: AeadConfig
 
+    name = "leap"
+
+    def __post_init__(self) -> None:
+        super().__init__(self.network.deployment)
+
     def agent(self, node_id: int) -> LeapAgent:
         """Agent by node id."""
         return self.agents[node_id]
 
-    def mean_keys_stored(self) -> float:
-        """Average keys in memory across nodes (live Sec. III metric)."""
-        if not self.agents:
-            return 0.0
-        return sum(a.keys_stored() for a in self.agents.values()) / len(self.agents)
+    def keys_stored(self, node: int) -> int:
+        """K_v + own cluster key + pairwise keys + received cluster keys:
+        proportional to the neighborhood, and to every forged HELLO."""
+        return self.agents[node].keys_stored()
 
-    def bootstrap_transmissions_per_node(self) -> float:
-        """HELLOs + cluster-key unicasts, per node (live bootstrap bill)."""
-        trace = self.network.trace
-        total = trace["leap.tx.hello"] + trace["leap.tx.cluster_key"]
-        return total / len(self.agents) if self.agents else 0.0
+    def broadcast_transmissions(self, node: int) -> int:
+        """One transmission under the node's own cluster key."""
+        return 1
+
+    def bootstrap_transmissions(self, node: int) -> int:
+        """Frames the node sent: its discovery HELLO plus one cluster-key
+        unicast per discovered neighbor (Sec. III's "more expensive
+        bootstrapping phase")."""
+        return self.network.node(node).frames_sent
+
+    def link_secured(self, u: int, v: int) -> bool:
+        """``u`` derived a pairwise key for ``v`` during discovery."""
+        return v in self.agents[u].pairwise
+
+    def captured_material(self, nodes: Iterable[int]) -> set[KeyId]:
+        """Every key in the captured nodes' memory (:func:`capture_leap_node`)."""
+        material: set[KeyId] = set()
+        for u in nodes:
+            loot = capture_leap_node(self, u)
+            material.update((loot["k_v"], loot["cluster_key"]))
+            material.update(loot["pairwise"].values())
+            material.update(loot["neighbor_cluster_keys"].values())
+        return material
+
+    def link_compromised(self, u: int, v: int, material: set[KeyId]) -> bool:
+        """Broadcast traffic on (u, v) is readable with either endpoint's
+        cluster key; unicast falls with the pairwise key."""
+        return (
+            self.agents[u].cluster_key.material in material
+            or self.agents[v].cluster_key.material in material
+            or self.agents[u].pairwise.get(v) in material
+        )
 
 
 def run_leap_bootstrap(
@@ -82,7 +116,7 @@ def run_leap_bootstrap(
     return LeapDeployment(network, agents, aead)
 
 
-def capture_leap_node(deployment: LeapDeployment, victim: int) -> dict[str, object]:
+def capture_leap_node(deployment: LeapDeployment, victim: int) -> dict[str, Any]:
     """Dump a LEAP node's key memory (the Sec. III capture).
 
     Returns the victim's retained ``K_v`` and demonstrates the payoff: the

@@ -16,12 +16,23 @@ already-secured neighbors:
   the relay *knowing the key it generated* (the exposure our capture
   analysis measures).
 
-This gives the repo live, measured numbers for the claims the structural
-model (:mod:`repro.baselines.random_kp`) estimates, and reproduces E-G's
-own connectivity-vs-ring-size behaviour as a supporting experiment.
+A bootstrapped :class:`RandKpDeployment` is itself a
+:class:`~repro.baselines.KeySchemeModel`: the storage, broadcast-cost and
+capture-resilience comparisons read its agents' real key state. It also
+reproduces E-G's own connectivity-vs-ring-size behaviour, checked against
+the closed form :func:`expected_share_probability`.
 """
 
 from repro.randkp.agent import RandKpAgent
-from repro.randkp.setup import RandKpDeployment, run_randkp_bootstrap
+from repro.randkp.setup import (
+    RandKpDeployment,
+    expected_share_probability,
+    run_randkp_bootstrap,
+)
 
-__all__ = ["RandKpAgent", "RandKpDeployment", "run_randkp_bootstrap"]
+__all__ = [
+    "RandKpAgent",
+    "RandKpDeployment",
+    "expected_share_probability",
+    "run_randkp_bootstrap",
+]

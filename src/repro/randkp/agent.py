@@ -96,7 +96,7 @@ class RandKpAgent:
         if nid == self.node.id or nid in self.announced:
             return
         self.announced[nid] = ring_ids
-        shared = set(self.ring_ids) & set(ring_ids)
+        shared = self.ring.keys() & ring_ids
         if len(shared) >= self.q:
             self.link_keys[nid] = (
                 self._direct_link_key(shared, nid),

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Any, Iterable
 
+from repro.baselines.common import KeyId, KeySchemeModel, all_links
 from repro.crypto.aead import AeadConfig
 from repro.crypto.kdf import prf
 from repro.randkp.agent import RandKpAgent
 from repro.sim.network import Network
+from repro.util.validate import check_positive
 
 
 def pool_key(pool_master: bytes, key_id: int) -> bytes:
@@ -15,46 +19,49 @@ def pool_key(pool_master: bytes, key_id: int) -> bytes:
     return prf(pool_master, b"eg-pool" + key_id.to_bytes(4, "big"))
 
 
+def expected_share_probability(pool_size: int, ring_size: int) -> float:
+    """Probability two random rings intersect (E-G eq. 1):
+    ``1 - ((P - m)!)^2 / (P! (P - 2m)!)``."""
+    if 2 * ring_size > pool_size:
+        return 1.0
+    # Compute in log space to survive large pools.
+    log_p_no_share = (
+        2 * math.lgamma(pool_size - ring_size + 1)
+        - math.lgamma(pool_size + 1)
+        - math.lgamma(pool_size - 2 * ring_size + 1)
+    )
+    return 1.0 - math.exp(log_p_no_share)
+
+
 @dataclass
-class RandKpDeployment:
-    """A bootstrapped E-G network."""
+class RandKpDeployment(KeySchemeModel):
+    """A bootstrapped E-G (``q == 1``) or q-composite network, answering
+    the scheme interface from its agents' key state."""
 
     network: Network
     agents: dict[int, RandKpAgent]
     pool_size: int
     ring_size: int
     aead: AeadConfig
+    q: int = 1
+
+    def __post_init__(self) -> None:
+        super().__init__(self.network.deployment)
+        self.name = "eschenauer-gligor" if self.q == 1 else f"q-composite(q={self.q})"
 
     def agent(self, node_id: int) -> RandKpAgent:
         """Agent by node id."""
         return self.agents[node_id]
 
-    # -- live metrics ------------------------------------------------------
-
-    def _physical_pairs(self) -> list[tuple[int, int]]:
-        pairs = []
-        for nid in self.agents:
-            for other in self.network.adjacency(nid):
-                if other in self.agents and nid < other:
-                    pairs.append((nid, other))
-        return pairs
-
-    def secured_fraction(self, how: str | None = None) -> float:
-        """Fraction of physical links secured (optionally by mechanism:
-        "shared" for direct ring intersections, "path" for relayed keys)."""
-        pairs = self._physical_pairs()
-        if not pairs:
-            return 1.0
-        count = 0
-        for u, v in pairs:
-            entry = self.agents[u].link_keys.get(v)
-            if entry is not None and (how is None or entry[1] == how):
-                count += 1
-        return count / len(pairs)
+    def shared_key_link(self, u: int, v: int) -> bool:
+        """``u`` secured its link to ``v`` from shared ring keys, not
+        through a relay's path key."""
+        entry = self.agents[u].link_keys.get(v)
+        return entry is not None and entry[1] == "shared"
 
     def link_keys_consistent(self) -> bool:
         """Both ends of every secured link agree on the key bytes."""
-        for u, v in self._physical_pairs():
+        for u, v in all_links(self.deployment):
             a = self.agents[u].link_keys.get(v)
             b = self.agents[v].link_keys.get(u)
             if (a is None) != (b is None):
@@ -63,13 +70,7 @@ class RandKpDeployment:
                 return False
         return True
 
-    def mean_keys_stored(self) -> float:
-        """Average keys in memory per node."""
-        if not self.agents:
-            return 0.0
-        return sum(a.keys_stored() for a in self.agents.values()) / len(self.agents)
-
-    def capture(self, node_id: int) -> dict[str, object]:
+    def capture(self, node_id: int) -> dict[str, Any]:
         """Extract a node's key memory (ring, link keys, relay knowledge)."""
         agent = self.agents[node_id]
         return {
@@ -78,42 +79,46 @@ class RandKpDeployment:
             "relay_knowledge": dict(agent.relay_knowledge),
         }
 
-    def remote_links_compromised_by(self, captured: list[int]) -> float:
-        """Live E-G resilience metric: fraction of secured links between
-        non-captured nodes readable with the captured material."""
-        exposed_pool: set[bytes] = set()
-        exposed_path: dict[tuple[int, int], bytes] = {}
-        for nid in captured:
-            loot = self.capture(nid)
-            exposed_pool.update(loot["ring"].values())
-            exposed_path.update(loot["relay_knowledge"])
-        captured_set = set(captured)
-        remote = [
-            (u, v)
-            for u, v in self._physical_pairs()
-            if u not in captured_set
-            and v not in captured_set
-            and v in self.agents[u].link_keys
-        ]
-        if not remote:
-            return 0.0
-        broken = 0
-        for u, v in remote:
-            key, how = self.agents[u].link_keys[v]
-            if how == "path":
-                if exposed_path.get((min(u, v), max(u, v))) == key:
-                    broken += 1
-            else:
-                shared = set(self.agents[u].ring_ids) & set(self.agents[v].ring_ids)
-                ring = self.agents[u].ring
-                if self.agents[u].q == 1:
-                    if ring[min(shared)] in exposed_pool:
-                        broken += 1
-                # q-composite: the hashed link key falls only when every
-                # shared pool key is exposed.
-                elif all(ring[k] in exposed_pool for k in shared):
-                    broken += 1
-        return broken / len(remote)
+    # -- the scheme interface -----------------------------------------------
+
+    def keys_stored(self, node: int) -> int:
+        """Ring keys + established link keys."""
+        return self.agents[node].keys_stored()
+
+    def broadcast_transmissions(self, node: int) -> int:
+        """One encryption per secured neighbor: each link has its own key."""
+        return max(1, len(self.agents[node].link_keys))
+
+    def bootstrap_transmissions(self, node: int) -> int:
+        """Frames the node sent: its ring announcement plus the path-key
+        requests and grants it made."""
+        return self.network.node(node).frames_sent
+
+    def link_secured(self, u: int, v: int) -> bool:
+        """``u`` holds a link key for ``v``, shared or path."""
+        return v in self.agents[u].link_keys
+
+    def captured_material(self, nodes: Iterable[int]) -> set[KeyId]:
+        """Every key in the captured nodes' memory (:meth:`capture`):
+        ring keys, link keys and the path keys they generated as relays."""
+        material: set[KeyId] = set()
+        for u in nodes:
+            for keys in self.capture(u).values():
+                material.update(keys.values())
+        return material
+
+    def link_compromised(self, u: int, v: int, material: set[KeyId]) -> bool:
+        """A path key falls when some captured relay generated it. A direct
+        link key falls with the smallest shared pool key for basic E-G;
+        the q-composite hash of all shared keys needs every one of them."""
+        agent = self.agents[u]
+        key, how = agent.link_keys[v]
+        if how == "path":
+            return key in material
+        shared = agent.ring.keys() & self.agents[v].ring.keys()
+        if self.q == 1:
+            shared = {min(shared)}
+        return all(agent.ring[k] in material for k in shared)
 
 
 def run_randkp_bootstrap(
@@ -129,16 +134,24 @@ def run_randkp_bootstrap(
 
     ``q > 1`` selects Chan–Perrig–Song q-composite direct links.
     """
+    check_positive("pool_size", pool_size)
+    check_positive("ring_size", ring_size)
+    if ring_size > pool_size:
+        raise ValueError("ring_size cannot exceed pool_size")
     network = Network.build(n, density, seed=seed)
     aead = AeadConfig()
     key_rng = network.rng.stream("eg-keys")
     timer_rng = network.rng.stream("eg-timers")
     pool_master = key_rng.integers(0, 256, size=16, dtype="uint8").tobytes()
 
+    pool: dict[int, bytes] = {}  # each drawn pool key derived once
     agents: dict[int, RandKpAgent] = {}
     for nid in network.sensor_ids():
-        ids = key_rng.choice(pool_size, size=ring_size, replace=False)
-        ring = {int(k): pool_key(pool_master, int(k)) for k in ids}
+        ring = {}
+        for k in key_rng.choice(pool_size, size=ring_size, replace=False).tolist():
+            if k not in pool:
+                pool[k] = pool_key(pool_master, k)
+            ring[k] = pool[k]
         agent = RandKpAgent(
             network.node(nid), ring, aead, timer_rng, discovery_window_s, q=q
         )
@@ -147,4 +160,4 @@ def run_randkp_bootstrap(
         agent.start_bootstrap()
 
     network.transport.run(until=discovery_window_s + 2.0)
-    return RandKpDeployment(network, agents, pool_size, ring_size, aead)
+    return RandKpDeployment(network, agents, pool_size, ring_size, aead, q)

@@ -2,24 +2,21 @@
 
 import pytest
 
-from repro.baselines import LdpSchemeModel
+from repro.baselines import LdpSchemeModel, node_ids
 from repro.protocol.setup import deploy
-from repro.sim.network import FIRST_NODE_ID
 
 
 @pytest.fixture(scope="module")
 def adapted():
     deployed, _ = deploy(200, 10.0, seed=12)
-    scheme = LdpSchemeModel(deployed)
-    scheme.setup()
-    return deployed, scheme
+    return deployed, LdpSchemeModel(deployed)
 
 
 def test_keys_match_live_keyrings(adapted):
     deployed, scheme = adapted
-    for index in range(deployed.network.deployment.n):
-        agent = deployed.agents[index + FIRST_NODE_ID]
-        assert scheme.keys_stored(index) == agent.state.stored_key_count()
+    for node in node_ids(deployed.network.deployment):
+        agent = deployed.agents[node]
+        assert scheme.keys_stored(node) == agent.state.stored_key_count()
 
 
 def test_all_links_secured(adapted):
@@ -29,19 +26,19 @@ def test_all_links_secured(adapted):
 
 def test_broadcast_is_one(adapted):
     _, scheme = adapted
-    assert scheme.broadcast_transmissions(0) == 1
+    assert scheme.broadcast_transmissions(1) == 1
 
 
 def test_captured_material_is_keyring(adapted):
     deployed, scheme = adapted
-    material = scheme.captured_material([3])
-    agent = deployed.agents[3 + FIRST_NODE_ID]
+    material = scheme.captured_material([4])
+    agent = deployed.agents[4]
     assert material == {("cluster", cid) for cid in agent.state.keyring.cluster_ids()}
 
 
 def test_compromise_is_localized(adapted):
     _, scheme = adapted
-    profile = scheme.compromise_by_distance(100)
+    profile = scheme.compromise_by_distance(101)
     # Keys a node holds cover clusters whose members sit within a couple of
     # hops; beyond ~3 hops nothing is compromised.
     assert all(f == 0.0 for d, f in profile.items() if d >= 4)
@@ -50,5 +47,5 @@ def test_compromise_is_localized(adapted):
 
 def test_resilience_small_and_bounded(adapted):
     _, scheme = adapted
-    r = scheme.resilience([0])
+    r = scheme.resilience([1])
     assert 0.0 <= r < 0.2

@@ -52,8 +52,12 @@ def test_storage_proportional_to_degree(leap):
 
 def test_bootstrap_cost_is_one_plus_degree(leap):
     # HELLO (1) + one cluster-key unicast per discovered neighbor.
-    mean_deg = sum(len(a.pairwise) for a in leap.agents.values()) / len(leap.agents)
-    assert leap.bootstrap_transmissions_per_node() == pytest.approx(1 + mean_deg)
+    for nid, agent in leap.agents.items():
+        assert leap.bootstrap_transmissions(nid) == 1 + len(agent.pairwise)
+    trace = leap.network.trace
+    assert trace["leap.tx.hello"] + trace["leap.tx.cluster_key"] == sum(
+        leap.bootstrap_transmissions(nid) for nid in leap.agents
+    )
 
 
 def test_one_broadcast_reaches_all_neighbors(leap):

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.baselines.random_kp import expected_share_probability
-from repro.randkp import run_randkp_bootstrap
+from repro.baselines import link_fraction
+from repro.randkp import expected_share_probability, run_randkp_bootstrap
 
 
 @pytest.fixture(scope="module")
@@ -17,14 +17,17 @@ def test_bootstrap_completes(eg):
     assert all(a.bootstrapped for a in eg.agents.values())
 
 
+def _direct_fraction(dep):
+    return link_fraction(dep.deployment, dep.shared_key_link)
+
+
 def test_shared_key_fraction_matches_theory(eg):
-    measured = eg.secured_fraction("shared")
     theory = expected_share_probability(1000, 25)
-    assert math.isclose(measured, theory, abs_tol=0.06)
+    assert math.isclose(_direct_fraction(eg), theory, abs_tol=0.06)
 
 
 def test_path_keys_raise_connectivity(eg):
-    assert eg.secured_fraction() > eg.secured_fraction("shared") + 0.1
+    assert eg.secured_link_fraction() > _direct_fraction(eg) + 0.1
 
 
 def test_link_keys_agree_between_ends(eg):
@@ -56,7 +59,7 @@ def test_relay_knows_the_path_keys_it_made(eg):
 
 def test_capture_exposes_remote_links(eg):
     captured = sorted(eg.agents)[:8]
-    fraction = eg.remote_links_compromised_by(captured)
+    fraction = eg.resilience(captured)
     assert 0.0 < fraction < 0.6  # global, non-local exposure
 
 
@@ -65,7 +68,7 @@ def test_capture_of_relay_exposes_its_path_links(eg):
     loot = eg.capture(relay_id)
     assert loot["relay_knowledge"]
     # Resilience counting includes those path links.
-    assert eg.remote_links_compromised_by([relay_id]) > 0.0
+    assert eg.resilience([relay_id]) > 0.0
 
 
 def test_messages_roundtrip():
@@ -108,7 +111,7 @@ class TestQComposite:
     def test_q2_reduces_direct_connectivity(self):
         eg = run_randkp_bootstrap(120, 10.0, seed=2, pool_size=500, ring_size=25, q=1)
         qc = run_randkp_bootstrap(120, 10.0, seed=2, pool_size=500, ring_size=25, q=2)
-        assert qc.secured_fraction("shared") < eg.secured_fraction("shared")
+        assert _direct_fraction(qc) < _direct_fraction(eg)
         assert qc.link_keys_consistent()
 
     def test_q2_keys_differ_from_q1(self):
@@ -131,9 +134,7 @@ class TestQComposite:
         eg = run_randkp_bootstrap(150, 12.0, seed=4, pool_size=500, ring_size=40, q=1)
         qc = run_randkp_bootstrap(150, 12.0, seed=4, pool_size=500, ring_size=40, q=3)
         captured = sorted(eg.agents)[:3]
-        assert qc.remote_links_compromised_by(captured) <= (
-            eg.remote_links_compromised_by(captured)
-        )
+        assert qc.resilience(captured) <= eg.resilience(captured)
 
     def test_q_validation(self):
         import pytest

@@ -109,11 +109,27 @@ def test_locality_table():
     assert any(f > 0.0 for f in eg[3:])  # E-G leaks at distance
 
 
-def test_leap_weakness_table():
-    table = leap_weakness.run(n=200, density=12.0, seed=0)
-    rows = {row[0]: row[1:] for row in table.rows}
+@pytest.fixture(scope="module")
+def leap_table():
+    return leap_weakness.run(n=200, density=12.0, seed=0)
+
+
+def test_leap_weakness_table(leap_table):
+    rows = {row[0]: row[1:] for row in leap_table.rows}
     assert int(rows["leap"][2]) == 199  # all other ids impersonable
     assert int(rows["this-paper"][2]) == 0
+
+
+def test_leap_weakness_counts_captured_pairwise_ids(leap_table):
+    # The victim of 150 forged HELLOs stores K_v, its own cluster key, one
+    # pairwise key and one received cluster key per real neighbor, and one
+    # pairwise key per forged id. Only the pairwise keys are identities.
+    before, after, impersonable = next(
+        [int(x) for x in row[1:]] for row in leap_table.rows if "n=150" in row[0]
+    )
+    degree = (before - 2) // 2
+    assert after == before + 150
+    assert impersonable == 150 + degree
 
 
 def test_timer_ablation_direction():
