@@ -55,15 +55,15 @@ class Eavesdropper:
         out: list[bytes] = []
         for rec in self.data_frames():
             try:
-                header, _ = messages.decode_data(rec.frame)
+                header, sealed = messages.decode_data_view(rec.frame)
             except messages.MalformedMessage:
                 continue
             key = cluster_keys.get(header.cid)
             if key is None:
                 continue
             try:
-                _, c1 = unwrap_hop(key, rec.frame, rec.time, float("inf"), self.config.aead)
-            except (AuthenticationError, StaleMessage, messages.MalformedMessage):
+                c1 = unwrap_hop(key, header, sealed, rec.time, float("inf"), self.config.aead)
+            except (AuthenticationError, StaleMessage):
                 continue
             out.append(c1)
         return out

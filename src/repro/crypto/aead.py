@@ -12,23 +12,40 @@ independent derived keys:
 cluster id ``CID`` that Step 2 prepends in clear so receivers can select
 the right key from their set ``S``).
 
-Both directions sit on the per-frame hot path, so the MAC input is fed to
-the hasher as ``header | ciphertext`` parts (never concatenated — the
-ciphertext is the bulk of every frame) and the CTR keystream goes through
-the batched kernels selected by ``AeadConfig.backend`` (see
-:mod:`repro.crypto.kernels`).
+Both directions sit on the per-frame hot path: a broadcast is sealed once
+and opened by every neighbour holding the key. Everything fixed per
+``(key, cipher)`` — the two derived keys, the keyed cipher, the HMAC pad
+midstates of ``K_mac`` and the cipher-name MAC prefix — is bound once in
+a cached per-key context, so each message pays only its keystream (see
+:mod:`repro.crypto.modes`) and one HMAC resumed from the midstates. The
+MAC input is fed to the hasher as ``header | ciphertext`` parts (never
+concatenated — the ciphertext is the bulk of every frame), and every
+receiver still compares its own tag in constant time.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from hmac import compare_digest
+from typing import Any, NamedTuple, Sequence
 
-from repro.crypto.block import get_cipher
+from repro.crypto.block import BlockCipher, available_ciphers, get_cipher, is_registered
 from repro.crypto.kdf import ENCRYPT_USAGE, MAC_USAGE, derive_usage_key
-from repro.crypto.mac import DEFAULT_TAG_LEN, mac_parts, verify_parts
+from repro.crypto.kernels import BACKENDS
+from repro.crypto.mac import DEFAULT_TAG_LEN, hmac_midstates
 from repro.crypto.modes import ctr_decrypt, ctr_encrypt, ctr_encrypt_many
 from repro.crypto.stats import STATS
+
+#: Most per-key contexts :func:`_key_context` keeps (least recently used
+#: evicted first) — the bound of the cipher-instance cache they share.
+KEY_CONTEXT_CACHE_SIZE = 4096
+
+#: MAC-header fields after the cipher name: the associated-data length,
+#: then (after the associated data) the message counter.
+_AD_LEN = struct.Struct(">I")
+_COUNTER = struct.Struct(">Q")
 
 
 class AuthenticationError(Exception):
@@ -45,11 +62,80 @@ class AeadConfig:
     :mod:`repro.crypto.kernels`). It never changes bytes on the wire —
     the ``pure`` and ``vector`` backends are byte-identical by the
     parity property tests.
+
+    Raises:
+        ValueError: at construction, for an unregistered cipher name, a
+            ``tag_len`` outside [1, 32] or an unknown backend.
     """
 
     cipher: str = "speck64/128"
     tag_len: int = DEFAULT_TAG_LEN
     backend: str | None = None
+
+    def __post_init__(self) -> None:
+        if not is_registered(self.cipher):
+            raise ValueError(
+                f"unknown cipher {self.cipher!r}; available: {available_ciphers()}"
+            )
+        if not 1 <= self.tag_len <= 32:
+            raise ValueError(f"tag_len must be in [1, 32], got {self.tag_len}")
+        if self.backend is not None and self.backend not in BACKENDS:
+            raise ValueError(
+                f"crypto_backend must be one of {BACKENDS} or None, got {self.backend!r}"
+            )
+
+
+class _KeyContext(NamedTuple):
+    """Everything about one ``(key, cipher)`` pair that no message changes."""
+
+    #: The cipher keyed with ``K_encr = F_K(0)``.
+    cipher: BlockCipher
+    #: HMAC inner/outer hashers of ``K_mac = F_K(1)``, pads absorbed.
+    inner: Any
+    outer: Any
+    #: MAC-header prefix: the length-prefixed cipher name.
+    prefix: bytes
+
+
+@lru_cache(maxsize=KEY_CONTEXT_CACHE_SIZE)
+def _key_context(key: bytes, cipher: str) -> _KeyContext:
+    """The cached :class:`_KeyContext` of ``key`` under ``cipher``.
+
+    A deployment seals and opens thousands of frames under a handful of
+    long-lived keys; binding the derived keys, the keyed cipher and the
+    MAC midstates once per key leaves each message its keystream and
+    its two SHA-256 passes.
+    """
+    name = cipher.encode("ascii")
+    inner, outer = hmac_midstates(derive_usage_key(key, MAC_USAGE))
+    return _KeyContext(
+        get_cipher(cipher, derive_usage_key(key, ENCRYPT_USAGE)),
+        inner,
+        outer,
+        bytes([len(name)]) + name,
+    )
+
+
+def _mac(context: _KeyContext, associated_data: bytes, counter: int, ct: bytes) -> bytes:
+    """Full HMAC-SHA256 of the MAC header and ``ct``, from the midstates.
+
+    The header binds the cipher identity, the length-prefixed associated
+    data and the counter; the ciphertext follows as a separate hasher
+    update, so the tag equals ``HMAC(header | ciphertext)`` without ever
+    building that concatenation. Binding the cipher name prevents a tag
+    computed for one cipher from verifying a decryption under another.
+    """
+    inner = context.inner.copy()
+    inner.update(
+        context.prefix
+        + _AD_LEN.pack(len(associated_data))
+        + associated_data
+        + _COUNTER.pack(counter)
+    )
+    inner.update(ct)
+    outer = context.outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def seal(
@@ -65,14 +151,9 @@ def seal(
     counter and the ciphertext, binding all three.
     """
     STATS.seals += 1
-    k_encr = derive_usage_key(key, ENCRYPT_USAGE)
-    k_mac = derive_usage_key(key, MAC_USAGE)
-    cipher = get_cipher(config.cipher, k_encr)
-    ct = ctr_encrypt(cipher, counter, plaintext, config.backend)
-    tag = mac_parts(
-        k_mac, (_mac_header(config, associated_data, counter), ct), config.tag_len
-    )
-    return ct + tag
+    context = _key_context(key, config.cipher)
+    ct = ctr_encrypt(context.cipher, counter, plaintext, config.backend)
+    return ct + _mac(context, associated_data, counter, ct)[: config.tag_len]
 
 
 def open_(
@@ -89,17 +170,16 @@ def open_(
             never decrypted in that case (verify-then-decrypt).
     """
     STATS.opens += 1
-    if len(sealed) < config.tag_len:
+    tag_len = config.tag_len
+    if len(sealed) < tag_len:
         raise AuthenticationError("message shorter than its MAC tag")
-    ct, tag = sealed[: -config.tag_len], sealed[-config.tag_len :]
-    k_encr = derive_usage_key(key, ENCRYPT_USAGE)
-    k_mac = derive_usage_key(key, MAC_USAGE)
-    if not verify_parts(
-        k_mac, (_mac_header(config, associated_data, counter), ct), tag
+    ct = sealed[:-tag_len]
+    context = _key_context(key, config.cipher)
+    if not compare_digest(
+        _mac(context, associated_data, counter, ct)[:tag_len], sealed[-tag_len:]
     ):
         raise AuthenticationError("MAC verification failed")
-    cipher = get_cipher(config.cipher, k_encr)
-    return ctr_decrypt(cipher, counter, ct, config.backend)
+    return ctr_decrypt(context.cipher, counter, ct, config.backend)
 
 
 def _associated_list(
@@ -124,11 +204,9 @@ def seal_many(
     """:func:`seal` a burst of messages under one key in a single dispatch.
 
     Byte-identical to ``[seal(key, c, p, ad, config) for ...]`` (pinned
-    by the batched-parity tests), but the per-burst fixed costs are paid
-    once: usage-key derivation and cipher resolution happen a single
-    time, the CTR keystream for every message comes from one batched
-    kernel call (:func:`repro.crypto.modes.ctr_encrypt_many`), and each
-    tag resumes from the cached per-key HMAC pad midstates.
+    by the batched-parity tests), but the CTR keystream for every
+    message comes from one batched kernel call
+    (:func:`repro.crypto.modes.ctr_encrypt_many`).
 
     ``associated_data`` may be one byte string shared by every message or
     a sequence with one entry per message (the DATA hop path, where each
@@ -139,15 +217,13 @@ def seal_many(
         raise ValueError(f"got {len(counters)} counters for {n} plaintexts")
     ads = _associated_list(associated_data, n)
     STATS.seals += n
-    k_encr = derive_usage_key(key, ENCRYPT_USAGE)
-    k_mac = derive_usage_key(key, MAC_USAGE)
-    cipher = get_cipher(config.cipher, k_encr)
-    cts = ctr_encrypt_many(cipher, list(counters), list(plaintexts), config.backend)
-    out = []
-    for counter, ad, ct in zip(counters, ads, cts):
-        tag = mac_parts(k_mac, (_mac_header(config, ad, counter), ct), config.tag_len)
-        out.append(ct + tag)
-    return out
+    context = _key_context(key, config.cipher)
+    tag_len = config.tag_len
+    cts = ctr_encrypt_many(context.cipher, list(counters), list(plaintexts), config.backend)
+    return [
+        ct + _mac(context, ad, counter, ct)[:tag_len]
+        for counter, ad, ct in zip(counters, ads, cts)
+    ]
 
 
 def open_many(
@@ -173,31 +249,14 @@ def open_many(
         raise ValueError(f"got {len(counters)} counters for {n} messages")
     ads = _associated_list(associated_data, n)
     STATS.opens += n
-    k_encr = derive_usage_key(key, ENCRYPT_USAGE)
-    k_mac = derive_usage_key(key, MAC_USAGE)
+    context = _key_context(key, config.cipher)
+    tag_len = config.tag_len
     cts: list[bytes] = []
     for i, (counter, ad, blob) in enumerate(zip(counters, ads, sealed)):
-        if len(blob) < config.tag_len:
+        if len(blob) < tag_len:
             raise AuthenticationError(f"message {i} shorter than its MAC tag")
-        ct, tag = blob[: -config.tag_len], blob[-config.tag_len :]
-        if not verify_parts(k_mac, (_mac_header(config, ad, counter), ct), tag):
+        ct = blob[:-tag_len]
+        if not compare_digest(_mac(context, ad, counter, ct)[:tag_len], blob[-tag_len:]):
             raise AuthenticationError(f"MAC verification failed for message {i}")
         cts.append(ct)
-    cipher = get_cipher(config.cipher, k_encr)
-    return ctr_encrypt_many(cipher, list(counters), cts, config.backend)
-
-
-def _mac_header(config: AeadConfig, associated_data: bytes, counter: int) -> bytes:
-    """Unambiguous MAC-input prefix: cipher identity, length-prefixed AD and
-    counter. The ciphertext follows as a separate hasher part, so the
-    resulting tag equals ``HMAC(header | ciphertext)`` without ever
-    building that concatenation. Binding the cipher name prevents a tag
-    computed for one cipher from verifying a decryption under another."""
-    name = config.cipher.encode("ascii")
-    return (
-        bytes([len(name)])
-        + name
-        + len(associated_data).to_bytes(4, "big")
-        + associated_data
-        + counter.to_bytes(8, "big")
-    )
+    return ctr_encrypt_many(context.cipher, list(counters), cts, config.backend)

@@ -47,6 +47,11 @@ def available_ciphers() -> tuple[str, ...]:
     return (Speck64_128.name, Xtea.name, Rc5.name)
 
 
+def is_registered(name: str) -> bool:
+    """Whether ``name`` (a canonical name or an alias) selects a cipher."""
+    return name in _CIPHERS
+
+
 @lru_cache(maxsize=4096)
 def _cached_cipher(name: str, key: bytes) -> BlockCipher:
     return _CIPHERS[name](key)

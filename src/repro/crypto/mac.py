@@ -44,7 +44,7 @@ def _hmac_pads(key: bytes) -> tuple[bytes, bytes]:
 
 
 @lru_cache(maxsize=8192)
-def _hmac_midstates(key: bytes) -> tuple[Any, Any]:
+def hmac_midstates(key: bytes) -> tuple[Any, Any]:
     """Pad-absorbed incremental hashers for ``key`` (inner, outer).
 
     One step past :func:`_hmac_pads`: the cached hashers have already
@@ -75,9 +75,9 @@ def hmac_sha256_parts(key: bytes, parts: Iterable[bytes]) -> bytes:
     callers authenticating ``header | ciphertext`` never copy the
     ciphertext (the AEAD layer's zero-copy MAC input path). The hashers
     resume from the per-key pad midstates cached by
-    :func:`_hmac_midstates`.
+    :func:`hmac_midstates`.
     """
-    inner_base, outer_base = _hmac_midstates(key)
+    inner_base, outer_base = hmac_midstates(key)
     h = inner_base.copy()
     for part in parts:
         h.update(part)

@@ -52,9 +52,10 @@ _MAX_BLOCKS = 1 << 16
 KEYSTREAM_MEMO_SIZE = 512
 
 #: (cipher instance, message counter, length, resolved backend) ->
-#: keystream bytes, in insertion order. It takes no lock: every caller of
-#: seal/open runs on its deployment's event-loop thread.
-_memo: dict[tuple[BlockCipher, int, int, str], bytes] = {}
+#: (keystream bytes, block count, whether the batched kernel made it), in
+#: insertion order. It takes no lock: every caller of seal/open runs on
+#: its deployment's event-loop thread.
+_memo: dict[tuple[BlockCipher, int, int, str], tuple[bytes, int, bool]] = {}
 
 
 def message_counter(value: int) -> int:
@@ -82,21 +83,28 @@ def _keystream(
     ``backend`` overrides the process-wide kernel backend for this call
     (``None`` = use the active default, see :mod:`repro.crypto.kernels`).
     A keystream requested again for the same cipher instance, counter,
-    length and resolved backend is served from the memo.
+    length and resolved backend is served from the memo, which is looked
+    up first: the entry carries the block count and kernel choice its
+    miss computed, so a hit counts exactly what a recomputation would.
     """
+    resolved = kernels.active_backend() if backend is None else backend
+    memo_key = (cipher, counter, length, resolved)
+    hit = _memo.get(memo_key)
+    if hit is not None:
+        ks, n_blocks, vector = hit
+        STATS.keystream_blocks += n_blocks
+        if vector:
+            STATS.keystream_vector_blocks += n_blocks
+        STATS.keystream_reused_blocks += n_blocks
+        return ks
     n_blocks = -(-length // cipher.block_size)
     if n_blocks > _MAX_BLOCKS:
         raise ValueError(f"message too long: {length} bytes exceeds the counter segment")
-    resolved = kernels.resolve_backend(backend)
+    # Validates an explicit ``backend``; an unknown name never reaches the memo.
     vector = kernels.use_vector(cipher.name, n_blocks, resolved)
     STATS.keystream_blocks += n_blocks
     if vector:
         STATS.keystream_vector_blocks += n_blocks
-    memo_key = (cipher, counter, length, resolved)
-    ks = _memo.get(memo_key)
-    if ks is not None:
-        STATS.keystream_reused_blocks += n_blocks
-        return ks
     base = counter << 16
     if vector:
         ks = kernels.keystream(cipher, base, n_blocks)
@@ -106,7 +114,7 @@ def _keystream(
         )
     if len(ks) != length:
         ks = ks[:length]
-    _memo[memo_key] = ks
+    _memo[memo_key] = (ks, n_blocks, vector)
     if len(_memo) > KEYSTREAM_MEMO_SIZE:
         del _memo[next(iter(_memo))]
     return ks

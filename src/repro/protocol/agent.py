@@ -424,7 +424,7 @@ class ProtocolAgent:
             self._trace.count("drop.data_before_operational")
             return
         try:
-            header, _ = messages.decode_data(frame)
+            header, sealed = messages.decode_data_view(frame)
         except messages.MalformedMessage:
             self._trace.count("drop.data_malformed")
             return
@@ -433,14 +433,15 @@ class ProtocolAgent:
             self._trace.count("drop.data_unknown_cluster")
             return
         try:
-            header, c1 = unwrap_hop(
+            c1 = unwrap_hop(
                 st.keyring.get(header.cid).material,
-                frame,
+                header,
+                sealed,
                 self.node.now(),
                 self.config.freshness_window_s,
                 self.config.aead,
             )
-        except (AuthenticationError, messages.MalformedMessage):
+        except AuthenticationError:
             self._trace.count("drop.data_bad_auth")
             return
         except StaleMessage:

@@ -207,7 +207,7 @@ class BaseStationAgent:
 
     def _on_data(self, frame: bytes) -> None:
         try:
-            header, _ = messages.decode_data(frame)
+            header, sealed = messages.decode_data_view(frame)
         except messages.MalformedMessage:
             self._reject()
             return
@@ -216,9 +216,10 @@ class BaseStationAgent:
             self._reject(header.cid)
             return
         try:
-            header, c1 = unwrap_hop(
+            c1 = unwrap_hop(
                 self.cluster_key(header.cid),
-                frame,
+                header,
+                sealed,
                 self.node.now(),
                 self.config.freshness_window_s,
                 self.config.aead,
@@ -227,7 +228,7 @@ class BaseStationAgent:
             self._trace.count("bs.drop_unknown_cluster")
             self._reject(header.cid)
             return
-        except (AuthenticationError, messages.MalformedMessage):
+        except AuthenticationError:
             self._trace.count("bs.drop_bad_auth")
             self._reject(header.cid)
             return

@@ -8,9 +8,9 @@ ablation benches sweep individual fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.aead import AeadConfig
-from repro.crypto.kernels import BACKENDS
 from repro.util.validate import check_positive
 
 #: Key-refresh strategies of Sec. IV-C / VI. ``"rehash"`` replaces every
@@ -115,11 +115,9 @@ class ProtocolConfig:
     join_response_jitter_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.crypto_backend is not None and self.crypto_backend not in BACKENDS:
-            raise ValueError(
-                f"crypto_backend must be one of {BACKENDS} or None, "
-                f"got {self.crypto_backend!r}"
-            )
+        # cipher, tag_len and crypto_backend are validated by the AEAD
+        # parameters they build, which this access constructs and caches.
+        self.aead
         check_positive("mean_hello_delay_s", self.mean_hello_delay_s)
         check_positive("cluster_phase_duration_s", self.cluster_phase_duration_s)
         check_positive("link_jitter_s", self.link_jitter_s)
@@ -164,9 +162,13 @@ class ProtocolConfig:
                 "HELLO delay or nodes may still be undecided at phase 2"
             )
 
-    @property
+    @cached_property
     def aead(self) -> AeadConfig:
-        """The AEAD parameters implied by this configuration."""
+        """The AEAD parameters implied by this configuration.
+
+        Built once per configuration: every seal and open on the data
+        plane reads it.
+        """
         return AeadConfig(
             cipher=self.cipher, tag_len=self.tag_len, backend=self.crypto_backend
         )

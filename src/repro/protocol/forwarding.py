@@ -40,7 +40,6 @@ from repro.protocol.messages import (
     DataFrameAssembler,
     DataHeader,
     data_associated_data,
-    decode_data_view,
 )
 
 _AD_E2E = b"e2e"
@@ -311,18 +310,23 @@ def wrap_hop_many(
 
 def unwrap_hop(
     cluster_key: bytes,
-    frame: bytes,
+    header: DataHeader,
+    sealed: "bytes | memoryview",
     now_s: float,
     freshness_window_s: float,
     aead: AeadConfig,
-) -> tuple[DataHeader, bytes]:
-    """Verify one hop layer and return ``(header, c1)``.
+) -> bytes:
+    """Verify one hop layer of a DATA frame and return its ``c1``.
+
+    ``header`` and ``sealed`` are the frame's clear header and sealed
+    part as :func:`repro.protocol.messages.decode_data_view` split them:
+    the receiver parses the header once, to pick the cluster key, and
+    the same parse serves the open.
 
     Raises:
         AuthenticationError: tag failure (tampered/unknown key).
         StaleMessage: τ outside the freshness window.
     """
-    header, sealed = decode_data_view(frame)
     plaintext = open_(
         hop_key(cluster_key, header.sender),
         header.seq,
@@ -335,7 +339,7 @@ def unwrap_hop(
     tau_s = _TAU.unpack_from(plaintext)[0] / 1e6
     if now_s - tau_s > freshness_window_s:
         raise StaleMessage(f"frame is {now_s - tau_s:.3f}s old")
-    return header, plaintext[_TAU.size :]
+    return plaintext[_TAU.size :]
 
 
 # ---------------------------------------------------------------------------

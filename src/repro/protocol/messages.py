@@ -220,25 +220,13 @@ class DataFrameAssembler:
         return bytes(memoryview(buf)[:total])
 
 
-def decode_data(frame: bytes) -> tuple[DataHeader, bytes]:
+def decode_data_view(frame: bytes) -> "tuple[DataHeader, memoryview]":
     """Split a DATA frame into its clear header and sealed part.
 
-    Raises:
-        MalformedMessage: wrong structure.
-    """
-    if len(frame) < _DATA_PREFIX or frame[0] != DATA:
-        raise MalformedMessage("not a DATA frame")
-    cid, sender, seq, hops = _DATA_HEADER.unpack_from(frame, 1)
-    return DataHeader(cid, sender, seq, hops), frame[_DATA_PREFIX:]
-
-
-def decode_data_view(frame: bytes) -> "tuple[DataHeader, memoryview]":
-    """:func:`decode_data` returning the sealed part as a zero-copy view.
-
-    The sealed part is the bulk of every DATA frame; returning a
-    ``memoryview`` lets the hop-open path hand it to the AEAD layer
-    (whose MAC and CTR paths accept buffer objects) without copying it
-    out of the received frame first.
+    The sealed part is the bulk of every DATA frame; it comes back as a
+    zero-copy ``memoryview`` so the hop-open path hands it to the AEAD
+    layer (whose MAC and CTR paths accept buffer objects) without
+    copying it out of the received frame first.
 
     Raises:
         MalformedMessage: wrong structure.

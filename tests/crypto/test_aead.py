@@ -77,3 +77,27 @@ def test_both_ciphers_interoperate_with_themselves_only():
     assert open_(KEY, 1, sealed, config=speck) == b"payload"
     with pytest.raises(AuthenticationError):
         open_(KEY, 1, sealed, config=xtea)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"tag_len": 0}, "tag_len"),
+        ({"tag_len": 33}, "tag_len"),
+        ({"tag_len": -1}, "tag_len"),
+        ({"cipher": "aes"}, "unknown cipher"),
+        ({"backend": "simd"}, "crypto_backend"),
+    ],
+)
+def test_invalid_settings_fail_at_construction(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        AeadConfig(**kwargs)
+
+
+@pytest.mark.parametrize("cipher", ["speck64/128", "speck", "xtea", "rc5", "rc5-32/12/16"])
+@pytest.mark.parametrize("tag_len", [1, 32])
+def test_every_registered_name_and_tag_bound_is_accepted(cipher, tag_len):
+    config = AeadConfig(cipher=cipher, tag_len=tag_len, backend="pure")
+    sealed = seal(KEY, 1, b"payload", config=config)
+    assert len(sealed) == len(b"payload") + tag_len
+    assert open_(KEY, 1, sealed, config=config) == b"payload"

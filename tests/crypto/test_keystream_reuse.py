@@ -79,6 +79,34 @@ def test_vector_call_after_pure_call_still_runs_the_kernel():
     assert vector == pure
 
 
+@pytest.mark.parametrize("backend", [None, "pure", "vector"])
+@pytest.mark.parametrize("cipher_name", ["speck64/128", "rc5-32/12/16"])
+@pytest.mark.parametrize("length", [41, 200])
+def test_hit_counts_what_its_miss_counted(backend, cipher_name, length):
+    # The hit path reads the block count and kernel choice stored with the
+    # entry; the crypto.keystream_* counts must not tell a hit from a miss.
+    cipher = get_cipher(cipher_name, KEY_A)
+    counter = message_counter(17)
+    payload = bytes(length)
+
+    def counted() -> tuple[int, int]:
+        before = (STATS.keystream_blocks, STATS.keystream_vector_blocks)
+        ctr_encrypt(cipher, counter, payload, backend)
+        return STATS.keystream_blocks - before[0], STATS.keystream_vector_blocks - before[1]
+
+    miss = counted()
+    reused_before = STATS.keystream_reused_blocks
+    assert counted() == miss
+    assert STATS.keystream_reused_blocks - reused_before == miss[0] == -(-length // 8)
+
+
+def test_unknown_backend_is_refused_even_after_a_hit():
+    cipher = get_cipher("speck64/128", KEY_A)
+    ctr_encrypt(cipher, message_counter(3), PAYLOAD, "vector")
+    with pytest.raises(ValueError, match="unknown crypto backend"):
+        ctr_encrypt(cipher, message_counter(3), PAYLOAD, "simd")
+
+
 @pytest.mark.parametrize("position", ["ciphertext", "tag"])
 def test_tampered_frame_with_memoised_keystream_fails_authentication(position):
     counter = message_counter(21)

@@ -1,9 +1,12 @@
 """ProtocolConfig validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.aead import AeadConfig
 from repro.protocol.config import ProtocolConfig
+from repro.protocol.setup import deploy
 
 
 def test_defaults_valid():
@@ -43,3 +46,25 @@ def test_frozen():
 def test_refresh_strategies():
     assert ProtocolConfig(refresh_strategy="rehash").refresh_strategy == "rehash"
     assert ProtocolConfig(refresh_strategy="recluster").refresh_strategy == "recluster"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tag_len": 0}, {"tag_len": 33}, {"cipher": "aes"}, {"crypto_backend": "simd"}],
+)
+def test_invalid_aead_settings_rejected_at_construction(kwargs):
+    with pytest.raises(ValueError):
+        ProtocolConfig(**kwargs)
+
+
+def test_tag_len_zero_fails_before_deployment_starts():
+    # Used to surface as a ValueError from the MAC deep inside key setup.
+    with pytest.raises(ValueError, match="tag_len"):
+        deploy(30, 8.0, seed=1, config=ProtocolConfig(tag_len=0))
+
+
+def test_aead_is_built_once_per_config():
+    config = ProtocolConfig(cipher="xtea", tag_len=4, crypto_backend="pure")
+    assert config.aead is config.aead
+    assert config.aead == AeadConfig(cipher="xtea", tag_len=4, backend="pure")
+    assert replace(config, tag_len=6).aead.tag_len == 6

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.aead import AeadConfig, AuthenticationError
+from repro.protocol.messages import decode_data_view
 from repro.protocol.forwarding import (
     DedupCache,
     InnerEnvelope,
@@ -20,6 +21,12 @@ from repro.protocol.forwarding import (
 AEAD = AeadConfig()
 NODE_KEY = bytes(range(16))
 CLUSTER_KEY = bytes(range(16, 32))
+
+
+def _unwrap(key, frame, now_s):
+    """Parse a DATA frame's header once and open its hop layer (30 s window)."""
+    header, sealed = decode_data_view(frame)
+    return header, unwrap_hop(key, header, sealed, now_s, 30.0, AEAD)
 
 
 class TestStep1:
@@ -77,33 +84,33 @@ class TestStep2:
     @given(st.binary(max_size=80), st.integers(min_value=1, max_value=2**30))
     def test_roundtrip(self, c1, seq):
         frame = wrap_hop(CLUSTER_KEY, 9, 5, seq, 3, 100.0, c1, AEAD)
-        header, got = unwrap_hop(CLUSTER_KEY, frame, 100.5, 30.0, AEAD)
+        header, got = _unwrap(CLUSTER_KEY, frame, 100.5)
         assert got == c1
         assert (header.cid, header.sender, header.seq, header.hops_to_bs) == (9, 5, seq, 3)
 
     def test_freshness_window(self):
         frame = self._wrap(tau=100.0)
         # Within window: fine.
-        unwrap_hop(CLUSTER_KEY, frame, 129.0, 30.0, AEAD)
+        _unwrap(CLUSTER_KEY, frame, 129.0)
         with pytest.raises(StaleMessage):
-            unwrap_hop(CLUSTER_KEY, frame, 131.0, 30.0, AEAD)
+            _unwrap(CLUSTER_KEY, frame, 131.0)
 
     def test_wrong_cluster_key_rejected(self):
         frame = self._wrap()
         with pytest.raises(AuthenticationError):
-            unwrap_hop(bytes(16), frame, 100.0, 30.0, AEAD)
+            _unwrap(bytes(16), frame, 100.0)
 
     def test_header_tamper_rejected(self):
         frame = bytearray(self._wrap())
         frame[1 + 8] ^= 1  # flip a bit in the sender field
         with pytest.raises(AuthenticationError):
-            unwrap_hop(CLUSTER_KEY, bytes(frame), 100.0, 30.0, AEAD)
+            _unwrap(CLUSTER_KEY, bytes(frame), 100.0)
 
     def test_payload_tamper_rejected(self):
         frame = bytearray(self._wrap())
         frame[-1] ^= 1
         with pytest.raises(AuthenticationError):
-            unwrap_hop(CLUSTER_KEY, bytes(frame), 100.0, 30.0, AEAD)
+            _unwrap(CLUSTER_KEY, bytes(frame), 100.0)
 
     def test_per_sender_subkeys_are_independent(self):
         assert hop_key(CLUSTER_KEY, 1) != hop_key(CLUSTER_KEY, 2)
@@ -115,7 +122,7 @@ class TestStep2:
     def test_any_cluster_key_holder_can_open(self):
         # The broadcast property: opening needs only K_c, not per-pair state.
         frame = self._wrap(c1=b"shared", sender=77)
-        _, c1 = unwrap_hop(CLUSTER_KEY, frame, 100.0, 30.0, AEAD)
+        _, c1 = _unwrap(CLUSTER_KEY, frame, 100.0)
         assert c1 == b"shared"
 
 
@@ -134,7 +141,7 @@ class TestWrapHopMany:
         c1s = [b"reading-%d" % i for i in range(8)]
         frames = wrap_hop_many(CLUSTER_KEY, 9, 5, 100, 3, 50.0, c1s, AEAD)
         for i, frame in enumerate(frames):
-            header, c1 = unwrap_hop(CLUSTER_KEY, frame, 50.0, 30.0, AEAD)
+            header, c1 = _unwrap(CLUSTER_KEY, frame, 50.0)
             assert c1 == c1s[i]
             assert header.seq == 100 + i
 

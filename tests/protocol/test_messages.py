@@ -70,13 +70,14 @@ class TestData:
     def test_roundtrip(self, cid, sender, seq, hops, sealed):
         header = m.DataHeader(cid, sender, seq, hops)
         frame = m.encode_data(header, sealed)
-        got_header, got_sealed = m.decode_data(frame)
+        got_header, got_sealed = m.decode_data_view(frame)
         assert got_header == header
-        assert got_sealed == sealed
+        assert isinstance(got_sealed, memoryview)  # zero-copy into the frame
+        assert bytes(got_sealed) == sealed
 
     def test_malformed(self):
         with pytest.raises(m.MalformedMessage):
-            m.decode_data(bytes([m.DATA, 0, 0]))
+            m.decode_data_view(bytes([m.DATA, 0, 0]))
 
     def test_associated_data_covers_header(self):
         h1 = m.DataHeader(1, 2, 3, 4)
@@ -113,11 +114,16 @@ class TestDecodeDataView:
     @given(node_ids, node_ids, st.integers(min_value=0, max_value=2**31),
            st.integers(min_value=-1, max_value=2**14), st.binary(max_size=60))
     def test_matches_decode_data(self, cid, sender, seq, hops, sealed):
-        frame = m.encode_data(m.DataHeader(cid, sender, seq, hops), sealed)
-        header, view = m.decode_data_view(frame)
-        ref_header, ref_sealed = m.decode_data(frame)
-        assert header == ref_header
-        assert bytes(view) == ref_sealed
+        # The view must alias exactly the bytes the old copying decoder
+        # returned: the frame tail after the type byte and clear header,
+        # whose header fields are the DATA associated data.
+        header = m.DataHeader(cid, sender, seq, hops)
+        frame = m.encode_data(header, sealed)
+        got_header, view = m.decode_data_view(frame)
+        prefix = len(frame) - len(sealed)
+        assert view.obj is frame
+        assert bytes(view) == frame[prefix:]
+        assert frame[1:prefix] == m.data_associated_data(got_header)
 
     def test_malformed(self):
         with pytest.raises(m.MalformedMessage):
