@@ -4,9 +4,7 @@ Thin pytest wrapper over :mod:`repro.bench.runtime` — the module behind
 ``python -m repro bench runtime``, which owns the row definitions and
 writes the committed ``BENCH_runtime.json`` baseline (full matrix, paper
 sizes included). This wrapper runs the quick matrix: every single-process
-variant at laptop sizes plus one reduced sharded row, asserting the
-structural invariants (every deterministic backend reproduces the same
-cluster assignment) and leaving the quick payload under
+variant at laptop sizes, leaving the quick payload under
 ``benchmarks/results/`` for inspection. CI's perf-smoke job gates a
 fresh ``repro bench runtime --quick`` payload against the committed
 baseline via ``scripts/bench_compare.py``.
@@ -19,13 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.runtime import (
-    SIZES,
-    VARIANTS,
-    bench_runtime,
-    run_setup_row,
-    run_shard_row,
-)
+from repro.bench.runtime import SIZES, VARIANTS, bench_runtime, run_setup_row
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_runtime.quick.json"
 
@@ -40,18 +32,8 @@ def test_setup_throughput(transport, n):
     assert result["events_per_s"] > 0
 
 
-def test_sharded_setup_throughput():
-    """The multi-process path must complete and reproduce the loopback run."""
-    sharded = run_shard_row(SIZES[-1], shards=4, seed=SEED)
-    loopback = run_setup_row("loopback", SIZES[-1], seed=SEED)
-    assert sharded["clusters"] == loopback["clusters"]
-    assert sharded["frames_sent"] == loopback["frames_sent"]
-    assert sharded["events_executed"] == loopback["events_executed"]
-    assert sharded["windows"] > 0
-
-
 def test_write_bench_json(results_dir):
-    """Persist the full quick payload (cluster parity asserted inside)."""
+    """Persist the full quick payload."""
     payload = bench_runtime(quick=True, seed=SEED)
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

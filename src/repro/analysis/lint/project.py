@@ -2,15 +2,15 @@
 
 ldplint v1 reasoned one file at a time (plus KEY002's name-keyed
 "call-graph-lite"). The concurrency/wire/resource rules need more: a
-frame received in ``shard/wire.py`` is parsed three call levels away, a
-lock acquired in ``gateway/api.py`` guards fields declared in
-``gateway/store.py``, and a socket accepted in one helper is closed in
-another. :class:`ProjectIndex` is built **once** per lint run over every
+pull body read in ``gateway/federation.py`` is parsed in
+``gateway/store.py``, a lock acquired in ``gateway/api.py`` guards
+fields declared in ``gateway/store.py``, and a socket bound in one
+helper is closed in another. :class:`ProjectIndex` is built **once** per lint run over every
 file under analysis and shared by all rules; it provides
 
 * a :class:`CallGraph` — every function/method definition with a stable
   qualified name, linked to its call sites. Resolution is *name-keyed*
-  (a call to ``recv_message`` links to every definition of that bare
+  (a call to ``from_wire`` links to every definition of that bare
   name anywhere in the project): deliberately generous, like v1's
   erase-credit matching — a lint must over-approximate reachability,
   never under-approximate it;

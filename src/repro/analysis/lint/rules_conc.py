@@ -1,9 +1,9 @@
 """CONC rules: lock discipline for the threaded gateway/runtime code.
 
 The gateway query plane (PRs 6–8) put real threads into the tree: HTTP
-handler threads read state the deployment driver writes, a federation
-loop mutates the store, and the shard coordinator juggles worker
-processes. These rules enforce the repo's locking conventions statically:
+handler threads read state the deployment driver writes and a federation
+loop mutates the store. These rules enforce the repo's locking
+conventions statically:
 
 * **CONC001** — fields annotated ``# guarded-by: <lock>`` may only be
   read or written inside ``with self.<lock>`` (a ``Condition`` built on

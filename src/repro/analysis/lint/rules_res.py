@@ -1,7 +1,8 @@
 """RES rules: OS-resource lifecycle for sockets, files and processes.
 
-The shard coordinator forks worker processes and accepts TCP
-connections; the gateway binds listening sockets. A resource acquired
+The UDP transport binds one datagram socket per node; the gateway
+binds a listening HTTP socket and its federation client opens
+connections to peers. A resource acquired
 on a path that can raise before its release is a leak that only shows
 up as exhausted file descriptors under soak load. **RES001** audits
 every local acquisition (``socket.socket``, ``create_connection``,

@@ -1,4 +1,4 @@
-"""WIRE rules: untrusted-byte taint for the shard/gateway wire plane.
+"""WIRE rules: untrusted-byte taint for the UDP/gateway wire plane.
 
 Every byte that arrives over a socket, an HTTP request body, or a
 federation pull is attacker-controlled until a registered validator or
@@ -19,8 +19,8 @@ convention (``decode_*``, ``unpack_*``, ``parse_*``, ``recv_*``,
 
 Functions that *parse* tainted parameters are not themselves sources:
 the return-taint fixpoint only marks functions whose returns derive
-from actual receive calls, so ``unpack_done(payload)`` comes out clean
-while ``recv_message(sock)`` stays tainted.
+from actual receive calls, so ``decode_datagram(data)`` comes out clean
+while a helper returning ``sock.recv(...)`` stays tainted.
 """
 
 from __future__ import annotations

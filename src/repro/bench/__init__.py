@@ -8,9 +8,9 @@ against (docs/BENCHMARKS.md is the handbook for all of them):
   microbenchmarks (``BENCH_crypto.json``);
 * :mod:`repro.bench.forwarding` — sustained-forwarding soak plus the
   batched-codec micro rows (``BENCH_forwarding.json``);
-* :mod:`repro.bench.runtime` — key-setup throughput across the
-  single-process backends and the region-sharded multi-process runtime
-  at paper scale (``BENCH_runtime.json``);
+* :mod:`repro.bench.runtime` — key-setup throughput on the in-process
+  fabric, with and without injected faults, up to paper scale
+  (``BENCH_runtime.json``);
   ``benchmarks/test_runtime_throughput.py`` is a thin pytest wrapper
   over the same rows;
 * :mod:`repro.bench.churn` — lifecycle scenarios under continuous

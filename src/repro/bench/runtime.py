@@ -1,24 +1,16 @@
 """Setup-throughput benchmark behind ``python -m repro bench runtime``.
 
 Times a full key setup (deploy + cluster election + key distribution to
-quiescence) across the runtime backends and writes the machine-readable
+quiescence) on the in-process fabric and writes the machine-readable
 trajectory to ``BENCH_runtime.json``:
 
 * **loopback / loopback+faults** — the single-process fabric at laptop
   sizes (the loopback rows are the tuned per-event hot path; the faulted
   row prices the fault decorator plus the reliability layer);
-* **loopback at n=2500 and n=3600** — the paper's deployment scale on
-  one process: the honest baseline the sharded runtime is judged
-  against;
-* **shardK rows** — the region-sharded multi-process runtime
-  (:func:`repro.runtime.shard.run_sharded_setup`), same seed and
-  therefore the *same cluster assignment* as the loopback rows
-  (asserted here, pinned by tests/integration/test_shard_parity.py).
+* **loopback at n=2500 and n=3600** — the paper's deployment scale.
 
-Every payload records ``cpu_count``: the sharded rows only express
-parallelism when the host actually has cores to run the workers on
-(docs/PERFORMANCE.md discusses reading sharded numbers from 1-core
-boxes, where the window protocol's overhead is all you can measure).
+Every payload records ``cpu_count`` so a reader can tell which machine
+the wall times come from.
 
 ``quick`` keeps row identities for the sizes it runs but skips the
 paper-scale sizes, so CI gates the quick run against the committed
@@ -37,7 +29,7 @@ from repro.protocol.config import ProtocolConfig
 #: Single-process sizes every run measures (laptop scale).
 SIZES = (100, 400)
 
-#: Paper-scale sizes the full run adds (loopback and sharded rows).
+#: Paper-scale sizes the full run adds (loopback rows only).
 PAPER_SIZES = (2500, 3600)
 
 #: Single-process backend variants measured at each laptop size.
@@ -83,58 +75,16 @@ def run_setup_row(variant: str, n: int, seed: int = 0) -> dict:
     }
 
 
-def run_shard_row(n: int, shards: int, seed: int = 0) -> dict:
-    """Time one sharded key setup end to end (processes included)."""
-    from repro.runtime.shard import run_sharded_setup
-
-    start = time.perf_counter()
-    result = run_sharded_setup(n, DENSITY, seed=seed, shards=shards)
-    wall_s = time.perf_counter() - start
-    registry = result.trace.telemetry.registry
-    return {
-        "n": n,
-        "transport": f"shard{shards}",
-        "setup_wall_s": round(wall_s, 4),
-        "events_executed": result.events_executed,
-        "events_per_s": round(result.events_executed / wall_s, 1),
-        "clusters": result.metrics.cluster_count,
-        "frames_sent": registry.counter("net.frames_sent"),
-        "shards": shards,
-        "windows": result.windows,
-        "cross_frames": result.cross_frames,
-        "cut_links": result.plan.cut_links,
-    }
-
-
-def bench_runtime(quick: bool = False, seed: int = 0, shards: int = 4) -> dict:
+def bench_runtime(quick: bool = False, seed: int = 0) -> dict:
     """Run the setup-throughput matrix; returns the payload.
 
     The full matrix is the laptop sizes across all single-process
-    variants, plus loopback and sharded rows at the paper sizes;
-    ``quick`` skips the paper sizes but keeps a reduced sharded row so
-    CI still exercises (and gates) the multi-process path.
+    variants, plus loopback rows at the paper sizes; ``quick`` skips
+    the paper sizes.
     """
     rows = [run_setup_row(variant, n, seed=seed) for variant in VARIANTS for n in SIZES]
-    rows.append(run_shard_row(SIZES[-1], shards, seed=seed))
     if not quick:
-        for n in PAPER_SIZES:
-            rows.append(run_setup_row("loopback", n, seed=seed))
-            rows.append(run_shard_row(n, shards, seed=seed))
-
-    indexed_rows = {(row["transport"], row["n"]): row for row in rows}
-    for n in SIZES + (() if quick else PAPER_SIZES):
-        loopback = indexed_rows.get(("loopback", n))
-        assert loopback is not None
-        # A throughput number for a *different* computation would be
-        # noise: the sharded runtime must reproduce the same cluster
-        # structure. (The faulted variant legitimately diverges: 15%
-        # setup loss.)
-        sharded = indexed_rows.get((f"shard{shards}", n))
-        if sharded is not None:
-            assert sharded["clusters"] == loopback["clusters"], (
-                f"shard{shards} diverged from loopback at n={n}: "
-                f"{sharded['clusters']} != {loopback['clusters']} clusters"
-            )
+        rows.extend(run_setup_row("loopback", n, seed=seed) for n in PAPER_SIZES)
     rows.sort(key=lambda row: (row["transport"], row["n"]))
     return {
         "benchmark": "runtime_setup_throughput",
@@ -143,16 +93,13 @@ def bench_runtime(quick: bool = False, seed: int = 0, shards: int = 4) -> dict:
         "quick": quick,
         "density": DENSITY,
         "seed": seed,
-        "shards": shards,
         "results": rows,
     }
 
 
-def write_bench_runtime(
-    out_path: str, quick: bool = False, seed: int = 0, shards: int = 4
-) -> dict:
+def write_bench_runtime(out_path: str, quick: bool = False, seed: int = 0) -> dict:
     """Run :func:`bench_runtime` and write the payload to ``out_path``."""
-    payload = bench_runtime(quick=quick, seed=seed, shards=shards)
+    payload = bench_runtime(quick=quick, seed=seed)
     with open(out_path, "w", encoding="utf-8") as fp:
         json.dump(payload, fp, indent=2)
         fp.write("\n")
@@ -170,12 +117,9 @@ def render_bench_runtime(payload: dict) -> str:
         f"{'events/s':>10} {'clusters':>9}",
     ]
     for row in payload["results"]:
-        extra = ""
-        if "windows" in row:
-            extra = f"  ({row['windows']} windows, {row['cross_frames']} cross frames)"
         lines.append(
             f"{row['n']:>6} {row['transport']:<16} {row['setup_wall_s']:>8.3f} "
             f"{row['events_executed']:>8} {row['events_per_s']:>10,.0f} "
-            f"{row['clusters']:>9}{extra}"
+            f"{row['clusters']:>9}"
         )
     return "\n".join(lines)

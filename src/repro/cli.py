@@ -12,9 +12,7 @@ Commands:
   (in-process loopback or UDP sockets), push a reporting workload and
   print the gateway's JSON status snapshot; ``--metrics-out m.jsonl``
   additionally streams telemetry (events + periodic samples + a final
-  summary) as JSON Lines; ``--shards N`` instead runs the key setup
-  region-sharded over N worker processes (docs/RUNTIME.md) and prints
-  the setup summary;
+  summary) as JSON Lines;
 * ``serve`` — bring up a live deployment with the gateway query plane
   attached: an HTTP/JSON API (``/status``, ``/nodes``, ``/readings``,
   ``/metrics``, a cursor-resumable ``/updates`` stream) over a
@@ -181,12 +179,6 @@ def _cmd_run_live(args: argparse.Namespace) -> int:
         )
         return 2
 
-    if args.shards > 1:
-        return _run_live_sharded(args)
-    if args.shards < 1:
-        print(f"invalid --shards {args.shards}: must be >= 1")
-        return 2
-
     for name, value, ok in (
         ("--period", args.period, args.period > 0),
         ("--rounds", args.rounds, args.rounds >= 1),
@@ -274,57 +266,6 @@ def _cmd_run_live(args: argparse.Namespace) -> int:
                     sum(latencies) / len(latencies), 4
                 ) if latencies else None,
             },
-        )
-    )
-    return 0
-
-
-def _run_live_sharded(args: argparse.Namespace) -> int:
-    """``run-live --shards N``: region-sharded multi-process key setup.
-
-    Sharding parallelizes the setup phase — the expensive part at paper
-    scale; the reporting workload and gateway plane stay single-process
-    (use ``--shards 1`` for those). Prints a JSON setup summary whose
-    metrics match an unsharded run of the same seed (docs/RUNTIME.md).
-    """
-    import json
-    import time
-
-    from repro.runtime.shard import run_sharded_setup
-
-    if args.transport != "loopback":
-        print(
-            f"--shards requires the loopback transport "
-            f"(got {args.transport!r}): the sharded runtime hosts each "
-            f"region on an in-process loopback fabric"
-        )
-        return 2
-    if args.shards > args.n:
-        print(f"invalid --shards {args.shards}: more shards than sensors (n={args.n})")
-        return 2
-    start = time.perf_counter()
-    result = run_sharded_setup(args.n, args.density, seed=args.seed, shards=args.shards)
-    wall_s = time.perf_counter() - start
-    metrics = result.metrics
-    print(
-        json.dumps(
-            {
-                "n": args.n,
-                "density": args.density,
-                "seed": args.seed,
-                "shards": args.shards,
-                "setup_wall_s": round(wall_s, 4),
-                "events_executed": result.events_executed,
-                "windows": result.windows,
-                "cross_shard_frames": result.cross_frames,
-                "cut_links": result.plan.cut_links,
-                "setup": {
-                    "clusters": metrics.cluster_count,
-                    "mean_keys_per_node": round(metrics.mean_keys_per_node, 3),
-                    "setup_messages_per_node": round(metrics.messages_per_node, 3),
-                },
-            },
-            indent=2,
         )
     )
     return 0
@@ -636,12 +577,7 @@ def _cmd_bench_forwarding(args: argparse.Namespace) -> int:
 def _cmd_bench_runtime(args: argparse.Namespace) -> int:
     from repro.bench import render_bench_runtime, write_bench_runtime
 
-    if args.shards < 1:
-        print(f"invalid --shards {args.shards}: must be >= 1")
-        return 2
-    payload = write_bench_runtime(
-        args.out, quick=args.quick, seed=args.seed, shards=args.shards
-    )
+    payload = write_bench_runtime(args.out, quick=args.quick, seed=args.seed)
     print(render_bench_runtime(payload))
     print(f"\nwrote {args.out}")
     return 0
@@ -778,14 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="loopback only: wall seconds per protocol second (0 = fast)",
-    )
-    run_live.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="loopback only: run key setup region-sharded over N worker "
-        "processes and print the setup summary (no workload phase)",
     )
     run_live.add_argument(
         "--metrics-out",
@@ -1077,8 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_fwd.set_defaults(func=_cmd_bench_forwarding)
     bench_runtime = bench_sub.add_parser(
         "runtime",
-        help="time key setup across backends incl. the sharded runtime; "
-        "write BENCH_runtime.json",
+        help="time key setup across backends; write BENCH_runtime.json",
     )
     bench_runtime.add_argument(
         "--out",
@@ -1090,12 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="skip the paper-scale sizes (n=2500/3600) — for CI smoke runs",
-    )
-    bench_runtime.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="worker processes for the sharded rows (default: 4)",
     )
     bench_runtime.add_argument("--seed", type=int, default=0, help="deployment seed")
     bench_runtime.set_defaults(func=_cmd_bench_runtime)

@@ -93,3 +93,17 @@ class ChainVerifier:
         self.commitment = key
         self.index = index
         return True
+
+    def is_duplicate(self, index: int, key: bytes) -> bool:
+        """True iff ``key`` is the genuine chain key ``index`` already
+        accepted (an echo of a flood this node has seen).
+
+        Walks ``F`` from the stored commitment ``self.index - index``
+        steps; a forged key at an old index does not match.
+        """
+        if not 0 < index <= self.index:
+            return False
+        candidate = self.commitment
+        for _ in range(self.index - index):
+            candidate = chain_step(candidate)
+        return constant_time_eq(candidate, key)

@@ -27,6 +27,7 @@ No third-party dependencies: the HTTP client is ``urllib.request``.
 from __future__ import annotations
 
 import json
+import math
 import urllib.error
 import urllib.request
 
@@ -119,7 +120,7 @@ def handle_pull(store: GatewayStateStore, key: bytes, body: dict) -> dict:
         raise FederationError("pull request missing version vector")
     try:
         wanted = {str(origin): int(seq) for origin, seq in vector.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FederationError(f"bad version vector: {exc}") from exc
     entries = store.entries_since(wanted)
     store.registry.inc("gateway.federation.entries_sent", len(entries))
@@ -174,8 +175,10 @@ def apply_pull_body(store: GatewayStateStore, key: bytes, body: dict) -> tuple[i
         raise FederationError("pull response evictions must be an object")
     try:
         tombstones = {int(node): float(t) for node, t in wire_evictions.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FederationError(f"bad eviction tombstones: {exc}") from exc
+    if not all(map(math.isfinite, tombstones.values())):
+        raise FederationError("bad eviction tombstones: non-finite time")
     # Tombstones first: a just-evicted node's stale winner in the same
     # delta must not resurrect it for one pull round.
     if tombstones:

@@ -29,6 +29,7 @@ long-pollers block on its condition variable until the cursor moves.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -75,7 +76,11 @@ class StateEntry:
 
     @classmethod
     def from_wire(cls, wire: dict) -> "StateEntry":
-        """Parse and validate one wire dict (raises ``ValueError``)."""
+        """Parse and validate one wire dict (raises ``ValueError``).
+
+        ``time`` must be finite: a NaN never loses an LWW comparison, so
+        one NaN entry would pin its node forever.
+        """
         try:
             node = int(wire["node"])
             payload = bytes.fromhex(str(wire["payload"]))
@@ -83,10 +88,10 @@ class StateEntry:
             origin = str(wire["origin"])
             seq = int(wire["seq"])
             encrypted = bool(wire["encrypted"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed state entry: {exc}") from exc
-        if node < 0 or seq < 1 or not origin:
-            raise ValueError(f"malformed state entry: node={node} seq={seq}")
+        if node < 0 or seq < 1 or not origin or not math.isfinite(time):
+            raise ValueError(f"malformed state entry: node={node} seq={seq} time={time}")
         return cls(node, payload, time, origin, seq, encrypted)
 
 

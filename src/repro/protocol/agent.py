@@ -533,8 +533,12 @@ class ProtocolAgent:
         except messages.MalformedMessage:
             self._trace.count("drop.revoke_malformed")
             return
+        if st.chain.is_duplicate(index, chain_key):
+            # An echo of a flood already applied (or a replay of one).
+            self._trace.count("drop.revoke_duplicate")
+            return
         if not st.chain.verify(index, chain_key):
-            # Replayed index or a key that does not hash to the commitment.
+            # A key that does not hash to the commitment.
             self._trace.count("drop.revoke_bad_chain")
             return
         if not verify(chain_key, messages.revoke_mac_input(index, cids), tag):
@@ -549,7 +553,7 @@ class ProtocolAgent:
                 # Our own cluster was revoked: we can no longer originate.
                 st.cid = None
         self._trace.count("rx.revoke_applied")
-        # Flood onward exactly once (chain.verify rejects re-receptions).
+        # Flood onward exactly once (re-receptions are duplicates).
         self._trace.count("tx.revoke_flood")
         self.node.broadcast(frame)
 

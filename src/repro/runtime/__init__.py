@@ -8,8 +8,7 @@ pieces:
   :class:`~repro.runtime.loopback.LoopbackTransport` (the in-process,
   deterministic run loop, with :class:`~repro.sim.radio.Radio` as its
   link model — the simulator) and :class:`~repro.runtime.udp.UdpTransport`
-  (real datagram sockets, per-node ports); the sharded runtime
-  (:mod:`repro.runtime.shard`) runs one loopback fabric per region;
+  (real datagram sockets, per-node ports);
 * :class:`~repro.runtime.node.NodeRuntime` — the node: hosts one
   unmodified protocol agent on any transport and owns its battery;
 * :func:`~repro.runtime.cluster.build_transport` — ``--transport`` names

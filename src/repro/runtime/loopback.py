@@ -3,9 +3,7 @@
 Runs every node in one process on a *virtual* protocol clock: timers and
 frame deliveries share one :class:`~repro.sim.engine.EventQueue`, so a
 run is bit-deterministic for a fixed seed. This is the only in-process
-run loop; the shard fabric
-(:class:`~repro.runtime.shard.transport.ShardTransport`) runs its windows
-on it too. With ``pace > 0`` the loop sleeps the scaled wall-clock delta
+run loop. With ``pace > 0`` the loop sleeps the scaled wall-clock delta
 before each event, turning the deployment into a live, watchable system
 without touching protocol code.
 
@@ -91,31 +89,22 @@ class LoopbackTransport(Transport):
         self.frames_sent += 1
         self.bytes_sent += len(frame) + radio.config.header_bytes
         arrival, receivers = sent
-        self._fan_out(sender_id, frame, arrival, receivers)
-
-    def _fan_out(
-        self, sender_id: int, frame: bytes, arrival: float, receivers: list[int]
-    ) -> None:
-        """Queue one delivery event for every receiver of one frame."""
         if receivers:
             self.schedule(
                 arrival - self._now, _FanoutDelivery(self, receivers, sender_id, frame)
             )
 
     def run(self, until: float | None = None) -> float:
-        """Execute pending events up to ``until`` and advance the clock to it."""
-        return self._run_loop(until, True)
+        """Execute pending events up to ``until`` and advance the clock to it.
 
-    def _run_loop(self, limit: float | None, inclusive: bool) -> float:
-        """The run loop: pop due events in ``(time, seq)`` order and fire them.
-
-        Events at exactly ``limit`` fire when ``inclusive``; the clock
-        then advances to a finite ``limit``. Returns the clock.
+        Pops due events in ``(time, seq)`` order and fires them; events at
+        exactly ``until`` fire too. The clock then advances to a finite
+        ``until``. Returns the clock.
         """
         events = self._events
         pace = self.pace
         while True:
-            item = events.pop_due(limit, inclusive)
+            item = events.pop_due(until)
             if item is None:
                 break
             when, callback = item
@@ -126,8 +115,8 @@ class LoopbackTransport(Transport):
             # events read this counter mid-run.
             self.events_executed += 1
             callback()
-        if limit is not None and self._now < limit < math.inf:
-            self._now = limit
+        if until is not None and self._now < until < math.inf:
+            self._now = until
         return self._now
 
     @property

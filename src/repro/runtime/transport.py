@@ -10,8 +10,8 @@ environment, reduced to four operations:
 * ``register(node)`` — attach a receive endpoint (anything with ``id``,
   ``alive`` and ``receive(sender_id, frame)``).
 
-The in-process loopback fabric, the real-socket UDP backend and the
-shard fabric all implement this surface, so the *same*
+The in-process loopback fabric and the real-socket UDP backend both
+implement this surface, so the *same*
 :class:`~repro.protocol.agent.ProtocolAgent` code — unmodified — runs on
 any of them. A :class:`~repro.sim.network.Network` binds its fabric with
 :meth:`Transport.attach`; fabrics read the sender's neighbors from that
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
     from repro.telemetry import Telemetry
 
-__all__ = ["TimerHandle", "ReceiveEndpoint", "Transport", "NullTransport"]
+__all__ = ["TimerHandle", "ReceiveEndpoint", "Transport"]
 
 
 @runtime_checkable
@@ -61,7 +61,7 @@ class ReceiveEndpoint(Protocol):
 class Transport(ABC):
     """Abstract clock + timer + broadcast fabric for protocol nodes."""
 
-    #: Human-readable backend name ("loopback", "udp", "shard", ...).
+    #: Human-readable backend name ("loopback" or "udp").
     name: str = "abstract"
 
     #: Frames put on the air, frames handed to endpoints, and bytes sent.
@@ -116,47 +116,3 @@ class Transport(ABC):
         Returns the protocol time reached. Blocking; re-callable — state
         (pending timers, the clock) persists across calls.
         """
-
-
-class _NullTimer:
-    """Inert timer handle returned by :class:`NullTransport`."""
-
-    __slots__ = ()
-
-    def cancel(self) -> None:
-        """No-op; the timer was never armed."""
-
-
-class NullTransport(Transport):
-    """Transport stub that discards everything.
-
-    Hosts node runtimes that must exist but never run: a shard worker
-    builds and starts every agent of the deployment — consuming the
-    shared RNG streams in global order — while only its own region's
-    agents execute (:mod:`repro.runtime.shard.worker`). Owns a private
-    :class:`~repro.sim.trace.Trace`, so nothing a hosted agent counts
-    leaks into the real telemetry.
-    """
-
-    name = "null"
-
-    _TIMER = _NullTimer()
-
-    def register(self, node: ReceiveEndpoint) -> None:
-        """Accept and forget; hosted runtimes never receive."""
-
-    @property
-    def now(self) -> float:
-        """Frozen clock (hosted agents only schedule relative timers)."""
-        return 0.0
-
-    def schedule(self, delay: float, callback: Callable[[], Any]) -> _NullTimer:
-        """Swallow the timer; returns a shared inert handle."""
-        return self._TIMER
-
-    def broadcast(self, sender_id: int, frame: bytes) -> None:
-        """Discard the frame."""
-
-    def run(self, until: float | None = None) -> float:
-        """Nothing to drive."""
-        return 0.0

@@ -43,9 +43,7 @@ def encode_datagram(sender_id: int, frame: bytes) -> bytes:
     """Wire form of one frame: big-endian sender id, then the payload.
 
     The sender id is the same *unauthenticated* link-layer source field
-    the simulated radio passes up. Shared with the sharded runtime's
-    socket interconnect (:mod:`repro.runtime.shard.wire`), so both
-    real-network paths speak one frame format.
+    the simulated radio passes up.
     """
     return sender_id.to_bytes(_SENDER_HEADER_LEN, "big") + frame
 

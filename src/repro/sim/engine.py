@@ -50,8 +50,8 @@ class EventQueue:
 
     ``len(queue)`` is the number of events that will still fire. Cancelled
     entries stay in the heap as tombstones (O(1) cancel) and are skipped
-    by :meth:`peek_time` / :meth:`pop`; once tombstones dominate the heap
-    it is rebuilt from the live entries in one O(n) pass.
+    by :meth:`pop_due`; once tombstones dominate the heap it is rebuilt
+    from the live entries in one O(n) pass.
     """
 
     __slots__ = ("_heap", "_seq", "_cancelled")
@@ -72,48 +72,15 @@ class EventQueue:
         self._seq += 1
         return handle
 
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or None if the queue is empty.
-
-        Pops cancelled tombstones off the top as a side effect, so a
-        subsequent :meth:`pop` returns the event this time refers to.
-        """
-        heap = self._heap
-        while heap:
-            if heap[0][2].cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-            else:
-                return heap[0][0]
-        return None
-
-    def pop(self) -> tuple[float, EventHandle, Callable[[], Any]] | None:
-        """Dequeue the next live event; None if the queue is empty.
-
-        Marks the returned handle as fired (its ``cancel`` becomes a
-        no-op and it no longer counts as a tombstone).
-        """
-        heap = self._heap
-        while heap:
-            time, _seq, handle, callback = heapq.heappop(heap)
-            if handle.cancelled:
-                self._cancelled -= 1
-                continue
-            handle.fired = True
-            return time, handle, callback
-        return None
-
-    def pop_due(
-        self, limit: float | None = None, inclusive: bool = True
-    ) -> tuple[float, Callable[[], Any]] | None:
+    def pop_due(self, limit: float | None = None) -> tuple[float, Callable[[], Any]] | None:
         """Dequeue the next live event due by ``limit`` in one heap pass.
 
-        The hot-loop fusion of :meth:`peek_time` + :meth:`pop`: tombstones
-        are skipped once instead of twice per event. ``limit=None`` takes
-        any event; otherwise only events with ``time <= limit``
-        (``inclusive``) or ``time < limit`` (exclusive — the windowed
-        execution mode the sharded runtime uses) are popped; a later event
-        stays queued untouched.
+        Cancelled tombstones on top of the heap are dropped on the way.
+        ``limit=None`` takes any event; otherwise only an event with
+        ``time <= limit`` is popped, and a later one stays queued
+        untouched. Marks the returned event's handle as fired (its
+        ``cancel`` becomes a no-op and it no longer counts as a
+        tombstone).
         """
         heap = self._heap
         pop = heapq.heappop
@@ -125,7 +92,7 @@ class EventQueue:
                 self._cancelled -= 1
                 continue
             time = entry[0]
-            if limit is not None and (time > limit if inclusive else time >= limit):
+            if limit is not None and time > limit:
                 return None
             pop(heap)
             handle.fired = True

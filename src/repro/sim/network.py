@@ -42,16 +42,12 @@ class Network:
         energy_model: EnergyModel | None = None,
         bs_position: np.ndarray | None = None,
         transport: "Transport | None" = None,
-        local_ids: frozenset[int] | None = None,
     ) -> None:
         """``transport`` hosts the nodes (default: a fresh loopback
-        fabric). With ``local_ids`` set, only those nodes live on it; the
-        rest are hosted on a :class:`~repro.runtime.transport.NullTransport`
-        (the shard worker's foreign nodes)."""
+        fabric)."""
         # Local imports: the runtime package builds on this module.
         from repro.runtime.loopback import LoopbackTransport
         from repro.runtime.node import NodeRuntime
-        from repro.runtime.transport import NullTransport
 
         self.deployment = deployment
         self.rng = RngManager(seed)
@@ -79,12 +75,12 @@ class Network:
 
         # Ordinary sensors (deployment index i -> node id i + FIRST_NODE_ID),
         # then the base station.
-        foreign = NullTransport() if local_ids is not None else self.transport
         self.nodes: dict[int, NodeRuntime] = {}
         for nid in (*range(FIRST_NODE_ID, deployment.n + FIRST_NODE_ID), BS_ID):
             position = bs_position if nid == BS_ID else deployment.positions[nid - FIRST_NODE_ID]
-            host = self.transport if local_ids is None or nid in local_ids else foreign
-            self.nodes[nid] = NodeRuntime(host, nid, position, EnergyMeter(self.energy_model))
+            self.nodes[nid] = NodeRuntime(
+                self.transport, nid, position, EnergyMeter(self.energy_model)
+            )
         self.bs = self.nodes[BS_ID]
 
         self._next_node_id = deployment.n + FIRST_NODE_ID

@@ -30,9 +30,7 @@ class CellGrid:
     Buckets node indices into square cells of ``cell_size`` once (O(n)),
     then answers disk queries by scanning only the cells the disk can
     touch — the same decomposition :func:`neighbor_lists` uses, exposed
-    as a reusable index. The sharded runtime also leans on the cell
-    coordinates themselves (:meth:`cell_of`) to carve a deployment into
-    contiguous regions.
+    as a reusable index.
     """
 
     __slots__ = ("positions", "cell_size", "_buckets")

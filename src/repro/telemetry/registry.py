@@ -62,23 +62,6 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram()
         hist.add(int(value), weight)
 
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters and histogram bins are summed (both are additive across
-        disjoint workloads); gauges are last-write-wins, matching their
-        single-registry semantics. This is how the sharded runtime's
-        coordinator combines per-worker registries into one deployment
-        view (:mod:`repro.runtime.shard`).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.inc(name, int(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name, value)
-        for name, bins in snapshot.get("histograms", {}).items():
-            for value, count in bins.items():
-                self.observe(name, int(value), int(count))
-
     # -- read paths ----------------------------------------------------------
 
     def counter(self, name: str) -> int:

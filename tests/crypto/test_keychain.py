@@ -87,3 +87,32 @@ def test_adversary_cannot_extend_chain():
     assert verifier.verify(i1, k1)
     forged_next = chain_step(k1)  # adversary can only go backwards
     assert not verifier.verify(2, forged_next)
+
+
+def test_is_duplicate_recognises_accepted_keys_only():
+    chain = KeyChain(5, seed=SEED)
+    verifier = ChainVerifier(chain.commitment)
+    i1, k1 = chain.reveal_next()
+    assert not verifier.is_duplicate(i1, k1)  # not yet accepted
+    assert verifier.verify(i1, k1)
+    i2, k2 = chain.reveal_next()
+    assert verifier.verify(i2, k2)
+    # Echoes of both accepted keys, including one older than the latest.
+    assert verifier.is_duplicate(i2, k2)
+    assert verifier.is_duplicate(i1, k1)
+    # A key under the wrong old index, a future index and the public
+    # commitment (index 0) are not duplicates.
+    assert not verifier.is_duplicate(i1, k2)
+    assert not verifier.is_duplicate(3, chain.key_at(3))
+    assert not verifier.is_duplicate(0, chain.commitment)
+
+
+@given(st.binary(min_size=16, max_size=16))
+def test_forged_key_at_old_index_is_not_a_duplicate(forged):
+    chain = KeyChain(4, seed=SEED)
+    verifier = ChainVerifier(chain.commitment)
+    for _ in range(2):
+        assert verifier.verify(*chain.reveal_next())
+    for index in (1, 2):
+        if forged != chain.key_at(index):
+            assert not verifier.is_duplicate(index, forged)

@@ -129,6 +129,14 @@ def test_tampered_pull_request_is_rejected():
     assert store.registry.counter("gateway.federation.auth_failures") == 1
 
 
+def test_non_integer_version_vector_is_rejected():
+    store = GatewayStateStore("gwB")
+    for seq in (float("inf"), "7x"):
+        payload = {"gateway": "gwA", "vector": {"gwB": seq}}
+        with pytest.raises(FederationError, match="version vector"):
+            handle_pull(store, KEY, {"payload": payload, "mac": sign_payload(KEY, payload)})
+
+
 def test_tampered_delta_is_not_merged():
     a = GatewayStateStore("gwA")
     b = GatewayStateStore("gwB")
@@ -139,6 +147,29 @@ def test_tampered_delta_is_not_merged():
         apply_pull_body(a, KEY, response)
     assert a.node_ids() == []  # nothing merged from a forged message
     assert a.registry.counter("gateway.federation.auth_failures") == 1
+
+
+def _signed_delta(entries, evictions=None):
+    payload = {"gateway": "gwB", "vector": {}, "entries": entries, "evictions": evictions or {}}
+    return {"payload": payload, "mac": sign_payload(KEY, payload)}
+
+
+def test_non_finite_times_from_a_peer_are_rejected():
+    """A NaN-time entry never loses an LWW comparison: were it merged it
+    would pin its node, and a later genuine reading would be counted as
+    applied while the node kept reporting NaN."""
+    store = GatewayStateStore("gwA")
+    good = StateEntry(5, b"x", 1.0, "gwB", 1, True).to_wire()
+    for time in ("nan", float("nan"), float("inf")):
+        with pytest.raises(FederationError):
+            apply_pull_body(store, KEY, _signed_delta([{**good, "time": time}]))
+    for tombstone in (float("nan"), float("inf"), 10**400):
+        with pytest.raises(FederationError):
+            apply_pull_body(store, KEY, _signed_delta([], {"5": tombstone}))
+    assert store.node_ids() == [] and store.evictions_snapshot() == {}
+    later = {**good, "time": 1e9, "seq": 2}
+    assert apply_pull_body(store, KEY, _signed_delta([later])) == (1, 0)
+    assert store.latest(5).time == 1e9
 
 
 def test_wrong_key_fails_verification():

@@ -1,8 +1,11 @@
 """State-store semantics: LWW merge, version vectors, the update log."""
 
+import json
+import math
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.gateway.store import GatewayStateStore, StateEntry, parse_region
 from repro.protocol.base_station import DeliveredReading
@@ -202,6 +205,51 @@ def test_from_wire_rejects_malformed_entries():
     ):
         with pytest.raises(ValueError):
             StateEntry.from_wire(corrupt)
+
+
+def test_from_wire_rejects_non_finite_time():
+    good = entry().to_wire()
+    for time in (float("nan"), float("inf"), float("-inf"), "nan", "-Infinity"):
+        with pytest.raises(ValueError, match="time"):
+            StateEntry.from_wire({**good, "time": time})
+    # The JSON literals a peer can put on the wire parse to the same floats.
+    for literal in ("NaN", "Infinity"):
+        wire = json.loads(json.dumps(good).replace('"time": 1.0', f'"time": {literal}'))
+        with pytest.raises(ValueError, match="time"):
+            StateEntry.from_wire(wire)
+    # An integer too large for a float is malformed, not an OverflowError.
+    with pytest.raises(ValueError):
+        StateEntry.from_wire({**good, "time": 10**400})
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["00ff", "nan", "Infinity", "1e400", "-1"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+WIRE_FIELDS = ("node", "payload", "time", "origin", "seq", "encrypted")
+
+
+@given(
+    st.one_of(
+        JSON_VALUES,
+        st.dictionaries(st.sampled_from(WIRE_FIELDS), JSON_VALUES, max_size=6),
+        st.fixed_dictionaries({field: JSON_VALUES for field in WIRE_FIELDS}),
+    )
+)
+def test_from_wire_raises_only_value_error(wire):
+    try:
+        parsed = StateEntry.from_wire(wire)
+    except ValueError:
+        return
+    assert parsed.node >= 0 and parsed.seq >= 1 and parsed.origin
+    assert math.isfinite(parsed.time)
 
 
 def test_digest_and_stats_shapes():

@@ -2,7 +2,6 @@
 
 from repro.crypto.mac import mac
 from repro.protocol import messages
-from repro.protocol.setup import deploy
 from tests.conftest import run_for, small_deployment
 
 
@@ -47,7 +46,9 @@ def test_replayed_revocation_ignored():
     deployed.network.node(sorted(deployed.agents)[0]).broadcast(frame)
     run_for(deployed, 10)
     assert trace["tx.revoke_flood"] == floods_before  # nobody re-floods
-    assert trace["drop.revoke_bad_chain"] > 0
+    # The replayed key is genuine: an echo, not a forgery.
+    assert trace["drop.revoke_duplicate"] > 0
+    assert trace["drop.revoke_bad_chain"] == 0
 
 
 def test_forged_revocation_rejected():
@@ -82,6 +83,25 @@ def test_sequential_revocations_advance_chain():
     run_for(deployed, 10)
     deployed.bs_agent.revoke_clusters([22222])
     run_for(deployed, 10)
+    for agent in deployed.agents.values():
+        assert agent.state.chain.index == 2
+
+
+def test_late_echo_of_an_earlier_revocation_is_a_duplicate():
+    deployed = small_deployment(seed=26)
+    trace = deployed.network.trace
+    first = deployed.bs_agent.revoke_clusters([11111])
+    run_for(deployed, 10)
+    deployed.bs_agent.revoke_clusters([22222])
+    run_for(deployed, 10)
+    duplicates = trace["drop.revoke_duplicate"]
+    floods = trace["tx.revoke_flood"]
+    # Index 1 arrives again after every node has moved on to index 2.
+    deployed.network.node(sorted(deployed.agents)[0]).broadcast(first)
+    run_for(deployed, 10)
+    assert trace["drop.revoke_duplicate"] > duplicates
+    assert trace["drop.revoke_bad_chain"] == 0
+    assert trace["tx.revoke_flood"] == floods
     for agent in deployed.agents.values():
         assert agent.state.chain.index == 2
 

@@ -102,6 +102,14 @@ def test_scenario_derived_properties():
     assert plan.seed == SMALL.seed
 
 
+def test_acceptance_run_revocation_echoes_are_duplicates_not_forgeries():
+    """Every revocation in the default run is genuine: re-receptions of
+    its flood are echoes, and none is counted as a bad chain key."""
+    result = run_churn(ChurnScenario())
+    assert result.counter("drop.revoke_duplicate") > 0
+    assert result.counter("drop.revoke_bad_chain") == 0
+
+
 def test_protocol_config_reflects_reliability_switch():
     on = SMALL.protocol_config()
     assert on.hop_ack_enabled

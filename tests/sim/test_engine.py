@@ -123,28 +123,31 @@ def test_queue_compaction_preserves_order():
     # Compaction must have kicked in: tombstones were the 270 majority.
     assert len(q._heap) < 300
     assert len(q) == len(keep)
-    while (item := q.pop()) is not None:
-        item[2]()
+    while (item := q.pop_due()) is not None:
+        item[1]()
     assert fired == sorted(keep)
     assert len(q) == 0
 
 
 def test_queue_peek_then_pop_consistency():
+    """A limit short of the next live event acts as a peek: the tombstone
+    on top is dropped, the live event stays queued, and the next call
+    with a limit at exactly its time pops it."""
     q = EventQueue()
     a = q.push(1.0, lambda: "a")
-    q.push(2.0, lambda: "b")
+    handle = q.push(2.0, lambda: "b")
     a.cancel()
-    # peek skips the tombstone and agrees with the following pop.
-    assert q.peek_time() == 2.0
-    time, handle, callback = q.pop()
+    assert q.pop_due(1.5) is None
+    assert len(q) == 1 and len(q._heap) == 1 and q._cancelled == 0
+    time, callback = q.pop_due(2.0)
     assert time == 2.0 and callback() == "b" and handle.fired
-    assert q.peek_time() is None and q.pop() is None
+    assert q.pop_due() is None
 
 
 def test_cancel_fired_handle_is_noop():
     q = EventQueue()
     h = q.push(1.0, lambda: None)
-    q.pop()
+    q.pop_due()
     h.cancel()
     assert q._cancelled == 0  # a fired event is not a tombstone
 
@@ -158,20 +161,6 @@ def test_loopback_pending_matches_engine_semantics():
     assert transport.pending == 1
     transport.run()
     assert transport.pending == 0
-
-
-def test_pop_due_exclusive_boundary_stays_queued():
-    """Exclusive mode (the sharded runtime's interior windows) leaves the
-    boundary event untouched; inclusive mode then takes it."""
-    q = EventQueue()
-    q.push(1.0, lambda: "a")
-    q.push(2.0, lambda: "b")
-    time, callback = q.pop_due(2.0, inclusive=False)
-    assert (time, callback()) == (1.0, "a")
-    assert q.pop_due(2.0, inclusive=False) is None
-    assert len(q) == 1  # the boundary event is still live
-    time, callback = q.pop_due(2.0, inclusive=True)
-    assert (time, callback()) == (2.0, "b")
 
 
 def test_pop_due_without_limit_drains_in_order():

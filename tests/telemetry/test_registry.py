@@ -94,46 +94,3 @@ class TestSnapshot:
         reg.gauge("a", 1)
         reg.observe("b", 1)
         assert reg.metric_names() == ["a", "b", "c"]
-
-
-class TestMergeSnapshot:
-    """Folding worker snapshots into one registry (the sharded runtime)."""
-
-    def _worker(self, hellos: int, cluster_sizes: list[int]) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        reg.inc("tx.hello", hellos)
-        reg.gauge("shardlocal.nodes", hellos)
-        for size in cluster_sizes:
-            reg.observe("setup.cluster_size", size)
-        return reg
-
-    def test_counters_sum_across_snapshots(self):
-        merged = MetricsRegistry()
-        merged.merge_snapshot(self._worker(3, []).snapshot())
-        merged.merge_snapshot(self._worker(5, []).snapshot())
-        assert merged.counter("tx.hello") == 8
-
-    def test_histogram_bins_accumulate(self):
-        merged = MetricsRegistry()
-        merged.merge_snapshot(self._worker(0, [3, 3, 5]).snapshot())
-        merged.merge_snapshot(self._worker(0, [3, 7]).snapshot())
-        hist = merged.snapshot()["histograms"]["setup.cluster_size"]
-        assert hist == {"3": 3, "5": 1, "7": 1}
-
-    def test_gauges_last_write_wins(self):
-        merged = MetricsRegistry()
-        merged.merge_snapshot(self._worker(2, []).snapshot())
-        merged.merge_snapshot(self._worker(9, []).snapshot())
-        assert merged.gauges["shardlocal.nodes"] == 9.0
-
-    def test_merge_round_trips_a_full_snapshot(self):
-        source = self._worker(4, [2, 2, 6])
-        merged = MetricsRegistry()
-        merged.merge_snapshot(source.snapshot())
-        assert merged.snapshot() == source.snapshot()
-
-    def test_merge_into_live_registry_adds(self):
-        merged = MetricsRegistry()
-        merged.inc("tx.hello", 10)
-        merged.merge_snapshot(self._worker(1, []).snapshot())
-        assert merged.counter("tx.hello") == 11
