@@ -44,10 +44,14 @@ from repro.gateway.store import GatewayStateStore
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.gateway import GatewayService
 
-__all__ = ["GatewayApp", "GatewayHttpServer", "MAX_POLL_TIMEOUT_S"]
+__all__ = ["GatewayApp", "GatewayHttpServer", "MAX_BODY_BYTES", "MAX_POLL_TIMEOUT_S"]
 
 #: Upper bound on one /updates long-poll park, seconds.
 MAX_POLL_TIMEOUT_S = 30.0
+
+#: Upper bound on a POST body, bytes. A pull request carries only a
+#: version vector, so 1 MiB is ample.
+MAX_BODY_BYTES = 1 << 20
 
 #: Endpoint list echoed in 404 bodies so the API self-describes.
 _ENDPOINTS = (
@@ -247,6 +251,15 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "POST":
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+            except ValueError:
+                length = -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                self.close_connection = True  # its body stays unread
+                error = f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]"
+                self._respond(400 if length < 0 else 413, {"error": error})
+                self.app.registry.inc("gateway.http.errors")
+                return
+            try:
                 parsed = json.loads(self.rfile.read(length).decode() or "null")
             except (ValueError, UnicodeDecodeError):
                 self._respond(400, {"error": "request body is not valid JSON"})

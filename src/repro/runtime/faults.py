@@ -14,10 +14,14 @@ vocabulary shared by every backend:
   applies the plan on the delivery path, so the protocol under test
   cannot tell injected faults from real ones.
 
+One method, :meth:`FaultInjectingTransport.inject`, decides each
+delivery: loopback's fan-out loop calls it directly, and UDP through a
+per-node :class:`_FaultedEndpoint`.
+
 Fault decisions are drawn from a ``numpy`` generator seeded by the plan,
 so on the deterministic loopback fabric a chaos run is exactly
 reproducible — the property the ``repro chaos`` CLI and the chaos-smoke
-CI job rely on.
+CI job rely on. The generator is read in blocks (:class:`BlockDraws`).
 
 Semantics note: ``drop`` is evaluated once per *(sender, receiver)*
 delivery attempt — the same per-link independent-loss semantics as
@@ -32,10 +36,12 @@ Every injected fault is counted in the deployment's trace under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.runtime.loopback import LoopbackTransport
 from repro.runtime.transport import ReceiveEndpoint, TimerHandle, Transport
 from repro.util.validate import check_probability
 
@@ -93,16 +99,15 @@ class LinkFaults:
         if self.delay_jitter_s < 0:
             raise ValueError("delay_jitter_s must be >= 0")
 
-    @property
+    @cached_property
+    def rates(self) -> tuple[float, float, float, float, float]:
+        """``(drop, duplicate, reorder, corrupt, delay_jitter_s)``, built once."""
+        return (self.drop, self.duplicate, self.reorder, self.corrupt, self.delay_jitter_s)
+
+    @cached_property
     def is_noop(self) -> bool:
-        """True when these rates change nothing at all."""
-        return (
-            self.drop == 0.0
-            and self.duplicate == 0.0
-            and self.reorder == 0.0
-            and self.corrupt == 0.0
-            and self.delay_jitter_s == 0.0
-        )
+        """True when these rates change nothing at all (computed once)."""
+        return not any(self.rates)
 
 
 @dataclass(frozen=True)
@@ -212,28 +217,83 @@ class FaultPlan:
         )
 
 
+class BlockDraws:
+    """A numpy ``Generator`` read ``block`` values at a time.
+
+    Each method returns exactly what the scalar ``rng`` call it is named
+    after would, in order; numpy's ``uniform(0, w)`` is ``w * random()``.
+    :meth:`integers` first rewinds the generator to the consumed values.
+    """
+
+    __slots__ = ("rng", "block", "_values", "_pos", "_state")
+
+    def __init__(self, rng: np.random.Generator, block: int = 256) -> None:
+        """Read ``rng`` (not copied: nothing else may draw from it)."""
+        self.rng = rng
+        self.block = block
+        self._values: list[float] = []
+        self._pos = 0
+        # Generator state before the current block (None: none held).
+        self._state: Mapping[str, Any] | None = None
+
+    def random(self) -> float:
+        """The next ``rng.random()`` value."""
+        pos = self._pos
+        values = self._values
+        if pos == len(values):
+            self._state = self.rng.bit_generator.state
+            values = self._values = self.rng.random(self.block).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return values[pos]
+
+    def integers(self, low: int, high: int) -> int:
+        """The next ``rng.integers(low, high)`` value."""
+        state = self._state
+        if state is not None:
+            bit_generator = self.rng.bit_generator
+            bit_generator.state = state
+            bit_generator.advance(self._pos)
+            if state["has_uint32"]:
+                # advance() drops the half of a 64-bit draw that an
+                # earlier integers() left buffered; the block never
+                # touched it, so put it back.
+                bit_generator.state = {
+                    **bit_generator.state,
+                    "has_uint32": state["has_uint32"],
+                    "uinteger": state["uinteger"],
+                }
+            self._state = None
+            self._values = []
+            self._pos = 0
+        return int(self.rng.integers(low, high))
+
+
 class FaultInjectingTransport(Transport):
     """Decorator applying a :class:`FaultPlan` to any inner transport.
 
-    Wraps every registered endpoint so delivered frames pass through the
-    plan's link faults (drop / duplicate / reorder / corrupt / delay)
-    before reaching the node, and arms the plan's crash and restart
-    timers on the inner transport's clock when :meth:`run` is first
-    called. Clock, timers and the broadcast path are forwarded verbatim,
-    so the wrapper composes with loopback and UDP alike. The send-side
-    counters read through to ``inner``, so every layer reports one
-    ``frames_sent`` / ``bytes_sent``.
+    :meth:`inject` applies the plan's link faults (drop / duplicate /
+    reorder / corrupt / delay) to each delivery before it reaches the
+    node; crash and restart timers are armed on the inner transport's
+    clock when :meth:`run` is first called. Clock, timers and the
+    broadcast path are forwarded verbatim. The send-side counters read
+    through to ``inner``, so every layer reports one ``frames_sent`` /
+    ``bytes_sent``.
     """
 
     def __init__(self, inner: Transport, plan: FaultPlan) -> None:
         """Wrap ``inner``; its trace/telemetry store is shared."""
         super().__init__(trace=inner.trace)
         self.inner = inner
+        #: The plan in force; may be reassigned mid-run.
         self.plan = plan
         self.name = f"{inner.name}+faults"
-        self._rng = np.random.default_rng(plan.seed)
-        self._endpoints: dict[int, _FaultedEndpoint] = {}
+        self._draws = BlockDraws(np.random.default_rng(plan.seed))
+        self._nodes: dict[int, ReceiveEndpoint] = {}
         self._crashes_armed = False
+        if isinstance(inner, LoopbackTransport):
+            # Loopback decides each delivery in its fan-out loop.
+            inner.inject = self.inject
 
     @property
     def frames_sent(self) -> int:  # type: ignore[override]
@@ -252,10 +312,10 @@ class FaultInjectingTransport(Transport):
         self.inner.attach(network)
 
     def register(self, node: ReceiveEndpoint) -> None:
-        """Attach ``node`` behind a fault-applying delivery shim."""
-        shim = _FaultedEndpoint(self, node)
-        self._endpoints[node.id] = shim
-        self.inner.register(shim)
+        """Attach ``node``: bare on loopback, else behind a fault shim."""
+        self._nodes[node.id] = node
+        bare = isinstance(self.inner, LoopbackTransport)
+        self.inner.register(node if bare else _FaultedEndpoint(self, node))
 
     @property
     def now(self) -> float:
@@ -293,10 +353,9 @@ class FaultInjectingTransport(Transport):
                 )
 
     def _fire_crash(self, node_id: int, restart: bool) -> None:
-        shim = self._endpoints.get(node_id)
-        if shim is None:
+        node = self._nodes.get(node_id)
+        if node is None:
             return
-        node = shim.node
         if not isinstance(node, CrashableEndpoint):
             raise TypeError(
                 f"crash schedule targets node {node_id}, but its endpoint "
@@ -309,33 +368,35 @@ class FaultInjectingTransport(Transport):
             node.offline()
             self.trace.count("fault.crash")
 
-    def _inject(self, node: ReceiveEndpoint, sender_id: int, frame: bytes) -> None:
+    def inject(self, node: ReceiveEndpoint, sender_id: int, frame: bytes) -> None:
         """Apply the plan to one delivery, then hand it to the real node."""
         plan = self.plan
-        if plan.severed(sender_id, node.id, self.inner.now):
+        if plan.partitions and plan.severed(sender_id, node.id, self.inner.now):
             self.trace.count("fault.partition_drop")
             return
-        link = plan.link(sender_id, node.id)
+        link = plan.link(sender_id, node.id) if plan.per_link else plan.defaults
         if link.is_noop:
             self._deliver(node, sender_id, frame)
             return
-        rng = self._rng
-        if link.drop > 0.0 and rng.random() < link.drop:
+        # ``w * random()`` below is numpy's ``uniform(0, w)``, value for value.
+        random = self._draws.random
+        drop, duplicate, reorder, corrupt, jitter = link.rates
+        if drop > 0.0 and random() < drop:
             self.trace.count("fault.drop")
             return
-        if link.corrupt > 0.0 and rng.random() < link.corrupt:
+        if corrupt > 0.0 and random() < corrupt:
             frame = self._corrupt(frame)
             self.trace.count("fault.corrupt")
-        if link.duplicate > 0.0 and rng.random() < link.duplicate:
-            copy_delay = float(rng.uniform(0.0, plan.duplicate_window_s))
+        if duplicate > 0.0 and random() < duplicate:
+            copy_delay = plan.duplicate_window_s * random()
             self.inner.schedule(copy_delay, _LateDelivery(self, node, sender_id, frame))
             self.trace.count("fault.duplicate")
         delay = 0.0
-        if link.reorder > 0.0 and rng.random() < link.reorder:
-            delay += float(rng.uniform(0.0, plan.reorder_window_s))
+        if reorder > 0.0 and random() < reorder:
+            delay += plan.reorder_window_s * random()
             self.trace.count("fault.reorder")
-        if link.delay_jitter_s > 0.0:
-            delay += float(rng.uniform(0.0, link.delay_jitter_s))
+        if jitter > 0.0:
+            delay += jitter * random()
             self.trace.count("fault.delay")
         if delay > 0.0:
             self.inner.schedule(delay, _LateDelivery(self, node, sender_id, frame))
@@ -352,16 +413,16 @@ class FaultInjectingTransport(Transport):
         """Flip one random byte (guaranteed to differ from the original)."""
         if not frame:
             return frame
-        index = int(self._rng.integers(0, len(frame)))
-        flipped = frame[index] ^ int(self._rng.integers(1, 256))
+        index = self._draws.integers(0, len(frame))
+        flipped = frame[index] ^ self._draws.integers(1, 256)
         return frame[:index] + bytes([flipped]) + frame[index + 1 :]
 
 
 class _FaultedEndpoint:
-    """Registered in place of the real endpoint; routes deliveries
-    through the fault plan. Exposes the full ``ReceiveEndpoint``
-    surface, so inner transports cannot tell it from a real node
-    runtime."""
+    """Registered in place of the real endpoint on fabrics without a
+    fan-out loop (UDP); routes each delivery through the fault plan.
+    Exposes the full ``ReceiveEndpoint`` surface, so inner transports
+    cannot tell it from a real node runtime."""
 
     __slots__ = ("transport", "node", "id")
 
@@ -377,7 +438,7 @@ class _FaultedEndpoint:
 
     def receive(self, sender_id: int, frame: bytes) -> None:
         """Delivery entry point: apply the fault plan, then forward."""
-        self.transport._inject(self.node, sender_id, frame)
+        self.transport.inject(self.node, sender_id, frame)
 
 
 class _CrashFire:

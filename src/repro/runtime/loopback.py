@@ -15,7 +15,8 @@ event that hands the frame to those receivers at the arrival instant.
 Faults beyond the radio model — duplication, reordering, delay,
 corruption, crashes, partitions — come from wrapping the fabric in
 :class:`~repro.runtime.faults.FaultInjectingTransport` (``deploy(...,
-fault_plan=...)``).
+fault_plan=...)``), whose per-delivery decision the fan-out loop calls
+in place of each receiver's ``receive`` (:attr:`LoopbackTransport.inject`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class LoopbackTransport(Transport):
         super().__init__(trace=trace)
         self.pace = pace
         self.radio: "Radio | None" = None
+        #: Called as ``inject(endpoint, sender_id, frame)`` in place of
+        #: ``endpoint.receive``; set by a wrapping FaultInjectingTransport.
+        self.inject: Callable[[ReceiveEndpoint, int, bytes], None] | None = None
         self._nodes: dict[int, ReceiveEndpoint] = {}
         self._events = EventQueue()
         self._now = 0.0
@@ -130,7 +134,8 @@ class _FanoutDelivery:
 
     All receivers of a frame share its arrival instant, so one queue entry
     stands for all of them, visited in adjacency order. Liveness is checked
-    again at delivery. ``events_executed`` is bumped by
+    again at delivery, and the fabric's ``inject`` decision (if any) is
+    applied there. ``events_executed`` is bumped by
     ``len(receivers) - 1`` so the throughput metric keeps counting
     per-receiver deliveries, not queue pops.
     """
@@ -156,5 +161,5 @@ class _FanoutDelivery:
         radio = transport.radio
         assert radio is not None
         transport.frames_delivered += radio.deliver(
-            transport._nodes, receivers, self.sender_id, self.frame
+            transport._nodes, receivers, self.sender_id, self.frame, transport.inject
         )

@@ -184,12 +184,14 @@ class Radio:
         receivers: list[int],
         sender_id: int,
         frame: bytes,
+        inject: "Callable[[ReceiveEndpoint, int, bytes], None] | None" = None,
     ) -> int:
         """Hand ``frame`` to each receiver still alive at arrival.
 
         ``endpoints`` are the fabric's registered receive endpoints by
         node id. Each reception's energy is charged before the receiver
-        handles it. Returns the number of receptions.
+        handles it, by ``inject(endpoint, ...)`` in place of ``receive``
+        when given. Returns the number of receptions (before ``inject``).
         """
         nodes = self._network.nodes
         nbytes = len(frame) + self.config.header_bytes
@@ -200,7 +202,10 @@ class Radio:
                 continue
             nodes[receiver_id].energy.charge_rx(nbytes)
             delivered += 1
-            endpoint.receive(sender_id, frame)
+            if inject is None:
+                endpoint.receive(sender_id, frame)
+            else:
+                inject(endpoint, sender_id, frame)
         if delivered:
             self.frames_delivered += delivered
             self._network.trace.count("net.frames_delivered", delivered)

@@ -172,9 +172,9 @@ class PeriodicSampler:
 def read_records(path: str | os.PathLike) -> list[dict]:
     """Parse a telemetry JSONL file back into a list of record dicts.
 
-    Blank lines are skipped; a malformed line raises ``ValueError`` naming
-    its line number (a truncated tail is data loss worth surfacing, not
-    silently ignoring).
+    Blank lines are skipped; a malformed line, or one that is not a JSON
+    object, raises ``ValueError`` naming its line number (a truncated tail
+    is data loss worth surfacing, not silently ignoring).
     """
     records: list[dict] = []
     with open(path, encoding="utf-8") as fp:
@@ -183,7 +183,10 @@ def read_records(path: str | os.PathLike) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                record = json.loads(line)
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSONL line: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: JSONL line is not an object")
+            records.append(record)
     return records

@@ -54,7 +54,8 @@ def summarize_records(records: list[dict]) -> RunSummary:
 
     Uses the last ``summary`` record if present, else the last ``sample``.
     Raises ``ValueError`` when the stream contains neither (an event-only
-    stream has no metric totals to summarize).
+    stream has no metric totals to summarize), or when that record's
+    fields do not have the exported shape.
     """
     snapshot = None
     for record in records:
@@ -62,22 +63,25 @@ def summarize_records(records: list[dict]) -> RunSummary:
             snapshot = record
     if snapshot is None:
         raise ValueError("no 'summary' or 'sample' record in the stream")
-    metrics = snapshot.get("metrics", {})
-    counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    return RunSummary(
-        transport=str(snapshot.get("transport", "?")),
-        n=int(snapshot.get("nodes", gauges.get("setup.nodes", 0))),
-        clock_s=float(snapshot.get("t", 0.0)),
-        hello_messages=int(counters.get("tx.hello", 0)),
-        linkinfo_messages=int(counters.get("tx.linkinfo", 0)),
-        clusters=int(gauges.get("setup.clusters", 0)),
-        mean_keys_per_node=float(gauges.get("setup.mean_keys_per_node", 0.0)),
-        readings_delivered=int(counters.get("bs.delivered", 0)),
-        events_logged=sum(1 for r in records if r.get("type") == "event"),
-        events_dropped=int(snapshot.get("events_dropped", 0)),
-        counters=dict(counters),
-    )
+    try:
+        metrics = snapshot.get("metrics", {})
+        counters = metrics.get("counters", {})
+        gauges = metrics.get("gauges", {})
+        return RunSummary(
+            transport=str(snapshot.get("transport", "?")),
+            n=int(snapshot.get("nodes", gauges.get("setup.nodes", 0))),
+            clock_s=float(snapshot.get("t", 0.0)),
+            hello_messages=int(counters.get("tx.hello", 0)),
+            linkinfo_messages=int(counters.get("tx.linkinfo", 0)),
+            clusters=int(gauges.get("setup.clusters", 0)),
+            mean_keys_per_node=float(gauges.get("setup.mean_keys_per_node", 0.0)),
+            readings_delivered=int(counters.get("bs.delivered", 0)),
+            events_logged=sum(1 for r in records if r.get("type") == "event"),
+            events_dropped=int(snapshot.get("events_dropped", 0)),
+            counters=dict(counters),
+        )
+    except (AttributeError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {snapshot['type']} record: {exc}") from exc
 
 
 def render_summary(summary: RunSummary) -> str:

@@ -1,13 +1,14 @@
 """HTTP query API: routing, status codes, the long-poll update stream."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.gateway.api import GatewayApp, GatewayHttpServer
+from repro.gateway.api import MAX_BODY_BYTES, GatewayApp, GatewayHttpServer
 from repro.gateway.store import GatewayStateStore
 from repro.protocol.base_station import DeliveredReading
 
@@ -148,6 +149,39 @@ def test_http_post_rejects_malformed_json():
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10.0)
         assert err.value.code == 400
+
+
+def raw_post(url, content_length):
+    """POST to /federation/pull with a raw ``Content-Length`` and no body."""
+    host, port = url.removeprefix("http://").split(":")
+    request = (
+        "POST /federation/pull HTTP/1.1\r\n"
+        f"Host: {host}\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "\r\n"
+    )
+    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+        sock.sendall(request.encode())
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [(10**12, 413), (MAX_BODY_BYTES + 1, 413), (-1, 400), ("abc", 400), ("1.5", 400)],
+)
+def test_http_post_body_length_is_bounded(length, status):
+    # Answered from the header alone: the server never waits for (or
+    # allocates) the announced body, and closes the connection.
+    app = GatewayApp(GatewayStateStore("gw0"))
+    with GatewayHttpServer(app) as server:
+        got, payload = raw_post(server.url, length)
+        assert got == status and "error" in payload
+        assert app.registry.counter("gateway.http.errors") == 1
+        assert http_get(server.url + "/status")[0] == 200
 
 
 def test_server_start_is_single_shot():

@@ -1,6 +1,7 @@
 """Federation: two region-sharded gateways converge to identical state."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gateway.api import GatewayApp, GatewayHttpServer
 from repro.gateway.federation import (
@@ -185,3 +186,64 @@ def test_derived_keys_are_domain_separated_and_deterministic():
     master = b"m" * 16
     assert derive_federation_key(master) == derive_federation_key(master)
     assert derive_federation_key(master) != derive_federation_key(b"n" * 16)
+
+
+# -- totality over arbitrary signed payloads ---------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERISH = st.integers() | st.floats() | st.from_regex(r"-?[0-9]{1,4}", fullmatch=True)
+#: A wire entry with any field missing or replaced by any value.
+WIRE_ENTRIES = st.fixed_dictionaries(
+    {},
+    optional={
+        "node": NUMBERISH | JSON_VALUES,
+        "payload": st.binary(max_size=4).map(bytes.hex) | JSON_VALUES,
+        "time": NUMBERISH | JSON_VALUES,
+        "origin": st.sampled_from(["gwA", "gwB", ""]) | JSON_VALUES,
+        "seq": NUMBERISH | JSON_VALUES,
+        "encrypted": JSON_VALUES,
+    },
+)
+#: A pull request or response with every field anything at all.
+PAYLOADS = JSON_VALUES | st.fixed_dictionaries(
+    {},
+    optional={
+        "gateway": JSON_VALUES,
+        "vector": JSON_VALUES | st.dictionaries(st.text(max_size=4), NUMBERISH | JSON_VALUES),
+        "entries": JSON_VALUES | st.lists(WIRE_ENTRIES | JSON_VALUES, max_size=3),
+        "evictions": JSON_VALUES | st.dictionaries(NUMBERISH.map(str), NUMBERISH | JSON_VALUES),
+    },
+)
+
+
+def _populated_store():
+    store = GatewayStateStore("gwA")
+    store.merge(
+        [StateEntry(1, b"x", 1.0, "gwA", 1, True), StateEntry(2, b"y", 2.0, "gwB", 3, False)]
+    )
+    return store
+
+
+@given(PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_handle_pull_over_signed_payloads_raises_only_federation_error(payload):
+    body = {"payload": payload, "mac": sign_payload(KEY, payload)}
+    try:
+        handle_pull(_populated_store(), KEY, body)
+    except FederationError:
+        pass
+
+
+@given(PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_apply_pull_body_over_signed_payloads_raises_only_federation_error(payload):
+    body = {"payload": payload, "mac": sign_payload(KEY, payload)}
+    try:
+        apply_pull_body(_populated_store(), KEY, body)
+    except FederationError:
+        pass

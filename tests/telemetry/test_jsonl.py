@@ -1,8 +1,13 @@
 """JSONL export round-trip: JsonlWriter / read_records / summarize."""
 
 import io
+import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.telemetry import (
     EventStream,
@@ -162,3 +167,52 @@ class TestSummarize:
     def test_event_only_stream_raises(self):
         with pytest.raises(ValueError):
             summarize_records([{"type": "event", "t": 0.0, "kind": "k"}])
+
+
+# -- totality over arbitrary input ------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+#: Records shaped like an export, with any value where a field should be.
+SNAPSHOTS = st.fixed_dictionaries(
+    {"type": st.sampled_from(["summary", "sample", "event"])},
+    optional={
+        "metrics": JSON_VALUES
+        | st.fixed_dictionaries(
+            {}, optional={"counters": JSON_VALUES, "gauges": JSON_VALUES}
+        ),
+        "nodes": JSON_VALUES,
+        "t": JSON_VALUES,
+        "transport": JSON_VALUES,
+        "events_dropped": JSON_VALUES,
+    },
+)
+LINES = st.lists(
+    st.text(max_size=40)
+    | JSON_VALUES.map(json.dumps)
+    | SNAPSHOTS.map(json.dumps),
+    max_size=6,
+)
+
+
+class TestTotality:
+    def test_non_object_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"type": "event"}\n\n[1]\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            read_records(path)
+
+    @given(LINES)
+    @settings(max_examples=300, deadline=None)
+    def test_summarize_arbitrary_lines_raises_only_value_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.jsonl"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            try:
+                summarize_records(read_records(path))
+            except ValueError:
+                pass
