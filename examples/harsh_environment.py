@@ -4,7 +4,8 @@
 The paper's simulations (like most key-management evaluations) assume a
 clean channel. This example stresses the protocol on a lossy medium with
 collision modeling and a CSMA MAC — the conditions of a real field — and
-shows which guarantees survive:
+shows which guarantees survive. Link loss is a fault-injection
+``FaultPlan`` drop, decided per reception at delivery time:
 
 * key setup still terminates with every node clustered and consistent
   keys (lost HELLOs just mean more, smaller clusters);
@@ -12,30 +13,29 @@ shows which guarantees survive:
   per-link loss);
 * a periodic hash refresh keeps running (it needs no radio at all).
 
-Part two repeats the loss sweep on the *live* loopback runtime with the
-fault-injection layer standing in for the bad channel, and shows what
-the opt-in hop-by-hop reliability extension (custody ACKs +
-retransmission, setup re-announcement) buys back at each loss rate.
+Part two repeats the loss sweep on a smaller field, adding duplication
+and reordering, and shows what the opt-in hop-by-hop reliability
+extension (custody ACKs + retransmission, setup re-announcement) buys
+back at each loss rate.
 
 Run:  python examples/harsh_environment.py
 """
 
 from repro.protocol.metrics import validate_clusters
-from repro.protocol.setup import run_key_setup
+from repro.protocol.setup import deploy
 from repro.runtime.chaos import ChaosScenario, run_chaos
-from repro.sim.network import Network
+from repro.runtime.faults import FaultPlan, LinkFaults
 from repro.sim.radio import RadioConfig
 
 def run_field(loss: float) -> None:
-    net = Network.build(
+    deployed, metrics = deploy(
         300,
         12.0,
         seed=21,
-        radio_config=RadioConfig(
-            loss_probability=loss, model_collisions=True, mac="csma"
-        ),
+        radio_config=RadioConfig(model_collisions=True, mac="csma"),
+        fault_plan=FaultPlan(seed=21, defaults=LinkFaults(drop=loss)),
     )
-    deployed, metrics = run_key_setup(net)
+    net = deployed.network
     problems = validate_clusters(deployed)
 
     # Stagger the reporting duty cycle: synchronized transmissions would

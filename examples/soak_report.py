@@ -6,7 +6,7 @@ written by ``python -m repro bench forwarding`` — methodology in
 docs/WORKLOADS.md, field meanings in docs/BENCHMARKS.md) and renders the
 latency-percentile picture as ASCII bar charts: end-to-end and per-hop
 percentiles side by side for each loss rate, plus the delivery and
-retransmission story and the batched-codec speedup table.
+retransmission story and the frame-codec rates.
 
 Run:  PYTHONPATH=src python examples/soak_report.py [path/to/payload.json]
 """
@@ -43,14 +43,11 @@ def render_soak_row(row: dict) -> str:
 
 
 def render_codec(rows: list) -> str:
-    """The batched-vs-scalar frame codec comparison."""
-    lines = ["frame codec (scalar wrap_hop loop vs batched wrap_hop_many):"]
+    """The Step-2 frame codec rate per burst size."""
+    lines = ["frame codec (wrap_hop loop):"]
     for row in rows:
         lines.append(
-            f"  batch {row['batch']:>3}: "
-            f"{row['scalar_frames_per_s']:>9,.0f} -> "
-            f"{row['batched_frames_per_s']:>9,.0f} frames/s "
-            f"({row['speedup']:.2f}x)"
+            f"  batch {row['batch']:>3}: {row['scalar_frames_per_s']:>9,.0f} frames/s"
         )
     return "\n".join(lines)
 

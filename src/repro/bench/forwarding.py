@@ -2,13 +2,11 @@
 
 Two sections feed ``BENCH_forwarding.json``:
 
-* **codec** — microbenchmark of the per-frame Step-2 path: the scalar
-  ``wrap_hop`` loop against the batched ``wrap_hop_many`` (one hop-key
-  derivation, one batched keystream dispatch, midstate-cached MACs, and
-  the zero-alloc frame assembler) over bursts of sensor-sized inner
-  blobs. Both paths are byte-identical (parity-pinned in
-  tests/crypto/test_batched_aead.py); this measures what the batching
-  buys.
+* **codec** — microbenchmark of the per-frame Step-2 path: a
+  ``wrap_hop`` loop (cached hop key and per-key AEAD context,
+  midstate-resumed MACs, and the zero-alloc frame assembler) over bursts
+  of sensor-sized inner blobs, one seal per frame as every forwarding
+  node runs it.
 * **soak** — the end-to-end number: a live loopback deployment at n=100
   driven by :class:`repro.workloads.SoakWorkload` at a fixed offered
   load for a fixed protocol duration, once on a clean fabric and once
@@ -33,10 +31,10 @@ import time
 from repro.bench.crypto import FRAME_PAYLOAD, _best_rate
 from repro.crypto.aead import AeadConfig
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.forwarding import wrap_hop, wrap_hop_many
+from repro.protocol.forwarding import wrap_hop
 
-#: Burst sizes for the codec micro rows (frames per batch): a node
-#: draining a small forward queue, and the lane-kernel sweet spot.
+#: Burst sizes for the codec micro rows (frames per timed burst); each
+#: row is keyed by ``(cipher, batch)`` in the compare gate.
 CODEC_BATCHES = (16, 64)
 
 #: Loss rates swept by the soak section (the 15% row matches the chaos
@@ -47,39 +45,32 @@ _CLUSTER_KEY = bytes(range(16))
 
 
 def _bench_codec(quick: bool) -> list[dict]:
-    """Scalar-vs-batched Step-2 wrap rates over sensor-sized bursts."""
+    """Step-2 wrap rates over sensor-sized bursts."""
     reps = 3 if quick else 7
     aead = AeadConfig()
     rows = []
+    # Sequence numbers advance per burst as a draining queue would, and
+    # never restart between rows: a reused seq would time a keystream
+    # memo hit instead of the cipher.
+    state = {"seq": 0}
     for batch in CODEC_BATCHES:
-        # Distinct payloads per frame (realistic dedup-visible traffic);
-        # sequence numbers advance per burst as a draining queue would.
+        # Distinct payloads per frame (realistic dedup-visible traffic).
         c1s = [bytes([i & 0xFF]) + FRAME_PAYLOAD for i in range(batch)]
         inner = max(1, (64 if quick else 512) // batch)
-        state = {"seq": 0}
 
-        def _scalar_burst() -> None:
+        def _burst() -> None:
             seq = state["seq"]
             for i, c1 in enumerate(c1s):
                 wrap_hop(_CLUSTER_KEY, 5, 9, seq + i, 3, 12.5, c1, aead)
             state["seq"] = seq + batch
 
-        def _batched_burst() -> None:
-            seq = state["seq"]
-            wrap_hop_many(_CLUSTER_KEY, 5, 9, seq, 3, 12.5, c1s, aead)
-            state["seq"] = seq + batch
-
-        scalar = _best_rate(_scalar_burst, batch, reps, inner)
-        state["seq"] = 0
-        batched = _best_rate(_batched_burst, batch, reps, inner)
+        rate = _best_rate(_burst, batch, reps, inner)
         rows.append(
             {
                 "cipher": aead.cipher,
                 "batch": batch,
                 "payload_bytes": len(FRAME_PAYLOAD) + 1,
-                "scalar_frames_per_s": round(scalar, 1),
-                "batched_frames_per_s": round(batched, 1),
-                "speedup": round(batched / scalar, 2),
+                "scalar_frames_per_s": round(rate, 1),
             }
         )
     return rows
@@ -202,13 +193,10 @@ def render_bench_forwarding(payload: dict) -> str:
         f"forwarding data plane — python {payload['python']}, "
         f"n={payload['n']}, seed={payload['seed']}",
         "",
-        f"{'codec batch':<12} {'scalar fr/s':>14} {'batched fr/s':>14} {'speedup':>8}",
+        f"{'codec batch':<12} {'frames/s':>14}",
     ]
     for row in payload["codec"]:
-        lines.append(
-            f"{row['batch']:<12} {row['scalar_frames_per_s']:>14,.0f} "
-            f"{row['batched_frames_per_s']:>14,.0f} {row['speedup']:>7.2f}x"
-        )
+        lines.append(f"{row['batch']:<12} {row['scalar_frames_per_s']:>14,.0f}")
     lines.append("")
     lines.append(
         f"{'soak loss':<10} {'frames/s':>10} {'deliv/s':>9} {'delivery':>9} "

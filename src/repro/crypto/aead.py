@@ -29,13 +29,13 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from hmac import compare_digest
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from repro.crypto.block import BlockCipher, available_ciphers, get_cipher, is_registered
 from repro.crypto.kdf import ENCRYPT_USAGE, MAC_USAGE, derive_usage_key
 from repro.crypto.kernels import BACKENDS
 from repro.crypto.mac import DEFAULT_TAG_LEN, hmac_midstates
-from repro.crypto.modes import ctr_decrypt, ctr_encrypt, ctr_encrypt_many
+from repro.crypto.modes import ctr_decrypt, ctr_encrypt
 from repro.crypto.stats import STATS
 
 #: Most per-key contexts :func:`_key_context` keeps (least recently used
@@ -180,83 +180,3 @@ def open_(
     ):
         raise AuthenticationError("MAC verification failed")
     return ctr_decrypt(context.cipher, counter, ct, config.backend)
-
-
-def _associated_list(
-    associated_data: "bytes | Sequence[bytes]", n: int
-) -> "Sequence[bytes]":
-    """Normalize scalar-or-per-message associated data to one AD per message."""
-    if isinstance(associated_data, (bytes, bytearray, memoryview)):
-        return [bytes(associated_data)] * n
-    ads = list(associated_data)
-    if len(ads) != n:
-        raise ValueError(f"got {len(ads)} associated-data items for {n} messages")
-    return ads
-
-
-def seal_many(
-    key: bytes,
-    counters: Sequence[int],
-    plaintexts: Sequence[bytes],
-    associated_data: "bytes | Sequence[bytes]" = b"",
-    config: AeadConfig = AeadConfig(),
-) -> list[bytes]:
-    """:func:`seal` a burst of messages under one key in a single dispatch.
-
-    Byte-identical to ``[seal(key, c, p, ad, config) for ...]`` (pinned
-    by the batched-parity tests), but the CTR keystream for every
-    message comes from one batched kernel call
-    (:func:`repro.crypto.modes.ctr_encrypt_many`).
-
-    ``associated_data`` may be one byte string shared by every message or
-    a sequence with one entry per message (the DATA hop path, where each
-    frame authenticates its own clear header).
-    """
-    n = len(plaintexts)
-    if len(counters) != n:
-        raise ValueError(f"got {len(counters)} counters for {n} plaintexts")
-    ads = _associated_list(associated_data, n)
-    STATS.seals += n
-    context = _key_context(key, config.cipher)
-    tag_len = config.tag_len
-    cts = ctr_encrypt_many(context.cipher, list(counters), list(plaintexts), config.backend)
-    return [
-        ct + _mac(context, ad, counter, ct)[:tag_len]
-        for counter, ad, ct in zip(counters, ads, cts)
-    ]
-
-
-def open_many(
-    key: bytes,
-    counters: Sequence[int],
-    sealed: Sequence[bytes],
-    associated_data: "bytes | Sequence[bytes]" = b"",
-    config: AeadConfig = AeadConfig(),
-) -> list[bytes]:
-    """Verify and decrypt a burst of :func:`seal` outputs (all-or-nothing).
-
-    Verify-then-decrypt across the whole burst: every tag is checked
-    first (each in constant time), and only when *all* verify does the
-    single batched keystream dispatch decrypt the burst — no plaintext
-    for any message is produced if one frame fails.
-
-    Raises:
-        AuthenticationError: naming the offending burst index, on any bad
-            tag or truncated input.
-    """
-    n = len(sealed)
-    if len(counters) != n:
-        raise ValueError(f"got {len(counters)} counters for {n} messages")
-    ads = _associated_list(associated_data, n)
-    STATS.opens += n
-    context = _key_context(key, config.cipher)
-    tag_len = config.tag_len
-    cts: list[bytes] = []
-    for i, (counter, ad, blob) in enumerate(zip(counters, ads, sealed)):
-        if len(blob) < tag_len:
-            raise AuthenticationError(f"message {i} shorter than its MAC tag")
-        ct = blob[:-tag_len]
-        if not compare_digest(_mac(context, ad, counter, ct)[:tag_len], blob[-tag_len:]):
-            raise AuthenticationError(f"MAC verification failed for message {i}")
-        cts.append(ct)
-    return ctr_encrypt_many(context.cipher, list(counters), cts, config.backend)

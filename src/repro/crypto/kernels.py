@@ -48,7 +48,7 @@ try:  # numpy is a declared dependency, but the kernels degrade without it
 except ImportError:  # pragma: no cover - exercised only on stripped installs
     _np = None
 
-from repro.crypto.block import BlockCipher, get_cipher
+from repro.crypto.block import BlockCipher
 from repro.crypto.rc5 import Rc5
 from repro.crypto.speck import Speck64_128
 from repro.crypto.xtea import Xtea
@@ -63,7 +63,6 @@ __all__ = [
     "has_kernel",
     "get_kernel",
     "keystream",
-    "keystream_segments",
     "SpeckKernel",
     "XteaKernel",
     "Rc5Kernel",
@@ -400,48 +399,3 @@ def keystream(cipher: BlockCipher, base: int, n_blocks: int) -> bytes:
     packed counter value (the parity property tests pin this).
     """
     return get_kernel(cipher).keystream(base, n_blocks)
-
-
-def keystream_by_name(cipher_name: str, key: bytes, base: int, n_blocks: int) -> bytes:
-    """Convenience wrapper: resolve the cipher by name, then batch."""
-    return keystream(get_cipher(cipher_name, key), base, n_blocks)
-
-
-def keystream_segments(cipher: BlockCipher, segments) -> list[bytes]:
-    """Keystreams for many ``(base, n_blocks)`` counter segments at once.
-
-    The cross-*message* batching primitive behind
-    :func:`repro.crypto.modes.ctr_encrypt_many`: the counter blocks of
-    every segment are concatenated into one uint64 array and pushed
-    through a single ``encrypt_blocks`` call, amortizing the kernel's
-    fixed dispatch cost over a whole burst of frames instead of paying it
-    once per frame. Without numpy each segment falls back to the
-    per-segment batched :func:`keystream` (bignum lanes), which is still
-    byte-identical.
-
-    Returns one keystream (``8 * n_blocks`` bytes) per segment, in input
-    order — each byte-identical to ``keystream(cipher, base, n_blocks)``.
-    """
-    kernel = get_kernel(cipher)
-    total = sum(n for _, n in segments)
-    if _np is None or (
-        not kernel.needs_numpy and total <= 2 * LANES_MAX_BLOCKS
-    ):
-        # Small bursts: per-segment bignum lanes beat one numpy dispatch
-        # (numpy's fixed cost only amortizes past ~128 blocks; see
-        # docs/PERFORMANCE.md). Byte-identical either way.
-        return [kernel.keystream(base, n) for base, n in segments]
-    blocks = _np.empty(total, dtype=_np.uint64)
-    offset = 0
-    for base, n in segments:
-        blocks[offset : offset + n] = _np.arange(n, dtype=_np.uint64) + _np.uint64(
-            base & _MASK64
-        )
-        offset += n
-    bulk = kernel.encrypt_blocks(blocks)
-    out: list[bytes] = []
-    offset = 0
-    for _, n in segments:
-        out.append(bulk[offset * 8 : (offset + n) * 8])
-        offset += n
-    return out

@@ -141,61 +141,3 @@ def ctr_decrypt(
 ) -> bytes:
     """Invert :func:`ctr_encrypt` (CTR is an involution given the counter)."""
     return ctr_encrypt(cipher, counter, ciphertext, backend)
-
-
-def ctr_encrypt_many(
-    cipher: BlockCipher,
-    counters: "list[int] | tuple[int, ...]",
-    messages: "list[bytes] | tuple[bytes, ...]",
-    backend: str | None = None,
-) -> list[bytes]:
-    """Encrypt (or, CTR being an involution, decrypt) a burst of messages.
-
-    Each ``messages[i]`` is processed under ``counters[i]`` exactly as
-    :func:`ctr_encrypt` would — same counter-segment layout, same
-    validation, byte-identical output — but the keystream for the whole
-    burst is produced by **one** batched kernel dispatch
-    (:func:`repro.crypto.kernels.keystream_segments`) instead of one per
-    message. This is the cross-frame half of the data-plane hot path: a
-    node forwarding a burst of sensor frames pays the kernel's fixed cost
-    once.
-
-    Falls back to the per-message path when the resolved backend is
-    ``pure`` or the cipher has no kernel, so the ``pure``/``vector``
-    parity contract extends to bursts.
-
-    Raises:
-        ValueError: length mismatch, a counter outside ``[0, 2**48)``, or
-            a message longer than one counter segment.
-    """
-    if len(counters) != len(messages):
-        raise ValueError(
-            f"got {len(counters)} counters for {len(messages)} messages"
-        )
-    segments: list[tuple[int, int]] = []
-    total_blocks = 0
-    for counter, message in zip(counters, messages):
-        if not 0 <= counter < MAX_COUNTER:
-            raise ValueError(f"counter must be in [0, 2**48), got {counter}")
-        n_blocks = -(-len(message) // cipher.block_size)
-        if n_blocks > _MAX_BLOCKS:
-            raise ValueError(
-                f"message too long: {len(message)} bytes exceeds the counter segment"
-            )
-        segments.append((counter << 16, n_blocks))
-        total_blocks += n_blocks
-    STATS.keystream_blocks += total_blocks
-    if total_blocks and kernels.use_vector(cipher.name, total_blocks, backend):
-        STATS.keystream_vector_blocks += total_blocks
-        streams = kernels.keystream_segments(cipher, segments)
-    else:
-        streams = [
-            b"".join(
-                cipher.encrypt_block(struct.pack(">Q", base + i)) for i in range(n)
-            )
-            for base, n in segments
-        ]
-    return [
-        xor_bytes(message, ks[: len(message)] if len(ks) != len(message) else ks)
-        for message, ks in zip(messages, streams)
-    ]

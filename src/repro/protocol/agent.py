@@ -163,7 +163,7 @@ class ProtocolAgent:
         st = self.state
         if not st.decided:
             # The exponential cap above makes this unreachable in normal
-            # runs, but failure injection (lost HELLOs with radio loss)
+            # runs, but failure injection (HELLOs lost to FaultPlan drop)
             # can leave a node undecided: it becomes a singleton head now.
             self._fire_hello()
         frame = messages.encode_linkinfo(

@@ -33,7 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.crypto.aead import AeadConfig, AuthenticationError, open_, seal, seal_many
+from repro.crypto.aead import AeadConfig, AuthenticationError, open_, seal
 from repro.crypto.kdf import prf
 from repro.crypto.sha256 import sha256_fast
 from repro.protocol.messages import (
@@ -122,43 +122,6 @@ def parse_inner(c1: bytes) -> InnerEnvelope:
     return InnerEnvelope(source, flag == FLAG_ENCRYPTED, body)
 
 
-def open_inner(
-    envelope: InnerEnvelope,
-    node_key: bytes,
-    last_counter: int,
-    window: int,
-    aead: AeadConfig,
-) -> tuple[bytes, int]:
-    """Base-station side of Step 1: decrypt ``c1`` with counter recovery.
-
-    Implicit mode tries counters ``last_counter+1 .. last_counter+window``
-    (the paper's "small window of counter values"). Explicit mode uses the
-    transmitted counter directly, rejecting anything at or below the
-    high-water mark (replay). Returns ``(reading, counter_used)``.
-
-    Raises:
-        AuthenticationError: no counter verified — a forgery, a replayed
-            explicit counter, or a desync larger than the window.
-    """
-    ad = _AD_E2E + struct.pack(">I", envelope.source)
-    if envelope.counter is not None:
-        if envelope.counter <= last_counter:
-            raise AuthenticationError(
-                f"explicit counter {envelope.counter} replays <= {last_counter}"
-            )
-        reading = open_(node_key, envelope.counter, envelope.payload, ad, aead)
-        return reading, envelope.counter
-    for counter in range(last_counter + 1, last_counter + 1 + window):
-        try:
-            reading = open_(node_key, counter, envelope.payload, ad, aead)
-        except AuthenticationError:
-            continue
-        return reading, counter
-    raise AuthenticationError(
-        f"no counter in ({last_counter}, {last_counter + window}] verified"
-    )
-
-
 class CounterWindow:
     """Bidirectional anti-replay counter window (receiver side).
 
@@ -205,11 +168,19 @@ def open_inner_windowed(
     window: "CounterWindow",
     aead: AeadConfig,
 ) -> tuple[bytes, int]:
-    """Step-1 decryption against a bidirectional anti-replay window.
+    """Base-station side of Step 1: decrypt ``c1`` against a bidirectional
+    anti-replay window.
 
-    On success the window is advanced. Raises
-    :class:`~repro.crypto.aead.AuthenticationError` when nothing in the
-    window verifies (forgery, replay, or desync beyond the window).
+    Implicit mode tries the window's unseen counters, nearest the
+    high-water mark first (the paper's "small window of counter values").
+    Explicit mode uses the transmitted counter directly, rejecting a seen
+    or out-of-window one. On success the window is advanced and
+    ``(reading, counter_used)`` returned.
+
+    Raises:
+        AuthenticationError: nothing in the window verified — a forgery,
+            a replay, or a desync beyond the window. The window is left
+            unchanged.
     """
     ad = _AD_E2E + struct.pack(">I", envelope.source)
     if envelope.counter is not None:  # explicit mode
@@ -270,42 +241,6 @@ def wrap_hop(
     plaintext = _TAU.pack(max(0, int(tau_s * 1e6))) + c1
     sealed = seal(hop_key(cluster_key, sender), seq, plaintext, data_associated_data(header), aead)
     return _ASSEMBLER.assemble(header, sealed)
-
-
-def wrap_hop_many(
-    cluster_key: bytes,
-    cid: int,
-    sender: int,
-    start_seq: int,
-    hops_to_bs: int,
-    tau_s: float,
-    c1s: "list[bytes]",
-    aead: AeadConfig,
-) -> list[bytes]:
-    """Apply Step 2 to a burst of inner blobs with one batched seal.
-
-    Produces exactly what ``[wrap_hop(..., start_seq + i, ..., c1s[i], ...)
-    for i in ...]`` would (parity-pinned), but the whole burst shares one
-    hop-key derivation, one AEAD usage-key/cipher resolution, and one
-    batched keystream dispatch (:func:`repro.crypto.aead.seal_many`) —
-    the data-plane fast path a node draining its forward queue uses.
-    Sequence numbers are consecutive from ``start_seq``; all frames share
-    the burst timestamp ``tau_s``.
-    """
-    key = hop_key(cluster_key, sender)
-    tau = _TAU.pack(max(0, int(tau_s * 1e6)))
-    headers = [
-        DataHeader(cid=cid, sender=sender, seq=start_seq + i, hops_to_bs=hops_to_bs)
-        for i in range(len(c1s))
-    ]
-    sealed = seal_many(
-        key,
-        [h.seq for h in headers],
-        [tau + c1 for c1 in c1s],
-        [data_associated_data(h) for h in headers],
-        aead,
-    )
-    return [_ASSEMBLER.assemble(h, s) for h, s in zip(headers, sealed)]
 
 
 def unwrap_hop(

@@ -1,9 +1,9 @@
 """Deterministic fault injection for any transport.
 
-The radio link model (:mod:`repro.sim.radio`) covers per-link loss,
+The radio link model (:mod:`repro.sim.radio`) covers airtime, energy,
 collisions and CSMA on the in-process fabric, and UDP is an ideal MAC:
-neither duplicates, reorders, delays or corrupts a frame, crashes a node
-or partitions the field. This module adds those with one fault
+neither loses, duplicates, reorders, delays or corrupts a frame, crashes
+a node or partitions the field. This module adds those with one fault
 vocabulary shared by every backend:
 
 * :class:`FaultPlan` — a *seeded*, declarative description of what goes
@@ -23,11 +23,11 @@ so on the deterministic loopback fabric a chaos run is exactly
 reproducible — the property the ``repro chaos`` CLI and the chaos-smoke
 CI job rely on. The generator is read in blocks (:class:`BlockDraws`).
 
-Semantics note: ``drop`` is evaluated once per *(sender, receiver)*
-delivery attempt — the same per-link independent-loss semantics as
-``RadioConfig.loss_probability`` in the radio link model, so a run with
-``loss_probability=p`` and a run with ``FaultPlan`` drop ``p`` mean the
-same thing (see :meth:`FaultPlan.from_radio_config`).
+Semantics note: ``drop`` is the only link-loss model, evaluated once
+per *(sender, receiver)* delivery attempt at delivery time. On loopback
+that is after the radio charged the reception's energy and booked it for
+collision checks, so a dropped frame still costs rx energy and can still
+collide with a later one.
 
 Every injected fault is counted in the deployment's trace under
 ``fault.*`` (see docs/TELEMETRY.md).
@@ -80,8 +80,7 @@ class LinkFaults:
     """Per-delivery fault rates for one link (or the global default).
 
     All rates are independent probabilities evaluated per *(sender,
-    receiver)* delivery attempt, matching the simulator radio's
-    ``loss_probability`` semantics. ``delay_jitter_s`` adds a uniform
+    receiver)* delivery attempt. ``delay_jitter_s`` adds a uniform
     extra delivery delay to every frame on the link (0 disables).
     """
 
@@ -185,17 +184,6 @@ class FaultPlan:
             raise ValueError("duplicate_window_s must be > 0")
         if self.reorder_window_s <= 0:
             raise ValueError("reorder_window_s must be > 0")
-
-    @classmethod
-    def from_radio_config(cls, radio_config: Any, seed: int = 0) -> "FaultPlan":
-        """A plan reproducing a simulator radio's loss model on a live fabric.
-
-        ``RadioConfig.loss_probability`` is an independent per-link
-        delivery drop; this maps it onto the equivalent global
-        :class:`LinkFaults` drop rate, so sim and live loss mean the
-        same thing.
-        """
-        return cls(seed=seed, defaults=LinkFaults(drop=radio_config.loss_probability))
 
     def link(self, sender_id: int, receiver_id: int) -> LinkFaults:
         """The fault rates in force on ``sender -> receiver``."""

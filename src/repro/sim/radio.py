@@ -1,11 +1,13 @@
-"""Broadcast unit-disk radio with airtime, loss and collision accounting.
+"""Broadcast unit-disk radio with airtime, energy and collision accounting.
 
 Every transmission is a local broadcast: all alive unit-disk neighbors of
 the sender receive the frame (the physical property the protocol exploits
 to broadcast one encryption to all neighbors). The model charges energy
 per byte on both ends, delays delivery by propagation + airtime at the
-configured bitrate, applies independent per-link loss, and can optionally
-drop overlapping receptions as collisions.
+configured bitrate, and can optionally drop overlapping receptions as
+collisions. Link loss is not a radio property: it is a
+:class:`~repro.runtime.faults.FaultPlan` ``drop`` decision, made per
+reception at delivery time on every transport.
 
 :class:`Radio` is the link model of the in-process fabric
 (:class:`~repro.runtime.loopback.LoopbackTransport`): the fabric asks it
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.util.validate import check_positive, check_probability
+from repro.util.validate import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.loopback import LoopbackTransport
@@ -45,19 +47,14 @@ class RadioConfig:
     """Physical-layer parameters.
 
     Defaults model a mica-class 19.2 kbps radio with an 11-byte link-layer
-    header, lossless links, no collisions and an ideal MAC (the common
-    setting for protocol-level key-management simulations; loss,
-    collisions and CSMA are enabled by failure-injection tests and
-    ablations).
+    header, no collisions and an ideal MAC (the common setting for
+    protocol-level key-management simulations; collisions and CSMA are
+    enabled by failure-injection tests and ablations).
     """
 
     bitrate_bps: float = 19_200.0
     header_bytes: int = 11
     propagation_delay_s: float = 1e-6
-    #: Independent per-(sender, receiver) delivery drop probability —
-    #: the same semantics as a ``FaultPlan`` ``drop`` rate on the live
-    #: runtime (``FaultPlan.from_radio_config`` maps one to the other).
-    loss_probability: float = 0.0
     model_collisions: bool = False
     mac: str = "ideal"
     #: CSMA backoff slot (seconds) and maximum deferral attempts.
@@ -66,7 +63,6 @@ class RadioConfig:
 
     def __post_init__(self) -> None:
         check_positive("bitrate_bps", self.bitrate_bps)
-        check_probability("loss_probability", self.loss_probability)
         if self.header_bytes < 0:
             raise ValueError("header_bytes must be >= 0")
         if self.mac not in MAC_MODELS:
@@ -85,7 +81,7 @@ class Radio:
 
     :meth:`transmit` makes every per-frame decision at send time, in
     adjacency order: sender liveness, CSMA deferral, energy and
-    counters, then each receiver's liveness, loss and collision.
+    counters, then each receiver's liveness and collision.
     :meth:`deliver` hands a frame to its surviving receivers when the
     fabric's fan-out event fires. The radio schedules no delivery events
     itself; the fabric queues one fan-out per frame.
@@ -102,7 +98,6 @@ class Radio:
         self._carrier_until: dict[int, float] = {}
         self.frames_sent = 0
         self.frames_delivered = 0
-        self.frames_lost = 0
         self.frames_collided = 0
         self.csma_deferrals = 0
         self.csma_drops = 0
@@ -155,27 +150,20 @@ class Radio:
             for nid in (sender_id, *neighbors):
                 self._carrier_until[nid] = max(self._carrier_until.get(nid, 0.0), arrival)
         receivers = [rid for rid in neighbors if nodes[rid].alive]
-        if config.loss_probability > 0.0 or config.model_collisions:
+        if config.model_collisions:
             receivers = [rid for rid in receivers if self._survives(rid, now, arrival)]
         return arrival, receivers
 
     def _survives(self, receiver_id: int, now: float, arrival: float) -> bool:
-        """Per-link loss, then collision, for one alive receiver of a frame."""
-        config = self.config
-        trace = self._network.trace
-        if config.loss_probability > 0.0 and self._rng.random() < config.loss_probability:
-            self.frames_lost += 1
-            trace.count("net.frames_lost")
+        """Collision check for one alive receiver of a frame."""
+        if now < self._rx_busy_until.get(receiver_id, -1.0):
+            # Receiver is mid-reception of another frame: the new
+            # frame is destroyed (we keep the earlier one, modeling
+            # capture of the stronger first arrival).
+            self.frames_collided += 1
+            self._network.trace.count("net.frames_collided")
             return False
-        if config.model_collisions:
-            if now < self._rx_busy_until.get(receiver_id, -1.0):
-                # Receiver is mid-reception of another frame: the new
-                # frame is destroyed (we keep the earlier one, modeling
-                # capture of the stronger first arrival).
-                self.frames_collided += 1
-                trace.count("net.frames_collided")
-                return False
-            self._rx_busy_until[receiver_id] = arrival
+        self._rx_busy_until[receiver_id] = arrival
         return True
 
     def deliver(

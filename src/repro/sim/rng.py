@@ -1,6 +1,6 @@
 """Named, independently-seeded random streams.
 
-Every stochastic component (deployment, election timers, radio loss,
+Every stochastic component (deployment, election timers, CSMA backoff,
 adversary choices, key generation) draws from its own stream derived from
 one master seed, so e.g. enabling the adversary never perturbs the
 topology. Streams are numpy ``Generator`` objects derived through

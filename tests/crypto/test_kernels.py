@@ -23,7 +23,7 @@ from repro.crypto.kernels import (
     active_backend,
     get_kernel,
     has_kernel,
-    keystream_by_name,
+    keystream,
     resolve_backend,
     set_backend,
     use_vector,
@@ -76,7 +76,7 @@ def test_keystream_matches_scalar_oracle(cipher_name, key, base, n):
     """Property: kernel keystream == scalar oracle, any key/base/length."""
     n = min(n, (1 << 64) - base)  # keep base + n within the counter space
     cipher = get_cipher(cipher_name, key)
-    assert keystream_by_name(cipher_name, key, base, n) == _scalar(cipher, base, n)
+    assert keystream(cipher, base, n) == _scalar(cipher, base, n)
 
 
 @pytest.mark.parametrize("cipher_name", CIPHERS)

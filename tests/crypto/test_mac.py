@@ -4,10 +4,10 @@ import hmac as stdlib_hmac
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.block import get_cipher
-from repro.crypto.mac import CbcMac, hmac_sha256, mac, verify
+from repro.crypto.mac import CbcMac, hmac_sha256, hmac_sha256_parts, mac, verify
 
 # RFC 4231 test cases 1, 2 and 6 (long key).
 RFC4231 = [
@@ -102,3 +102,12 @@ class TestCbcMac:
 
     def test_empty_tag_rejected(self):
         assert not self._mac().verify(b"m", b"")
+
+
+@given(st.binary(max_size=80), st.lists(st.binary(max_size=40), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_midstate_hmac_matches_stdlib(key, parts):
+    """The pad-midstate cache changes nothing: still RFC 2104 HMAC."""
+    ours = hmac_sha256_parts(key, parts)
+    ref = stdlib_hmac.new(key, b"".join(parts), hashlib.sha256).digest()
+    assert ours == ref

@@ -1,22 +1,24 @@
-"""Failure injection: lossy radio, collisions, node death, desync."""
+"""Failure injection: lossy links, collisions, node death, desync."""
 
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.setup import run_key_setup
+from repro.protocol.setup import deploy, run_key_setup
+from repro.runtime.faults import FaultPlan, LinkFaults
 from repro.sim.network import Network
 from repro.sim.radio import RadioConfig
 from tests.conftest import run_for
 
 
 def lossy_network(n=150, density=12.0, seed=0, loss=0.1, collisions=False):
-    return Network.build(
+    """Key setup on a field whose links drop each reception with ``loss``."""
+    return deploy(
         n, density, seed=seed,
-        radio_config=RadioConfig(loss_probability=loss, model_collisions=collisions),
+        radio_config=RadioConfig(model_collisions=collisions),
+        fault_plan=FaultPlan(seed=seed, defaults=LinkFaults(drop=loss)),
     )
 
 
 def test_setup_survives_moderate_loss():
-    net = lossy_network(loss=0.15, seed=210)
-    deployed, metrics = run_key_setup(net)
+    deployed, metrics = lossy_network(loss=0.15, seed=210)
     # Every node still ends up decided with at least its own cluster key.
     for agent in deployed.agents.values():
         assert agent.state.decided
@@ -29,8 +31,7 @@ def test_setup_survives_moderate_loss():
 def test_cluster_consistency_under_loss():
     # Whatever clusters form under loss, a member's stored key must always
     # match its head's key (consistency even when coverage degrades).
-    net = lossy_network(loss=0.2, seed=211)
-    deployed, _ = run_key_setup(net)
+    deployed, _ = lossy_network(loss=0.2, seed=211)
     for nid, agent in deployed.agents.items():
         cid = agent.state.cid
         head = deployed.agents.get(cid)
@@ -39,8 +40,7 @@ def test_cluster_consistency_under_loss():
 
 
 def test_data_plane_tolerates_loss_with_retries():
-    net = lossy_network(loss=0.1, seed=212)
-    deployed, _ = run_key_setup(net)
+    deployed, _ = lossy_network(loss=0.1, seed=212)
     src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
     # Send several; with multi-path forwarding and 10% loss, at least one
     # copy of at least one message should arrive.
@@ -51,12 +51,11 @@ def test_data_plane_tolerates_loss_with_retries():
 
 
 def test_setup_with_collisions_enabled():
-    net = lossy_network(loss=0.0, collisions=True, seed=213)
-    deployed, metrics = run_key_setup(net)
+    deployed, metrics = lossy_network(loss=0.0, collisions=True, seed=213)
     for agent in deployed.agents.values():
         assert agent.state.decided
     # Collisions occurred (synchronized link phase) but the protocol held.
-    assert net.radio.frames_collided >= 0
+    assert deployed.network.radio.frames_collided > 0
     assert metrics.cluster_count > 0
 
 

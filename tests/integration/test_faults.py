@@ -18,7 +18,6 @@ from repro.runtime.faults import (
     LinkFaults,
     Partition,
 )
-from repro.sim.radio import RadioConfig
 
 N, DENSITY, SEED = 80, 10.0, 7
 
@@ -95,11 +94,6 @@ class TestInjection:
         assert plan.link(1, 2).drop == 1.0
         assert plan.link(2, 1).is_noop
         assert not plan.is_noop
-
-    def test_from_radio_config_maps_loss(self):
-        plan = FaultPlan.from_radio_config(RadioConfig(loss_probability=0.25), seed=3)
-        assert plan.defaults.drop == 0.25
-        assert plan.seed == 3
 
 
 class TestCrashesAndPartitions:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.aead import AeadConfig, AuthenticationError
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.forwarding import build_inner, open_inner, parse_inner
+from repro.protocol.forwarding import CounterWindow, build_inner, open_inner_windowed, parse_inner
 from tests.conftest import run_for, small_deployment
 
 AEAD = AeadConfig()
@@ -16,7 +16,7 @@ class TestEnvelope:
         c1 = build_inner(5, b"reading", KEY, 77, AEAD, explicit_counter=True)
         env = parse_inner(c1)
         assert env.encrypted and env.counter == 77
-        reading, used = open_inner(env, KEY, 0, 1, AEAD)
+        reading, used = open_inner_windowed(env, KEY, CounterWindow(1), AEAD)
         assert reading == b"reading" and used == 77
 
     def test_explicit_costs_six_bytes(self):
@@ -27,15 +27,19 @@ class TestEnvelope:
     def test_explicit_survives_arbitrary_desync(self):
         # A counter jump of a million is fine: no window search needed.
         c1 = build_inner(5, b"r", KEY, 1_000_000, AEAD, explicit_counter=True)
-        reading, used = open_inner(parse_inner(c1), KEY, 3, 1, AEAD)
+        window = CounterWindow(1)
+        window.accept(3)
+        reading, used = open_inner_windowed(parse_inner(c1), KEY, window, AEAD)
         assert used == 1_000_000
 
     def test_explicit_replay_rejected(self):
         c1 = build_inner(5, b"r", KEY, 10, AEAD, explicit_counter=True)
         env = parse_inner(c1)
-        open_inner(env, KEY, 9, 1, AEAD)
-        with pytest.raises(AuthenticationError, match="replays"):
-            open_inner(env, KEY, 10, 1, AEAD)
+        window = CounterWindow(1)
+        window.accept(9)
+        open_inner_windowed(env, KEY, window, AEAD)
+        with pytest.raises(AuthenticationError, match="replayed"):
+            open_inner_windowed(env, KEY, window, AEAD)
 
     def test_explicit_counter_is_authenticated(self):
         # Tampering with the clear counter bytes breaks the seal (the
@@ -44,7 +48,7 @@ class TestEnvelope:
         c1[5 + 5] ^= 1  # last byte of the 6-byte counter field
         env = parse_inner(bytes(c1))
         with pytest.raises(AuthenticationError):
-            open_inner(env, KEY, 0, 1, AEAD)
+            open_inner_windowed(env, KEY, CounterWindow(1), AEAD)
 
     def test_truncated_explicit_envelope(self):
         with pytest.raises(ValueError):

@@ -6,16 +6,16 @@ from hypothesis import given, strategies as st
 from repro.crypto.aead import AeadConfig, AuthenticationError
 from repro.protocol.messages import decode_data_view
 from repro.protocol.forwarding import (
+    CounterWindow,
     DedupCache,
     InnerEnvelope,
     StaleMessage,
     build_inner,
     hop_key,
-    open_inner,
+    open_inner_windowed,
     parse_inner,
     unwrap_hop,
     wrap_hop,
-    wrap_hop_many,
 )
 
 AEAD = AeadConfig()
@@ -29,14 +29,24 @@ def _unwrap(key, frame, now_s):
     return header, unwrap_hop(key, header, sealed, now_s, 30.0, AEAD)
 
 
+def _window(size, *accepted):
+    """A receiver's counter window that has already accepted ``accepted``."""
+    window = CounterWindow(size)
+    for counter in accepted:
+        window.accept(counter)
+    return window
+
+
 class TestStep1:
     @given(st.binary(max_size=100), st.integers(min_value=1, max_value=2**31))
     def test_encrypted_roundtrip(self, reading, counter):
         c1 = build_inner(42, reading, NODE_KEY, counter, AEAD)
         env = parse_inner(c1)
         assert env.source == 42 and env.encrypted
-        got, used = open_inner(env, NODE_KEY, counter - 1, 4, AEAD)
+        window = _window(4, *([counter - 1] if counter > 1 else []))
+        got, used = open_inner_windowed(env, NODE_KEY, window, AEAD)
         assert got == reading and used == counter
+        assert window.high_water == counter
 
     def test_plaintext_mode(self):
         c1 = build_inner(7, b"reading", None, None, AEAD)
@@ -46,19 +56,40 @@ class TestStep1:
     def test_counter_window_recovery(self):
         # Messages 1..5 lost; message 6 must still decrypt within window.
         c1 = build_inner(1, b"r", NODE_KEY, 6, AEAD)
-        got, used = open_inner(parse_inner(c1), NODE_KEY, 0, 32, AEAD)
+        got, used = open_inner_windowed(parse_inner(c1), NODE_KEY, _window(32), AEAD)
         assert got == b"r" and used == 6
 
     def test_desync_beyond_window_fails(self):
         c1 = build_inner(1, b"r", NODE_KEY, 40, AEAD)
         with pytest.raises(AuthenticationError):
-            open_inner(parse_inner(c1), NODE_KEY, 0, 32, AEAD)
+            open_inner_windowed(parse_inner(c1), NODE_KEY, _window(32), AEAD)
 
     def test_old_counter_not_accepted(self):
-        # A frame at counter <= last must fail: the window starts at last+1.
-        c1 = build_inner(1, b"r", NODE_KEY, 5, AEAD)
+        # A counter already seen, or below the window's floor, must fail.
+        env = parse_inner(build_inner(1, b"r", NODE_KEY, 5, AEAD))
         with pytest.raises(AuthenticationError):
-            open_inner(parse_inner(c1), NODE_KEY, 5, 32, AEAD)
+            open_inner_windowed(env, NODE_KEY, _window(32, 5), AEAD)
+        with pytest.raises(AuthenticationError):
+            open_inner_windowed(env, NODE_KEY, _window(32, 40), AEAD)
+
+    def test_reordered_counter_within_window_accepted(self):
+        # The backward half: an unseen counter below the high-water mark.
+        c1 = build_inner(1, b"late", NODE_KEY, 3, AEAD)
+        window = _window(32, 5)
+        got, used = open_inner_windowed(parse_inner(c1), NODE_KEY, window, AEAD)
+        assert got == b"late" and used == 3
+        assert window.high_water == 5 and not window.would_accept(3)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_failed_open_leaves_window_unchanged(self, explicit):
+        window = _window(8, 1, 2, 4)
+        before = (window.high_water, window.candidates())
+        # Wrong key: the counter is in the window but nothing verifies.
+        c1 = build_inner(1, b"r", bytes(16), 3, AEAD, explicit_counter=explicit)
+        with pytest.raises(AuthenticationError):
+            open_inner_windowed(parse_inner(c1), NODE_KEY, window, AEAD)
+        assert (window.high_water, window.candidates()) == before
+        assert window.would_accept(3)
 
     def test_missing_counter_raises(self):
         with pytest.raises(ValueError):
@@ -74,7 +105,7 @@ class TestStep1:
         c1[:4] = (8).to_bytes(4, "big")
         env = parse_inner(bytes(c1))
         with pytest.raises(AuthenticationError):
-            open_inner(env, NODE_KEY, 0, 8, AEAD)
+            open_inner_windowed(env, NODE_KEY, _window(8), AEAD)
 
 
 class TestStep2:
@@ -124,29 +155,6 @@ class TestStep2:
         frame = self._wrap(c1=b"shared", sender=77)
         _, c1 = _unwrap(CLUSTER_KEY, frame, 100.0)
         assert c1 == b"shared"
-
-
-class TestWrapHopMany:
-    @given(st.lists(st.binary(max_size=60), min_size=1, max_size=20),
-           st.integers(min_value=0, max_value=2**30))
-    def test_matches_scalar_wrap_hop(self, c1s, start_seq):
-        batched = wrap_hop_many(CLUSTER_KEY, 9, 5, start_seq, 3, 100.0, c1s, AEAD)
-        scalar = [
-            wrap_hop(CLUSTER_KEY, 9, 5, start_seq + i, 3, 100.0, c1, AEAD)
-            for i, c1 in enumerate(c1s)
-        ]
-        assert batched == scalar
-
-    def test_frames_unwrap_individually(self):
-        c1s = [b"reading-%d" % i for i in range(8)]
-        frames = wrap_hop_many(CLUSTER_KEY, 9, 5, 100, 3, 50.0, c1s, AEAD)
-        for i, frame in enumerate(frames):
-            header, c1 = _unwrap(CLUSTER_KEY, frame, 50.0)
-            assert c1 == c1s[i]
-            assert header.seq == 100 + i
-
-    def test_empty_burst(self):
-        assert wrap_hop_many(CLUSTER_KEY, 9, 5, 0, 3, 1.0, [], AEAD) == []
 
 
 class TestDedupCache:

@@ -1,10 +1,13 @@
-"""Radio model: delivery, airtime, loss, collisions, monitors, energy."""
+"""Radio model: delivery, airtime, collisions, monitors, energy; link loss
+as a FaultPlan drop on the same line."""
 
 import math
 
 import numpy as np
 import pytest
 
+from repro.runtime.faults import FaultInjectingTransport, FaultPlan, LinkFaults
+from repro.runtime.loopback import LoopbackTransport
 from repro.sim.network import Network
 from repro.sim.radio import RadioConfig
 from repro.sim.topology import Deployment
@@ -18,10 +21,13 @@ class Recorder:
         self.frames.append((sender_id, frame))
 
 
-def line_network(n=4, spacing=1.0, radius=1.2, **radio_kwargs) -> Network:
+def line_network(n=4, spacing=1.0, radius=1.2, fault_plan=None, **radio_kwargs) -> Network:
     dep = Deployment.grid(1, n, spacing=spacing, radius=radius)
+    transport = None
+    if fault_plan is not None:
+        transport = FaultInjectingTransport(LoopbackTransport(), fault_plan)
     net = Network(dep, seed=0, radio_config=RadioConfig(**radio_kwargs),
-                  bs_position=np.array([-100.0, -100.0]))
+                  bs_position=np.array([-100.0, -100.0]), transport=transport)
     for nid in net.sensor_ids():
         rec = Recorder()
         net.node(nid).app = rec
@@ -79,15 +85,15 @@ def test_dead_receiver_gets_nothing():
 
 
 def test_total_loss_drops_everything():
-    net = line_network(loss_probability=1.0)
+    net = line_network(fault_plan=FaultPlan(seed=0, defaults=LinkFaults(drop=1.0)))
     net.node(2).broadcast(b"msg")
     net.transport.run()
     assert net.node(1).app.frames == []
-    assert net.radio.frames_lost > 0
+    assert net.trace.counters["fault.drop"] > 0
 
 
 def test_partial_loss_statistics():
-    net = line_network(loss_probability=0.5)
+    net = line_network(fault_plan=FaultPlan(seed=0, defaults=LinkFaults(drop=0.5)))
     for _ in range(200):
         net.node(2).broadcast(b"m")
     net.transport.run()
@@ -137,8 +143,6 @@ def test_counters():
 def test_config_validation():
     with pytest.raises(ValueError):
         RadioConfig(bitrate_bps=0)
-    with pytest.raises(ValueError):
-        RadioConfig(loss_probability=1.5)
     with pytest.raises(ValueError):
         RadioConfig(header_bytes=-1)
 
