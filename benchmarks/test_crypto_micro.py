@@ -24,8 +24,9 @@ from repro.crypto import (
 KEY = bytes(range(16))
 PAYLOAD = bytes(range(41))  # a TinySec-sized sensor frame
 
-#: Every timed call takes a fresh message counter, as real frames do; a
-#: repeated (key, counter) would be served from the keystream memo.
+#: Every timed call takes a fresh message counter, as real frames do.
+#: Neither the CTR mode nor seal is memoised (only opens are), so every
+#: timed call runs the cipher.
 _COUNTERS = itertools.count(1)
 
 

@@ -89,9 +89,9 @@ def bench_crypto(quick: bool = False) -> dict:
                 }
             )
     frame_path = []
-    # A fresh counter per call, as every real frame has: a repeated
-    # (key, counter) would be served from the keystream memo in
-    # repro.crypto.modes and time a dict lookup instead of the cipher.
+    # A fresh counter per call, as every real frame has. Neither the CTR
+    # mode nor seal is memoised (only opens are, in repro.crypto.aead),
+    # so every timed call runs the cipher.
     counters = itertools.count(1)
     for name in CIPHERS:
         cipher = get_cipher(name, _KEY)

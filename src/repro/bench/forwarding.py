@@ -50,8 +50,7 @@ def _bench_codec(quick: bool) -> list[dict]:
     aead = AeadConfig()
     rows = []
     # Sequence numbers advance per burst as a draining queue would, and
-    # never restart between rows: a reused seq would time a keystream
-    # memo hit instead of the cipher.
+    # never restart between rows, as no real hop counter does.
     state = {"seq": 0}
     for batch in CODEC_BATCHES:
         # Distinct payloads per frame (realistic dedup-visible traffic).

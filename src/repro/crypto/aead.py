@@ -16,11 +16,18 @@ Both directions sit on the per-frame hot path: a broadcast is sealed once
 and opened by every neighbour holding the key. Everything fixed per
 ``(key, cipher)`` — the two derived keys, the keyed cipher, the HMAC pad
 midstates of ``K_mac`` and the cipher-name MAC prefix — is bound once in
-a cached per-key context, so each message pays only its keystream (see
-:mod:`repro.crypto.modes`) and one HMAC resumed from the midstates. The
-MAC input is fed to the hasher as ``header | ciphertext`` parts (never
-concatenated — the ciphertext is the bulk of every frame), and every
-receiver still compares its own tag in constant time.
+a cached per-key context. The MAC input is fed to the hasher as
+``header | ciphertext`` parts (never concatenated — the ciphertext is the
+bulk of every frame).
+
+Every receiver of a broadcast would compute the same tag and plaintext
+from the same bytes, so the most recent verified opens are kept in a
+bounded memo keyed on every input of the MAC and the CTR. :func:`seal`
+primes the entry and an :func:`open_` that misses fills it once its tag
+verified; a failed open never inserts, so forged traffic cannot evict
+genuine entries. A hit still compares the receiver's *own* received tag
+in constant time before it returns the plaintext, and counts the
+keystream work a recomputation would (plus ``keystream_reused_blocks``).
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import Any, NamedTuple
 
 from repro.crypto.block import BlockCipher, available_ciphers, get_cipher, is_registered
 from repro.crypto.kdf import ENCRYPT_USAGE, MAC_USAGE, derive_usage_key
-from repro.crypto.kernels import BACKENDS
+from repro.crypto.kernels import BACKENDS, active_backend
 from repro.crypto.mac import DEFAULT_TAG_LEN, hmac_midstates
 from repro.crypto.modes import ctr_decrypt, ctr_encrypt
 from repro.crypto.stats import STATS
@@ -41,6 +48,18 @@ from repro.crypto.stats import STATS
 #: Most per-key contexts :func:`_key_context` keeps (least recently used
 #: evicted first) — the bound of the cipher-instance cache they share.
 KEY_CONTEXT_CACHE_SIZE = 4096
+
+#: Most verified opens the memo keeps (oldest inserted evicted first). A
+#: frame's receivers open it within a few hundred seals and opens of its
+#: seal even on a lossy soak with retransmits.
+OPEN_MEMO_SIZE = 512
+
+#: (key, cipher name, resolved backend, counter, associated data,
+#: ciphertext) -> (full HMAC tag, plaintext, keystream block count,
+#: whether the batched kernel made the keystream), in insertion order. It
+#: takes no lock: every caller of seal/open runs on its deployment's
+#: event-loop thread.
+_opened: dict[tuple[bytes, str, str, int, bytes, bytes], tuple[bytes, bytes, int, bool]] = {}
 
 #: MAC-header fields after the cipher name: the associated-data length,
 #: then (after the associated data) the message counter.
@@ -138,6 +157,28 @@ def _mac(context: _KeyContext, associated_data: bytes, counter: int, ct: bytes) 
     return outer.digest()
 
 
+def _remember(
+    memo_key: tuple, tag: bytes, plaintext: bytes, blocks: int, vector_blocks: int
+) -> None:
+    """Insert a verified open as the newest memo entry.
+
+    ``blocks`` and ``vector_blocks`` are the ``STATS`` keystream totals
+    read just before its keystream was made; the growth since is what a
+    hit must count again. A re-inserted key moves to the newest position,
+    so whether an entry is held depends only on the inserts since it was
+    last made, not on what an earlier run in the process left behind.
+    """
+    _opened.pop(memo_key, None)
+    _opened[memo_key] = (
+        tag,
+        plaintext,
+        STATS.keystream_blocks - blocks,
+        STATS.keystream_vector_blocks != vector_blocks,
+    )
+    if len(_opened) > OPEN_MEMO_SIZE:
+        del _opened[next(iter(_opened))]
+
+
 def seal(
     key: bytes,
     counter: int,
@@ -148,12 +189,19 @@ def seal(
     """Encrypt-then-MAC ``plaintext`` under ``key`` and ``counter``.
 
     Returns ``ciphertext | tag``; the tag covers the associated data, the
-    counter and the ciphertext, binding all three.
+    counter and the ciphertext, binding all three. The result primes the
+    open memo, so each receiver of the broadcast pays only its own tag
+    comparison.
     """
     STATS.seals += 1
     context = _key_context(key, config.cipher)
+    blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
     ct = ctr_encrypt(context.cipher, counter, plaintext, config.backend)
-    return ct + _mac(context, associated_data, counter, ct)[: config.tag_len]
+    tag = _mac(context, associated_data, counter, ct)
+    backend = active_backend() if config.backend is None else config.backend
+    memo_key = (key, config.cipher, backend, counter, associated_data, ct)
+    _remember(memo_key, tag, bytes(plaintext), blocks, vector_blocks)
+    return ct + tag[: config.tag_len]
 
 
 def open_(
@@ -165,6 +213,10 @@ def open_(
 ) -> bytes:
     """Verify and decrypt a :func:`seal` output.
 
+    ``sealed`` may be any bytes-like object (the hop path passes a
+    ``memoryview`` of the received frame); it is copied to ``bytes`` once,
+    which hashes and compares faster as a memo key than a view does.
+
     Raises:
         AuthenticationError: on a bad tag or truncated input; the payload is
             never decrypted in that case (verify-then-decrypt).
@@ -173,10 +225,25 @@ def open_(
     tag_len = config.tag_len
     if len(sealed) < tag_len:
         raise AuthenticationError("message shorter than its MAC tag")
+    sealed = bytes(sealed)
     ct = sealed[:-tag_len]
+    backend = active_backend() if config.backend is None else config.backend
+    memo_key = (key, config.cipher, backend, counter, associated_data, ct)
+    hit = _opened.get(memo_key)
+    if hit is not None:
+        tag, plaintext, n_blocks, vector = hit
+        if not compare_digest(tag[:tag_len], sealed[-tag_len:]):
+            raise AuthenticationError("MAC verification failed")
+        STATS.keystream_blocks += n_blocks
+        if vector:
+            STATS.keystream_vector_blocks += n_blocks
+        STATS.keystream_reused_blocks += n_blocks
+        return plaintext
     context = _key_context(key, config.cipher)
-    if not compare_digest(
-        _mac(context, associated_data, counter, ct)[:tag_len], sealed[-tag_len:]
-    ):
+    tag = _mac(context, associated_data, counter, ct)
+    if not compare_digest(tag[:tag_len], sealed[-tag_len:]):
         raise AuthenticationError("MAC verification failed")
-    return ctr_decrypt(context.cipher, counter, ct, config.backend)
+    blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
+    plaintext = ctr_decrypt(context.cipher, counter, ct, config.backend)
+    _remember(memo_key, tag, plaintext, blocks, vector_blocks)
+    return plaintext

@@ -21,14 +21,10 @@ the entire block range to a batched kernel
 (:mod:`repro.crypto.kernels`) when the active backend allows it; the
 scalar per-block loop remains as the ``pure`` reference oracle.
 
-A broadcast is sealed once and opened by every neighbour, and each of
-those calls needs the same keystream: it is a pure function of (key,
-counter, length). :func:`_keystream` therefore keeps the most recent
-keystreams in a small bounded memo, so the sender's seal computes a
-frame's keystream and every receiver's open (after its own MAC check)
-reuses it. The memo is keyed on the *resolved* backend as well, so a
-``vector`` call never returns bytes a ``pure`` call produced and the
-backend parity tests keep comparing two real computations.
+Nothing here is memoised: :func:`_keystream` is a plain computation.
+The receivers of a broadcast share one keystream through the open memo
+one level up (:mod:`repro.crypto.aead`), which keeps the whole verified
+open — tag and plaintext — rather than the keystream alone.
 """
 
 from __future__ import annotations
@@ -44,19 +40,6 @@ from repro.util.bytesutil import xor_bytes
 MAX_COUNTER = 1 << 48
 
 _MAX_BLOCKS = 1 << 16
-
-#: Most keystreams :func:`_keystream` keeps for reuse (oldest evicted
-#: first). A frame's receivers open it within a few hundred keystream
-#: requests of its seal even on a lossy soak with retransmits; 64
-#: entries served ~18% fewer opens there.
-KEYSTREAM_MEMO_SIZE = 512
-
-#: (cipher instance, message counter, length, resolved backend) ->
-#: (keystream bytes, block count, whether the batched kernel made it), in
-#: insertion order. It takes no lock: every caller of seal/open runs on
-#: its deployment's event-loop thread.
-_memo: dict[tuple[BlockCipher, int, int, str], tuple[bytes, int, bool]] = {}
-
 
 def message_counter(value: int) -> int:
     """Validate and bless a fixed message counter (the approved constructor).
@@ -82,26 +65,11 @@ def _keystream(
 
     ``backend`` overrides the process-wide kernel backend for this call
     (``None`` = use the active default, see :mod:`repro.crypto.kernels`).
-    A keystream requested again for the same cipher instance, counter,
-    length and resolved backend is served from the memo, which is looked
-    up first: the entry carries the block count and kernel choice its
-    miss computed, so a hit counts exactly what a recomputation would.
     """
-    resolved = kernels.active_backend() if backend is None else backend
-    memo_key = (cipher, counter, length, resolved)
-    hit = _memo.get(memo_key)
-    if hit is not None:
-        ks, n_blocks, vector = hit
-        STATS.keystream_blocks += n_blocks
-        if vector:
-            STATS.keystream_vector_blocks += n_blocks
-        STATS.keystream_reused_blocks += n_blocks
-        return ks
     n_blocks = -(-length // cipher.block_size)
     if n_blocks > _MAX_BLOCKS:
         raise ValueError(f"message too long: {length} bytes exceeds the counter segment")
-    # Validates an explicit ``backend``; an unknown name never reaches the memo.
-    vector = kernels.use_vector(cipher.name, n_blocks, resolved)
+    vector = kernels.use_vector(cipher.name, n_blocks, backend)
     STATS.keystream_blocks += n_blocks
     if vector:
         STATS.keystream_vector_blocks += n_blocks
@@ -114,9 +82,6 @@ def _keystream(
         )
     if len(ks) != length:
         ks = ks[:length]
-    _memo[memo_key] = (ks, n_blocks, vector)
-    if len(_memo) > KEYSTREAM_MEMO_SIZE:
-        del _memo[next(iter(_memo))]
     return ks
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.crypto import modes
+from repro.crypto import aead
 from repro.crypto.aead import AeadConfig, open_, seal
 from repro.crypto.kernels import active_backend, set_backend
 from repro.crypto.stats import STATS
@@ -81,8 +81,8 @@ def test_telemetry_snapshot_publishes_crypto():
 
 
 def test_publisher_reports_reused_keystream_blocks():
-    """Opening a frame reuses the keystream its seal computed."""
-    modes._memo.clear()
+    """Opening a frame reuses the verified open its seal primed."""
+    aead._opened.clear()
     registry = MetricsRegistry()
     publisher = CryptoMetricsPublisher(registry)
     sealed = seal(KEY, 7, b"broadcast reading")
