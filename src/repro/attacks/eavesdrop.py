@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.crypto.aead import AuthenticationError
 from repro.protocol import messages
-from repro.protocol.forwarding import StaleMessage, parse_inner, unwrap_hop
+from repro.protocol.forwarding import StaleMessage, hop_header, parse_inner, unwrap_hop
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.config import ProtocolConfig
@@ -55,14 +55,14 @@ class Eavesdropper:
         out: list[bytes] = []
         for rec in self.data_frames():
             try:
-                header, sealed = messages.decode_data_view(rec.frame)
+                header = hop_header(rec.frame)
             except messages.MalformedMessage:
                 continue
             key = cluster_keys.get(header.cid)
             if key is None:
                 continue
             try:
-                c1 = unwrap_hop(key, header, sealed, rec.time, float("inf"), self.config.aead)
+                c1, _ = unwrap_hop(key, rec.frame, rec.time, float("inf"), self.config.aead)
             except (AuthenticationError, StaleMessage):
                 continue
             out.append(c1)

@@ -32,6 +32,7 @@ from repro.protocol.forwarding import (
     DedupCache,
     StaleMessage,
     build_inner,
+    hop_header,
     parse_inner,
     unwrap_hop,
     wrap_hop,
@@ -260,11 +261,12 @@ class ProtocolAgent:
             )
         else:
             c1 = build_inner(st.node_id, reading, None, None, self.config.aead)
-        self._dedup.seen_before(c1)  # never re-forward our own message
+        fp = DedupCache.fingerprint(c1)
+        self._dedup.seen_before(fp)  # never re-forward our own message
         self._trace.count("tx.data_origin")
-        self._transmit_hop(c1)
+        self._transmit_hop(c1, fp)
 
-    def _transmit_hop(self, c1: bytes) -> None:
+    def _transmit_hop(self, c1: bytes, fp: bytes) -> None:
         st = self.state
         frame = wrap_hop(
             st.keyring.get(st.cid).material,
@@ -279,21 +281,21 @@ class ProtocolAgent:
         self._trace.count("tx.data")
         self.node.broadcast(frame)
         if self.config.hop_ack_enabled:
-            self._track_retx(c1)
+            self._track_retx(c1, fp)
 
     # ------------------------------------------------------------------
     # Hop-by-hop reliability (live-runtime extension; off by default)
     # ------------------------------------------------------------------
 
-    def _track_retx(self, c1: bytes) -> None:
-        """Await a custody ACK for ``c1``; arm the retransmission timer.
+    def _track_retx(self, c1: bytes, fp: bytes) -> None:
+        """Await a custody ACK for ``c1`` (fingerprint ``fp``); arm the
+        retransmission timer.
 
         Called after every hop transmission (first send and retransmits
         alike): the first call creates the queue entry, later calls only
         re-arm the timer with the next backoff step.
         """
         cfg = self.config
-        fp = DedupCache.fingerprint(c1)
         entry = self._retx.get(fp)
         if entry is None:
             if len(self._retx) >= cfg.retx_queue_limit:
@@ -331,7 +333,7 @@ class ProtocolAgent:
         # windows are strictly increasing, so replaying the original bytes
         # would be dropped. Duplicate suppression still works — it keys on
         # the invariant inner blob, not the hop wrapper.
-        self._transmit_hop(entry.c1)
+        self._transmit_hop(entry.c1, fp)
 
     def on_offline(self) -> None:
         """Crash hook: flush the retransmit queue and renounce custody.
@@ -356,24 +358,22 @@ class ProtocolAgent:
         if flushed:
             self._trace.count("net.retx.flushed", flushed)
 
-    def _take_custody(self, c1: bytes) -> None:
-        """Record that this node owns forwarding ``c1`` (bounded set)."""
-        fp = DedupCache.fingerprint(c1)
+    def _take_custody(self, fp: bytes) -> None:
+        """Record that this node owns forwarding the message ``fp`` (bounded set)."""
         self._custody[fp] = None
         self._custody.move_to_end(fp)
         if len(self._custody) > self.config.dedup_cache_size:
             self._custody.popitem(last=False)
 
-    def _has_custody(self, c1: bytes) -> bool:
-        """Whether this node accepted (and did not renounce) ``c1``."""
-        return DedupCache.fingerprint(c1) in self._custody
+    def _has_custody(self, fp: bytes) -> bool:
+        """Whether this node accepted (and did not renounce) the message ``fp``."""
+        return fp in self._custody
 
-    def _send_ack(self, cid: int, hop_sender: int, c1: bytes) -> None:
-        """Broadcast a custody ACK addressed to ``hop_sender``."""
+    def _send_ack(self, cid: int, hop_sender: int, fp: bytes) -> None:
+        """Broadcast a custody ACK for the message ``fp``, addressed to ``hop_sender``."""
         st = self.state
         if not st.keyring.has(cid):
             return
-        fp = DedupCache.fingerprint(c1)
         tag = mac(
             st.keyring.get(cid).material,
             messages.ack_mac_input(cid, hop_sender, fp),
@@ -424,7 +424,7 @@ class ProtocolAgent:
             self._trace.count("drop.data_before_operational")
             return
         try:
-            header, sealed = messages.decode_data_view(frame)
+            header = hop_header(frame)
         except messages.MalformedMessage:
             self._trace.count("drop.data_malformed")
             return
@@ -433,10 +433,9 @@ class ProtocolAgent:
             self._trace.count("drop.data_unknown_cluster")
             return
         try:
-            c1 = unwrap_hop(
+            c1, fp = unwrap_hop(
                 st.keyring.get(header.cid).material,
-                header,
-                sealed,
+                frame,
                 self.node.now(),
                 self.config.freshness_window_s,
                 self.config.aead,
@@ -459,11 +458,11 @@ class ProtocolAgent:
             if (
                 self.config.hop_ack_enabled
                 and self._is_custodian(header)
-                and self._has_custody(c1)
+                and self._has_custody(fp)
             ):
-                self._send_ack(header.cid, header.sender, c1)
+                self._send_ack(header.cid, header.sender, fp)
             return
-        if self._dedup.seen_before(c1):
+        if self._dedup.seen_before(fp):
             # Already seen — but "seen" includes messages merely overheard
             # and dropped (e.g. uphill receptions). Only a node that took
             # custody may re-ACK; anything else would cancel the sender's
@@ -472,13 +471,13 @@ class ProtocolAgent:
             if (
                 self.config.hop_ack_enabled
                 and self._is_custodian(header)
-                and self._has_custody(c1)
+                and self._has_custody(fp)
             ):
-                self._send_ack(header.cid, header.sender, c1)
+                self._send_ack(header.cid, header.sender, fp)
             return
-        self._process_inner(header, c1)
+        self._process_inner(header, c1, fp)
 
-    def _process_inner(self, header: messages.DataHeader, c1: bytes) -> None:
+    def _process_inner(self, header: messages.DataHeader, c1: bytes, fp: bytes) -> None:
         """Data-fusion hook, then the gradient forwarding decision."""
         st = self.state
         envelope = parse_inner(c1)
@@ -503,24 +502,24 @@ class ProtocolAgent:
         if self.config.hop_ack_enabled:
             # Custody accepted (we are downhill and will forward): signal
             # the hop sender before the jittered forward fires.
-            self._take_custody(c1)
-            self._send_ack(header.cid, header.sender, c1)
+            self._take_custody(fp)
+            self._send_ack(header.cid, header.sender, fp)
         if self.config.forward_jitter_s > 0:
             delay = float(self._rng.uniform(0.0, self.config.forward_jitter_s))
-            self.node.schedule(delay, lambda: self._forward_later(c1))
+            self.node.schedule(delay, lambda: self._forward_later(c1, fp))
         else:
-            self._transmit_hop(c1)
+            self._transmit_hop(c1, fp)
 
-    def _forward_later(self, c1: bytes) -> None:
+    def _forward_later(self, c1: bytes, fp: bytes) -> None:
         """Jittered forward; re-checks the keys (revocation may have
         landed between reception and the timer firing)."""
         st = self.state
         if not self.node.alive or st.cid is None or not st.keyring.has(st.cid):
             self._trace.count("drop.data_no_cluster_key")
             # We ACKed custody at acceptance but can no longer forward.
-            self._custody.pop(DedupCache.fingerprint(c1), None)
+            self._custody.pop(fp, None)
             return
-        self._transmit_hop(c1)
+        self._transmit_hop(c1, fp)
 
     # ------------------------------------------------------------------
     # Revocation (Sec. IV-D)

@@ -31,6 +31,7 @@ from repro.protocol.forwarding import (
     CounterWindow,
     DedupCache,
     StaleMessage,
+    hop_header,
     open_inner_windowed,
     parse_inner,
     unwrap_hop,
@@ -207,7 +208,7 @@ class BaseStationAgent:
 
     def _on_data(self, frame: bytes) -> None:
         try:
-            header, sealed = messages.decode_data_view(frame)
+            header = hop_header(frame)
         except messages.MalformedMessage:
             self._reject()
             return
@@ -216,10 +217,9 @@ class BaseStationAgent:
             self._reject(header.cid)
             return
         try:
-            c1 = unwrap_hop(
+            c1, fp = unwrap_hop(
                 self.cluster_key(header.cid),
-                header,
-                sealed,
+                frame,
                 self.node.now(),
                 self.config.freshness_window_s,
                 self.config.aead,
@@ -244,21 +244,21 @@ class BaseStationAgent:
             # the sender re-wraps and retries it under a fresh seq.
             self._trace.count("bs.drop_replay")
             self._reject(header.cid)
-            if self._dedup.contains(c1):
-                self._send_ack(header.cid, header.sender, c1)
+            if self._dedup.contains(fp):
+                self._send_ack(header.cid, header.sender, fp)
             return
         self._last_seen_seq[header.sender] = header.seq
-        if self._dedup.seen_before(c1):
+        if self._dedup.seen_before(fp):
             # The same logical reading arriving over several paths is
             # expected with gradient forwarding; count it, don't reject it.
             self._trace.count("bs.duplicate_path")
-            self._send_ack(header.cid, header.sender, c1)
+            self._send_ack(header.cid, header.sender, fp)
             return
-        self._send_ack(header.cid, header.sender, c1)
+        self._send_ack(header.cid, header.sender, fp)
         self._accept_inner(c1)
 
-    def _send_ack(self, cid: int, hop_sender: int, c1: bytes) -> None:
-        """Custody ACK for ``c1`` addressed to ``hop_sender``.
+    def _send_ack(self, cid: int, hop_sender: int, fp: bytes) -> None:
+        """Custody ACK for the message ``fp`` addressed to ``hop_sender``.
 
         The BS is the custody chain's endpoint: everything it
         authenticates is final. No-op unless the reliability extension is
@@ -270,7 +270,6 @@ class BaseStationAgent:
             key = self.cluster_key(cid)
         except KeyError:
             return
-        fp = DedupCache.fingerprint(c1)
         tag = mac(key, messages.ack_mac_input(cid, hop_sender, fp), self.config.tag_len)
         self._trace.count("tx.ack")
         self.node.broadcast(messages.encode_ack(cid, hop_sender, fp, tag))

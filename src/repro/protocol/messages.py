@@ -223,10 +223,11 @@ class DataFrameAssembler:
 def decode_data_view(frame: bytes) -> "tuple[DataHeader, memoryview]":
     """Split a DATA frame into its clear header and sealed part.
 
-    The sealed part is the bulk of every DATA frame; it comes back as a
-    zero-copy ``memoryview`` so the hop-open path hands it to the AEAD
-    layer (whose MAC and CTR paths accept buffer objects) without
-    copying it out of the received frame first.
+    The sealed part comes back as a ``memoryview`` of the received
+    frame, so the split itself copies nothing; :func:`repro.crypto.aead.open_`
+    copies it to ``bytes`` once, for its memo key. The hop-open path
+    (:func:`repro.protocol.forwarding.unwrap_hop`) parses a frame only
+    when the frame memo does not already hold it.
 
     Raises:
         MalformedMessage: wrong structure.

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.aead import AeadConfig, AuthenticationError
-from repro.protocol.messages import decode_data_view
 from repro.protocol.forwarding import (
     CounterWindow,
     DedupCache,
     InnerEnvelope,
     StaleMessage,
     build_inner,
+    hop_header,
     hop_key,
     open_inner_windowed,
     parse_inner,
@@ -24,9 +24,10 @@ CLUSTER_KEY = bytes(range(16, 32))
 
 
 def _unwrap(key, frame, now_s):
-    """Parse a DATA frame's header once and open its hop layer (30 s window)."""
-    header, sealed = decode_data_view(frame)
-    return header, unwrap_hop(key, header, sealed, now_s, 30.0, AEAD)
+    """A DATA frame's header and its hop layer's ``c1`` (30 s window)."""
+    c1, fingerprint = unwrap_hop(key, frame, now_s, 30.0, AEAD)
+    assert fingerprint == DedupCache.fingerprint(c1)
+    return hop_header(frame), c1
 
 
 def _window(size, *accepted):

@@ -4,13 +4,15 @@ A sensor network's radio delivers whatever an adversary airs. Every
 handler must treat malformed, truncated and random frames as data — drop
 and count, never raise. These tests drive random bytes (and structured
 near-misses) through the full dispatch path of agents, the base station
-and a joining node.
+and a joining node, including near-misses of a genuine DATA frame the
+frame memo holds.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.protocol import messages
+from repro.protocol import forwarding, messages
 from repro.protocol.addition import deploy_new_node
+from repro.protocol.forwarding import build_inner, wrap_hop
 from tests.conftest import small_deployment
 
 # One shared deployment: the fuzz only reads/drops, never mutates
@@ -61,9 +63,15 @@ def test_agent_survives_typed_garbage(msg_type, body):
 @given(st.binary(min_size=1, max_size=200))
 def test_truncations_of_valid_frames_are_safe(prefix):
     # Take a genuine DATA frame and feed every kind of mangled variant.
-    st_ = _AGENT.state
-    from repro.protocol.forwarding import build_inner, wrap_hop
+    frame = _primed_data_frame()
+    for mangled in (frame[: len(prefix) % len(frame)], prefix + frame, frame + prefix):
+        _AGENT.on_frame(0, mangled)
+        _BS.on_frame(0, mangled)
 
+
+def _primed_data_frame() -> bytes:
+    """A genuine DATA frame of ``_AGENT``'s, primed in the frame memo."""
+    st_ = _AGENT.state
     c1 = build_inner(st_.node_id, b"payload", None, None, _DEPLOYED.config.aead)
     frame = wrap_hop(
         st_.keyring.get(st_.cid).material,
@@ -75,9 +83,36 @@ def test_truncations_of_valid_frames_are_safe(prefix):
         c1,
         _DEPLOYED.config.aead,
     )
-    for mangled in (frame[: len(prefix) % len(frame)], prefix + frame, frame + prefix):
-        _AGENT.on_frame(0, mangled)
-        _BS.on_frame(0, mangled)
+    assert frame in forwarding._frames
+    return frame
+
+
+def _drops() -> int:
+    """Every ``drop.*`` count in the shared deployment's trace."""
+    counters = _DEPLOYED.network.trace.counters
+    return sum(v for name, v in counters.items() if name.startswith("drop."))
+
+
+@fuzz_settings
+@given(st.data())
+def test_mutations_of_a_primed_data_frame_end_in_a_drop(data):
+    # A single changed byte after the type byte, or a truncation, of a
+    # frame the memo holds: a miss that fails, never an entry of its own.
+    frame = _primed_data_frame()
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = frame[: data.draw(st.integers(1, len(frame) - 1), label="length")]
+    else:
+        index = data.draw(st.integers(1, len(frame) - 1), label="index")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != frame[index]), label="value")
+        mutated = frame[:index] + bytes([value]) + frame[index + 1 :]
+    memo = list(forwarding._frames.items())
+    drops, rejected = _drops(), _BS.rejected
+    _AGENT.on_frame(0, mutated)
+    _BS.on_frame(0, mutated)
+    assert _drops() == drops + 1
+    assert _BS.rejected == rejected + 1
+    assert mutated not in forwarding._frames
+    assert list(forwarding._frames.items()) == memo
 
 
 def test_joining_node_survives_garbage():
