@@ -24,9 +24,10 @@ from repro.crypto import (
 KEY = bytes(range(16))
 PAYLOAD = bytes(range(41))  # a TinySec-sized sensor frame
 
-#: Every timed call takes a fresh message counter, as real frames do.
-#: Neither the CTR mode nor seal is memoised (only opens are), so every
-#: timed call runs the cipher.
+#: Every timed call takes a fresh message counter, as real frames do, and
+#: the next one, as one sender's hop seqs are: vector calls are served by
+#: the kernels' lane batches as a sender's are. Neither the CTR mode nor
+#: seal is memoised (only opens are).
 _COUNTERS = itertools.count(1)
 
 

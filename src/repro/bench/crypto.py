@@ -89,9 +89,11 @@ def bench_crypto(quick: bool = False) -> dict:
                 }
             )
     frame_path = []
-    # A fresh counter per call, as every real frame has. Neither the CTR
-    # mode nor seal is memoised (only opens are, in repro.crypto.aead),
-    # so every timed call runs the cipher.
+    # A fresh counter per call, as every real frame has, and consecutive
+    # ones, as one sender's hop seqs are: the vector rows include the
+    # kernels' lane batches, one lane pass per LANES_MAX_BLOCKS // blocks
+    # calls. Neither the CTR mode nor seal is memoised (only opens are,
+    # in repro.crypto.aead).
     counters = itertools.count(1)
     for name in CIPHERS:
         cipher = get_cipher(name, _KEY)

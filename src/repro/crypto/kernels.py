@@ -30,6 +30,19 @@ Two backends are registered:
   ``min_blocks`` threshold under which the scalar path is cheaper; the
   selector falls back automatically beneath it.
 
+A CTR keystream belongs to one *message counter* (see
+:mod:`repro.crypto.modes`: message ``c`` owns the blocks from ``c << 16``
+on). The lane kernels also keep one pending *lane batch* of message
+keystreams per key: when a message counter directly follows the key's
+previous one — a sequential stream such as a forwarder's hop seqs or a
+source's Step-1 counters — one lane pass makes the keystreams of the
+next ``LANES_MAX_BLOCKS // n_blocks`` messages at once, and later
+messages of the stream are served from it. A big-int lane operation
+costs far less per lane over 64 lanes than over 7, so a batch of nine
+7-block messages costs a few single keystreams (docs/PERFORMANCE.md).
+Counters that form no stream (the setup frames sealed under ``K_m`` in
+random node order) pay nothing extra.
+
 The active backend defaults to ``"vector"`` and can be forced per
 process with ``REPRO_CRYPTO_BACKEND=pure|vector``, per deployment with
 ``ProtocolConfig(crypto_backend=...)``, or per call via the ``backend``
@@ -63,6 +76,7 @@ __all__ = [
     "has_kernel",
     "get_kernel",
     "keystream",
+    "message_keystream",
     "SpeckKernel",
     "XteaKernel",
     "Rc5Kernel",
@@ -139,36 +153,53 @@ def use_vector(cipher_name: str, n_blocks: int, override: str | None = None) -> 
 
 
 @lru_cache(maxsize=256)
-def _lane_consts(n: int) -> tuple[int, int, int]:
-    """Per-batch-size lane constants: (ones, mask, descending ramp).
+def _lane_consts(n: int) -> tuple[int, int]:
+    """Per-batch-size lane constants: (ones, mask).
 
     ``ones`` has bit ``64*i`` set for every lane (multiply by it to
     broadcast a 32-bit constant); ``mask`` keeps the low 32 bits of every
-    lane; ``ramp`` holds ``n-1-i`` in lane ``i`` (the descending counter
-    offsets).
+    lane.
     """
     ones = 0
-    ramp = 0
     for i in range(n):
         ones |= 1 << (64 * i)
-        ramp |= (n - 1 - i) << (64 * i)
-    return ones, ones * _MASK32, ramp
+    return ones, ones * _MASK32
 
 
-def _pack_counters(base: int, n: int) -> tuple[int, int]:
-    """Pack blocks ``base .. base+n-1`` into (X, Y) lane integers."""
-    ones, _, ramp = _lane_consts(n)
+@lru_cache(maxsize=256)
+def _ramp(depth: int, width: int) -> int:
+    """Descending lane offsets of ``depth`` runs of ``width`` blocks.
+
+    Block ``i`` of run ``j`` sits in lane ``depth*width - 1 - (j*width + i)``
+    and holds its offset ``(j << 16) + i`` from the first block: runs
+    start 2**16 blocks apart, one message counter segment each.
+    """
+    n = depth * width
+    ramp = 0
+    for lane in range(n):
+        j, i = divmod(n - 1 - lane, width)
+        ramp |= ((j << 16) + i) << (64 * lane)
+    return ramp
+
+
+def _pack(base: int, depth: int, width: int) -> tuple[int, int]:
+    """Pack blocks ``base + (j << 16) + i`` (``j < depth``, ``i < width``)
+    into (X, Y) lane integers: one consecutive run for ``depth == 1``, the
+    first ``width`` blocks of ``depth`` consecutive messages otherwise."""
+    ones, _ = _lane_consts(depth * width)
     lo = base & _MASK32
-    if lo + n <= 1 << 32:
-        # Counters share one high word and the low words never carry —
-        # the whole batch packs as two broadcasts and one precomputed
-        # ramp (this is every in-segment CTR keystream; see modes.py).
-        return ((base >> 32) & _MASK32) * ones, lo * ones + ramp
+    if lo + ((depth - 1) << 16) + width <= 1 << 32:
+        # Blocks share one high word and the low words never carry — the
+        # whole batch packs as two broadcasts and one precomputed ramp
+        # (every in-segment CTR keystream; see modes.py).
+        return ((base >> 32) & _MASK32) * ones, lo * ones + _ramp(depth, width)
+    n = depth * width
     x = y = 0
-    for i in range(n):
-        v = (base + n - 1 - i) & _MASK64
-        x |= (v >> 32) << (64 * i)
-        y |= (v & _MASK32) << (64 * i)
+    for lane in range(n):
+        j, i = divmod(n - 1 - lane, width)
+        v = (base + (j << 16) + i) & _MASK64
+        x |= (v >> 32) << (64 * lane)
+        y |= (v & _MASK32) << (64 * lane)
     return x, y
 
 
@@ -182,11 +213,78 @@ def _unpack_lanes(x: int, y: int, n: int) -> bytes:
 # reusing its key schedule — one source of truth for round keys, validated
 # by the published-vector tests. ``encrypt_blocks`` is the generic numpy
 # bulk path over an arbitrary uint64 array; ``keystream`` is the CTR fast
-# path over a consecutive counter range, choosing lanes or numpy by size.
+# path over a consecutive counter range, choosing lanes or numpy by size;
+# ``message_keystream`` serves sequential message counters from a lane
+# batch.
 # ---------------------------------------------------------------------------
 
 
-class SpeckKernel:
+class _LaneKernel:
+    """The lane paths shared by the Speck and XTEA kernels.
+
+    A cipher provides ``_broadcast(n)`` (its round constants on ``n``
+    lanes), ``_encrypt_lanes`` (its rounds over packed lanes) and
+    ``encrypt_blocks`` (numpy). A kernel holds at most one pending lane
+    batch: ``(first counter, depth, width, keystream bytes)``, the first
+    ``width`` blocks of each of ``depth`` consecutive messages.
+    """
+
+    def __init__(self) -> None:
+        self._lane_keys: dict[int, tuple] = {}
+        self._last: int | None = None
+        self._batch: tuple[int, int, int, bytes] | None = None
+
+    def _lane_setup(self, n: int) -> tuple:
+        setup = self._lane_keys.get(n)
+        if setup is None:
+            setup = self._broadcast(n)
+            if len(self._lane_keys) < 64:  # bound the per-kernel cache
+                self._lane_keys[n] = setup
+        return setup
+
+    def lane_keystream(self, base: int, n: int) -> bytes:
+        """Encrypt blocks ``base .. base+n-1`` on bignum lanes."""
+        x, y = _pack(base, 1, n)
+        return self._encrypt_lanes(x, y, n, self._lane_setup(n))
+
+    def keystream(self, base: int, n: int) -> bytes:
+        """``8*n`` keystream bytes for counter blocks ``base .. base+n-1``."""
+        if n <= LANES_MAX_BLOCKS or _np is None:
+            return self.lane_keystream(base, n)
+        blocks = _np.arange(n, dtype=_np.uint64) + _np.uint64(base & _MASK64)
+        return self.encrypt_blocks(blocks)
+
+    def message_keystream(self, counter: int, n: int) -> bytes:
+        """``8*n`` keystream bytes of message ``counter`` (blocks ``counter << 16`` on).
+
+        Served from the pending batch when it holds ``counter`` at
+        ``n`` blocks or more. Otherwise, a counter that directly follows
+        the previous one starts a new batch over the next
+        ``LANES_MAX_BLOCKS // n`` messages; any other is computed alone.
+        """
+        batch = self._batch
+        if batch is not None:
+            first, depth, width, data = batch
+            offset = counter - first
+            if 0 <= offset < depth and n <= width:
+                self._last = counter
+                start = 8 * width * offset
+                return data[start : start + 8 * n]
+        sequential = counter - 1 == self._last
+        self._last = counter
+        depth = LANES_MAX_BLOCKS // n
+        if not sequential or depth < 2:
+            return self.keystream(counter << 16, n)
+        # Batch sizes are broadcast per batch, never cached per kernel:
+        # thousands of keyed kernels each holding 64-lane round
+        # constants would cost megabytes.
+        x, y = _pack(counter << 16, depth, n)
+        data = self._encrypt_lanes(x, y, depth * n, self._broadcast(depth * n))
+        self._batch = (counter, depth, n, data)
+        return data[: 8 * n]
+
+
+class SpeckKernel(_LaneKernel):
     """Batched Speck64/128 encryption over arrays of counter blocks."""
 
     name = Speck64_128.name
@@ -194,25 +292,20 @@ class SpeckKernel:
     needs_numpy = False
 
     def __init__(self, cipher: Speck64_128) -> None:
+        super().__init__()
         self._round_keys = cipher._round_keys
         self._np_keys = None
         if _np is not None:
             self._np_keys = _np.asarray(cipher._round_keys, dtype=_np.uint32)
-        self._lane_keys: dict[int, tuple[int, int, tuple[int, ...]]] = {}
 
-    def _lane_setup(self, n: int) -> tuple[int, int, tuple[int, ...]]:
-        setup = self._lane_keys.get(n)
-        if setup is None:
-            ones, mask, _ = _lane_consts(n)
-            setup = (ones, mask, tuple(k * ones for k in self._round_keys))
-            if len(self._lane_keys) < 64:  # bound the per-kernel cache
-                self._lane_keys[n] = setup
-        return setup
+    def _broadcast(self, n: int) -> tuple[int, tuple[int, ...]]:
+        """Lane mask and round keys broadcast to ``n`` lanes."""
+        ones, mask = _lane_consts(n)
+        return mask, tuple(k * ones for k in self._round_keys)
 
-    def lane_keystream(self, base: int, n: int) -> bytes:
-        """Encrypt blocks ``base .. base+n-1`` on bignum lanes."""
-        _, mask, keys = self._lane_setup(n)
-        x, y = _pack_counters(base, n)
+    @staticmethod
+    def _encrypt_lanes(x: int, y: int, n: int, setup: tuple) -> bytes:
+        mask, keys = setup
         for k in keys:
             x = ((((x >> 8) | (x << 24)) & mask) + y) & mask ^ k
             y = ((y << 3) | (y >> 29)) & mask ^ x
@@ -231,15 +324,8 @@ class SpeckKernel:
         out[1::2] = y
         return out.tobytes()
 
-    def keystream(self, base: int, n: int) -> bytes:
-        """``8*n`` keystream bytes for counter blocks ``base .. base+n-1``."""
-        if n <= LANES_MAX_BLOCKS or _np is None:
-            return self.lane_keystream(base, n)
-        blocks = _np.arange(n, dtype=_np.uint64) + _np.uint64(base & _MASK64)
-        return self.encrypt_blocks(blocks)
 
-
-class XteaKernel:
+class XteaKernel(_LaneKernel):
     """Batched XTEA encryption over arrays of counter blocks."""
 
     name = Xtea.name
@@ -247,6 +333,7 @@ class XteaKernel:
     needs_numpy = False
 
     def __init__(self, cipher: Xtea) -> None:
+        super().__init__()
         # The round addends depend only on the key and the cycle index,
         # so precompute both per-cycle constants once per key.
         k = cipher._key
@@ -264,21 +351,15 @@ class XteaKernel:
             self._np_consts = [
                 (_np.uint32(c0), _np.uint32(c1)) for c0, c1 in consts
             ]
-        self._lane_keys: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
 
-    def _lane_setup(self, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-        setup = self._lane_keys.get(n)
-        if setup is None:
-            ones, mask, _ = _lane_consts(n)
-            setup = (mask, tuple((c0 * ones, c1 * ones) for c0, c1 in self._consts))
-            if len(self._lane_keys) < 64:
-                self._lane_keys[n] = setup
-        return setup
+    def _broadcast(self, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Lane mask and per-cycle constants broadcast to ``n`` lanes."""
+        ones, mask = _lane_consts(n)
+        return mask, tuple((c0 * ones, c1 * ones) for c0, c1 in self._consts)
 
-    def lane_keystream(self, base: int, n: int) -> bytes:
-        """Encrypt blocks ``base .. base+n-1`` on bignum lanes."""
-        mask, consts = self._lane_setup(n)
-        v0, v1 = _pack_counters(base, n)
+    @staticmethod
+    def _encrypt_lanes(v0: int, v1: int, n: int, setup: tuple) -> bytes:
+        mask, consts = setup
         # Shift spill and add carries stay inside each 64-bit lane (the
         # working values are < 2**37 before each mask), so one mask per
         # half-cycle suffices — same arithmetic as the scalar cipher.
@@ -300,13 +381,6 @@ class XteaKernel:
         out[0::2] = v0
         out[1::2] = v1
         return out.tobytes()
-
-    def keystream(self, base: int, n: int) -> bytes:
-        """``8*n`` keystream bytes for counter blocks ``base .. base+n-1``."""
-        if n <= LANES_MAX_BLOCKS or _np is None:
-            return self.lane_keystream(base, n)
-        blocks = _np.arange(n, dtype=_np.uint64) + _np.uint64(base & _MASK64)
-        return self.encrypt_blocks(blocks)
 
 
 class Rc5Kernel:
@@ -354,6 +428,10 @@ class Rc5Kernel:
         blocks = _np.arange(n, dtype=_np.uint64) + _np.uint64(base & _MASK64)
         return self.encrypt_blocks(blocks)
 
+    def message_keystream(self, counter: int, n: int) -> bytes:
+        """``8*n`` keystream bytes of message ``counter`` (never batched)."""
+        return self.keystream(counter << 16, n)
+
 
 _KERNELS: dict[str, type] = {
     SpeckKernel.name: SpeckKernel,
@@ -399,3 +477,12 @@ def keystream(cipher: BlockCipher, base: int, n_blocks: int) -> bytes:
     packed counter value (the parity property tests pin this).
     """
     return get_kernel(cipher).keystream(base, n_blocks)
+
+
+def message_keystream(cipher: BlockCipher, counter: int, n_blocks: int) -> bytes:
+    """Batched keystream of message ``counter``: blocks ``counter << 16`` on.
+
+    Byte-identical to :func:`keystream` over the same blocks; the lane
+    kernels may serve it from (or start) their pending lane batch.
+    """
+    return get_kernel(cipher).message_keystream(counter, n_blocks)

@@ -21,9 +21,12 @@ the entire block range to a batched kernel
 (:mod:`repro.crypto.kernels`) when the active backend allows it; the
 scalar per-block loop remains as the ``pure`` reference oracle.
 
-Nothing here is memoised: :func:`_keystream` is a plain computation.
-The receivers of a broadcast share one keystream through the open memo
-one level up (:mod:`repro.crypto.aead`), which keeps the whole verified
+Nothing here is memoised. The batched kernels make the keystreams of a
+sequential run of message counters in one lane pass and serve the run
+from it (:func:`repro.crypto.kernels.message_keystream`); the bytes and
+the ``STATS`` counts of every call are those of computing it alone. The
+receivers of a broadcast share one keystream through the open memo one
+level up (:mod:`repro.crypto.aead`), which keeps the whole verified
 open — tag and plaintext — rather than the keystream alone.
 """
 
@@ -73,10 +76,10 @@ def _keystream(
     STATS.keystream_blocks += n_blocks
     if vector:
         STATS.keystream_vector_blocks += n_blocks
-    base = counter << 16
     if vector:
-        ks = kernels.keystream(cipher, base, n_blocks)
+        ks = kernels.message_keystream(cipher, counter, n_blocks)
     else:
+        base = counter << 16
         ks = b"".join(
             cipher.encrypt_block(struct.pack(">Q", base + i)) for i in range(n_blocks)
         )

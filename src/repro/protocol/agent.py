@@ -21,18 +21,22 @@ Security-relevant behaviours are counted in the network trace under
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable
+from hmac import compare_digest
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.crypto.aead import AuthenticationError
+from repro.crypto.aead import AeadConfig, AuthenticationError
 from repro.crypto.keys import KeyErasedError, SymmetricKey
 from repro.crypto.mac import mac, verify
 from repro.protocol import messages
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.forwarding import (
+    INNER_HEADER_SIZE,
     DedupCache,
     StaleMessage,
     build_inner,
+    count_memo_hits,
     hop_header,
+    opened_frame,
     parse_inner,
     unwrap_hop,
     wrap_hop,
@@ -41,7 +45,9 @@ from repro.protocol.state import NodeState, Preload, Role
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.aggregation import FusionFilter
+    from repro.protocol.forwarding import _OpenedFrame
     from repro.runtime.node import NodeRuntime
+    from repro.sim.trace import Trace
 
 
 class ProtocolError(RuntimeError):
@@ -419,85 +425,94 @@ class ProtocolAgent:
         self._trace.count("net.retx.acked")
 
     def _on_data(self, frame: bytes) -> None:
+        # A reception with one receiver: nothing is shared, so its counts
+        # go straight to the trace and there is nothing left to close.
+        outcome = self._decide_data(DataReception(frame, self.node.now(), self._trace), None)
+        if outcome is not None:
+            self._trace.count(outcome)
+
+    def _decide_data(
+        self, reception: "DataReception", counts: dict[str, int] | None
+    ) -> str | None:
+        """This agent's decisions on one received DATA frame.
+
+        Returns the name of the counter the reception ends in, or None
+        when the frame is accepted for forwarding. ``counts``, when
+        given, collects the dedup cache's own counts.
+        """
         st = self.state
         if not self.operational:
-            self._trace.count("drop.data_before_operational")
-            return
-        try:
-            header = hop_header(frame)
-        except messages.MalformedMessage:
-            self._trace.count("drop.data_malformed")
-            return
+            return "drop.data_before_operational"
+        header = reception.header
+        if header is None:
+            return "drop.data_malformed"
         if not st.keyring.has(header.cid):
             # Not a neighboring cluster (or revoked): cannot authenticate.
-            self._trace.count("drop.data_unknown_cluster")
-            return
+            return "drop.data_unknown_cluster"
         try:
-            c1, fp = unwrap_hop(
-                st.keyring.get(header.cid).material,
-                frame,
-                self.node.now(),
-                self.config.freshness_window_s,
-                self.config.aead,
-            )
+            c1, fp = reception.unwrap(st.keyring.get(header.cid).material, self.config)
         except AuthenticationError:
-            self._trace.count("drop.data_bad_auth")
-            return
+            return "drop.data_bad_auth"
         except StaleMessage:
-            self._trace.count("drop.data_stale")
-            return
+            return "drop.data_stale"
         except KeyErasedError:
-            self._trace.count("drop.data_unknown_cluster")
-            return
+            return "drop.data_unknown_cluster"
         if not st.accept_hop_seq(header.sender, header.seq):
             # Authenticated but already-seen hop sequence (a link-layer
             # duplicate, or an out-of-order seq carrying a new message).
             # Re-ACK only if we genuinely hold custody of this inner blob
             # — the sender may be retransmitting because our ACK was lost.
-            self._trace.count("drop.data_replay")
             if (
                 self.config.hop_ack_enabled
                 and self._is_custodian(header)
                 and self._has_custody(fp)
             ):
                 self._send_ack(header.cid, header.sender, fp)
-            return
-        if self._dedup.seen_before(fp):
+            return "drop.data_replay"
+        if self._dedup.seen_before(fp, counts):
             # Already seen — but "seen" includes messages merely overheard
             # and dropped (e.g. uphill receptions). Only a node that took
             # custody may re-ACK; anything else would cancel the sender's
             # retransmissions without anyone owning the message.
-            self._trace.count("drop.data_duplicate")
             if (
                 self.config.hop_ack_enabled
                 and self._is_custodian(header)
                 and self._has_custody(fp)
             ):
                 self._send_ack(header.cid, header.sender, fp)
-            return
-        self._process_inner(header, c1, fp)
+            return "drop.data_duplicate"
+        return self._process_inner(header, c1, fp)
 
-    def _process_inner(self, header: messages.DataHeader, c1: bytes, fp: bytes) -> None:
-        """Data-fusion hook, then the gradient forwarding decision."""
+    def _process_inner(
+        self, header: messages.DataHeader, c1: bytes, fp: bytes
+    ) -> str | None:
+        """Data-fusion hook, then the gradient forwarding decision.
+
+        Returns the name of the drop counter, or None once the message
+        is accepted for forwarding. ``c1`` is parsed only when a fusion
+        hook reads it.
+        """
         st = self.state
-        envelope = parse_inner(c1)
-        if self.fusion is not None and not envelope.encrypted:
+        if len(c1) < INNER_HEADER_SIZE:
+            # Authenticated by a cluster-key holder, but no envelope.
+            return "drop.data_malformed"
+        if self.fusion is not None:
+            try:
+                envelope = parse_inner(c1)
+            except ValueError:
+                return "drop.data_malformed"
             # "Nodes can 'peak' at encrypted data using their cluster key
             # and decide upon forwarding or discarding redundant
             # information" — with Step 1 off the reading itself is visible.
-            if self.fusion.should_discard(envelope.payload):
-                self._trace.count("drop.data_fused")
-                return
+            if not envelope.encrypted and self.fusion.should_discard(envelope.payload):
+                return "drop.data_fused"
         if st.hops_to_bs < 0 or header.hops_to_bs < 0:
-            self._trace.count("drop.data_no_route")
-            return
+            return "drop.data_no_route"
         if st.hops_to_bs >= header.hops_to_bs:
             # Uphill or sideways: not on a shortest path, stay silent.
-            self._trace.count("drop.data_uphill")
-            return
+            return "drop.data_uphill"
         if st.cid is None or not st.keyring.has(st.cid):
-            self._trace.count("drop.data_no_cluster_key")
-            return
+            return "drop.data_no_cluster_key"
         self.forwarded_count += 1
         if self.config.hop_ack_enabled:
             # Custody accepted (we are downhill and will forward): signal
@@ -509,6 +524,7 @@ class ProtocolAgent:
             self.node.schedule(delay, lambda: self._forward_later(c1, fp))
         else:
             self._transmit_hop(c1, fp)
+        return None
 
     def _forward_later(self, c1: bytes, fp: bytes) -> None:
         """Jittered forward; re-checks the keys (revocation may have
@@ -800,3 +816,119 @@ class ProtocolAgent:
             return
         handler: Callable[[bytes], None] = getattr(self, handler_name)
         handler(frame)
+
+
+class DataReception:
+    """One DATA frame's reception by every agent that hears its broadcast.
+
+    A hop frame is sealed once and heard by all of its sender's
+    neighbours. What depends only on the frame — its header, its open,
+    the AEAD settings and kernel backend of that open — is resolved once
+    here, and each receiving agent then makes only its own decisions, in
+    the order it hears the frame (:meth:`ProtocolAgent._decide_data`):
+    its operational state, its key for the header's CID, freshness
+    against its own clock, its hop anti-replay, its dedup cache, then
+    custody, ACK and forwarding.
+
+    The first receiver that holds the frame's cluster key opens it with
+    :func:`~repro.protocol.forwarding.unwrap_hop`, and that verified open
+    — the frame memo's entry — serves every later receiver whose cluster
+    key equals the verifying one (compared in constant time) and whose
+    AEAD settings are the same object, for as long as the memo holds the
+    entry. Any other receiver unwraps the frame itself, so every
+    receiver ends exactly as it would alone. Trace counts and the crypto
+    ``STATS`` of memo hits are collected here and added once per frame
+    and outcome by :meth:`close`.
+
+    :meth:`ProtocolAgent._on_data` is a reception with one receiver (UDP,
+    fault injection and direct dispatch), which counts as it goes. The
+    loopback fan-out runs one reception for all of a DATA frame's
+    receivers (see :attr:`repro.sim.radio.Radio.receptions`) and hands
+    every app that is not a :class:`ProtocolAgent` the frame through its
+    own ``on_frame``.
+    """
+
+    __slots__ = ("frame", "now", "trace", "header", "_counts", "_opened", "_key", "_aead", "_hits")
+
+    def __init__(self, frame: bytes, now: float, trace: "Trace") -> None:
+        """``now`` is the protocol time every receiver hears the frame at;
+        ``trace`` is the deployment's, which :meth:`close` counts into."""
+        self.frame = frame
+        self.now = now
+        self.trace = trace
+        try:
+            self.header: messages.DataHeader | None = hop_header(frame)
+        except messages.MalformedMessage:
+            self.header = None
+        #: Counter increments for ``trace``, added by :meth:`close`.
+        self._counts: dict[str, int] = {}
+        #: The shared open, the cluster key that verified it, its AEAD
+        #: settings, and the memo hits it served since they were counted.
+        self._opened: "_OpenedFrame | None" = None
+        self._key = b""
+        self._aead: AeadConfig | None = None
+        self._hits = 0
+
+    def deliver(self, app: Any, sender_id: int) -> None:
+        """Hand the frame to a receiving node's ``app``.
+
+        A :class:`ProtocolAgent` makes its decisions here and its outcome
+        is tallied (an agent counting into another trace counts there
+        directly); any other app gets the frame through ``on_frame``.
+        """
+        if type(app) is not ProtocolAgent:
+            app.on_frame(sender_id, self.frame)
+            return
+        counts = self._counts if app._trace is self.trace else None
+        outcome = app._decide_data(self, counts)
+        if outcome is None:
+            return
+        if counts is None:
+            app._trace.count(outcome)
+        else:
+            counts[outcome] = counts.get(outcome, 0) + 1
+
+    def unwrap(self, cluster_key: bytes, config: ProtocolConfig) -> tuple[bytes, bytes]:
+        """One receiver's hop-layer open: ``(c1, fingerprint)``.
+
+        Same contract as :func:`~repro.protocol.forwarding.unwrap_hop`
+        with the reception's clock.
+
+        Raises:
+            AuthenticationError: tag failure under ``cluster_key``.
+            StaleMessage: τ outside ``config.freshness_window_s``.
+        """
+        opened = self._opened
+        if (
+            opened is not None
+            and config.aead is self._aead
+            and opened_frame(self.frame) is opened
+            and compare_digest(cluster_key, self._key)
+        ):
+            self._hits += 1
+            if self.now - opened.tau_s > config.freshness_window_s:
+                raise StaleMessage(f"frame is {self.now - opened.tau_s:.3f}s old")
+            return opened.c1, opened.fingerprint
+        result = unwrap_hop(
+            cluster_key, self.frame, self.now, config.freshness_window_s, config.aead
+        )
+        # Verified under ``cluster_key``: later receivers with an equal
+        # key share this open while the memo holds its entry.
+        if self._hits:
+            self._count_hits()
+        self._opened = opened_frame(self.frame)
+        self._key = cluster_key
+        self._aead = config.aead
+        return result
+
+    def _count_hits(self) -> None:
+        assert self._opened is not None
+        count_memo_hits(self._opened, self._hits)
+        self._hits = 0
+
+    def close(self) -> None:
+        """Add the reception's counts to the trace and to ``STATS``."""
+        if self._hits:
+            self._count_hits()
+        for name, amount in self._counts.items():
+            self.trace.count(name, amount)

@@ -36,7 +36,10 @@ A receiver served by the memo still makes every decision that is its
 own: it picks its cluster key by the header's CID, derives the hop key
 itself (the memo is used only if that key equals the one that verified
 the frame), checks ``τ`` against its own clock and runs its own
-anti-replay and duplicate checks.
+anti-replay and duplicate checks. On the loopback fan-out, one
+:class:`~repro.protocol.agent.DataReception` unwraps a frame once for
+all of its receivers and lets each later receiver compare its cluster
+key with the one that verified the frame instead.
 """
 
 from __future__ import annotations
@@ -72,6 +75,10 @@ _TAU = struct.Struct(">Q")
 #: message for immunity to counter desynchronization.
 _INNER = struct.Struct(">IB")
 _EXPLICIT_CTR_LEN = 6
+
+#: Bytes of the inner envelope's fixed header (source id and flag): no
+#: well-formed ``c1`` is shorter.
+INNER_HEADER_SIZE = _INNER.size
 
 FLAG_PLAINTEXT = 0
 FLAG_ENCRYPTED = 1
@@ -340,6 +347,26 @@ def wrap_hop(
     return frame
 
 
+def opened_frame(frame: bytes) -> _OpenedFrame | None:
+    """The frame memo's entry for ``frame``, if it holds one."""
+    return _frames.get(frame)
+
+
+def count_memo_hits(opened: _OpenedFrame, hits: int = 1) -> None:
+    """Count in ``STATS`` what ``hits`` opens of ``opened``'s frame count.
+
+    A frame-memo hit counts what an open-memo hit of
+    :func:`~repro.crypto.aead.open_` would: one open and the frame's
+    keystream blocks, all of them reused.
+    """
+    STATS.opens += hits
+    blocks = opened.blocks * hits
+    STATS.keystream_blocks += blocks
+    if opened.vector:
+        STATS.keystream_vector_blocks += blocks
+    STATS.keystream_reused_blocks += blocks
+
+
 def hop_header(frame: bytes) -> DataHeader:
     """The clear header of a received DATA frame.
 
@@ -399,11 +426,7 @@ def unwrap_hop(
         and opened.backend == _resolved_backend(aead)
         and compare_digest(opened.key, hop_key(cluster_key, opened.header.sender))
     ):
-        STATS.opens += 1
-        STATS.keystream_blocks += opened.blocks
-        if opened.vector:
-            STATS.keystream_vector_blocks += opened.blocks
-        STATS.keystream_reused_blocks += opened.blocks
+        count_memo_hits(opened)
     else:
         opened = _open_frame(cluster_key, frame, aead)
     if now_s - opened.tau_s > freshness_window_s:
@@ -450,19 +473,31 @@ class DedupCache:
         """
         return fingerprint in self._seen
 
-    def seen_before(self, fingerprint: bytes) -> bool:
-        """Record ``fingerprint``; True if it was already in the cache."""
-        if fingerprint in self._seen:
-            self._seen.move_to_end(fingerprint)
-            if self._trace is not None:
-                self._trace.count("forward.dedup_hit")
+    def seen_before(self, fingerprint: bytes, counts: dict[str, int] | None = None) -> bool:
+        """Record ``fingerprint``; True if it was already in the cache.
+
+        ``counts``, when given, collects the hit and eviction counts in
+        place of the trace; its owner adds them to the trace later (a
+        DATA reception adds them once per frame).
+        """
+        seen = self._seen
+        if fingerprint in seen:
+            seen.move_to_end(fingerprint)
+            self._count("forward.dedup_hit", counts)
             return True
-        self._seen[fingerprint] = None
-        if len(self._seen) > self.capacity:
-            self._seen.popitem(last=False)
-            if self._trace is not None:
-                self._trace.count("forward.dedup_evict")
+        seen[fingerprint] = None
+        if len(seen) > self.capacity:
+            seen.popitem(last=False)
+            self._count("forward.dedup_evict", counts)
         return False
+
+    def _count(self, name: str, counts: dict[str, int] | None) -> None:
+        if self._trace is None:
+            return
+        if counts is None:
+            self._trace.count(name)
+        else:
+            counts[name] = counts.get(name, 0) + 1
 
     def __len__(self) -> int:
         return len(self._seen)

@@ -127,10 +127,14 @@ class NodeRuntime:
         """
         self.receive_listeners.append(listener)
 
-    def receive(self, sender_id: int, frame: bytes) -> None:
+    def receive(self, sender_id: int, frame: bytes, reception: Any = None) -> None:
         """Deliver one frame up to the hosted application.
 
         A node whose battery has run out dies on its next reception.
+        ``reception`` is the shared pass of a fan-out that hands one frame
+        to all of its receivers (see :attr:`repro.sim.radio.Radio.receptions`);
+        when given, it hands the frame to the app (``reception.deliver``)
+        in place of ``app.on_frame``.
         """
         if not self.alive:
             return
@@ -139,7 +143,10 @@ class NodeRuntime:
             self.die()
             return
         if self.app is not None:
-            self.app.on_frame(sender_id, frame)
+            if reception is None:
+                self.app.on_frame(sender_id, frame)
+            else:
+                reception.deliver(self.app, sender_id)
         for listener in self.receive_listeners:
             listener(sender_id, frame)
 

@@ -23,7 +23,7 @@ attack tooling in :mod:`repro.attacks` uses it to eavesdrop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.util.validate import check_positive
 
@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.loopback import LoopbackTransport
     from repro.runtime.transport import ReceiveEndpoint
     from repro.sim.network import Network
+    from repro.sim.trace import Trace
 
 # (time, sender_id, frame) for every transmission on the air.
 Monitor = Callable[[float, int, bytes], None]
@@ -96,6 +97,12 @@ class Radio:
         self._rx_busy_until: dict[int, float] = {}
         # Per-node end-of-sensed-carrier time, for CSMA.
         self._carrier_until: dict[int, float] = {}
+        #: Shared reception passes by frame type byte. ``factory(frame,
+        #: now, trace)`` makes one pass for a frame of that type; the
+        #: fan-out without ``inject`` hands it to every receiving endpoint
+        #: (``receive(sender_id, frame, reception)``), then calls its
+        #: ``close()``. The protocol registers its DATA reception here.
+        self.receptions: dict[int, Callable[[bytes, float, Trace], Any]] = {}
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_collided = 0
@@ -179,21 +186,36 @@ class Radio:
         ``endpoints`` are the fabric's registered receive endpoints by
         node id. Each reception's energy is charged before the receiver
         handles it, by ``inject(endpoint, ...)`` in place of ``receive``
-        when given. Returns the number of receptions (before ``inject``).
+        when given. Without ``inject``, a frame whose type has a
+        registered reception (:attr:`receptions`) is received in one
+        shared pass. Returns the number of receptions (before
+        ``inject``).
         """
         nodes = self._network.nodes
         nbytes = len(frame) + self.config.header_bytes
         delivered = 0
-        for receiver_id in receivers:
-            endpoint = endpoints[receiver_id]
-            if not endpoint.alive:
-                continue
-            nodes[receiver_id].energy.charge_rx(nbytes)
-            delivered += 1
-            if inject is None:
-                endpoint.receive(sender_id, frame)
-            else:
-                inject(endpoint, sender_id, frame)
+        reception = None
+        if inject is None and frame:
+            factory = self.receptions.get(frame[0])
+            if factory is not None:
+                network = self._network
+                reception = factory(frame, network.transport.now, network.trace)
+        try:
+            for receiver_id in receivers:
+                endpoint = endpoints[receiver_id]
+                if not endpoint.alive:
+                    continue
+                nodes[receiver_id].energy.charge_rx(nbytes)
+                delivered += 1
+                if inject is not None:
+                    inject(endpoint, sender_id, frame)
+                elif reception is None:
+                    endpoint.receive(sender_id, frame)
+                else:
+                    endpoint.receive(sender_id, frame, reception)
+        finally:
+            if reception is not None:
+                reception.close()
         if delivered:
             self.frames_delivered += delivered
             self._network.trace.count("net.frames_delivered", delivered)

@@ -28,7 +28,8 @@ from repro.crypto.kernels import (
     set_backend,
     use_vector,
 )
-from repro.crypto.modes import ctr_encrypt
+from repro.crypto.modes import MAX_COUNTER, ctr_encrypt
+from repro.crypto.stats import STATS
 from repro.protocol.config import ProtocolConfig
 
 np = pytest.importorskip("numpy")
@@ -149,6 +150,126 @@ def test_published_vectors_through_kernels(cipher_name, key_hex, plain_hex, ciph
     assert kernel.keystream(base, 1).hex() == cipher_hex
     blocks = np.asarray([base], dtype=np.uint64)
     assert kernel.encrypt_blocks(blocks).hex() == cipher_hex
+
+
+# -- lane batches of sequential message counters ------------------------------
+
+LANE_CIPHERS = ("speck64/128", "xtea")
+
+#: First message counters: anywhere, or with the low 16 bits just short
+#: of the segment end, so a batch crosses into the next high counter
+#: word and takes the generic packing path.
+first_counters = st.one_of(
+    st.integers(0, MAX_COUNTER - 200),
+    st.integers(0, (MAX_COUNTER >> 16) - 2).flatmap(
+        lambda hi: st.integers(0xFFFF - LANES_MAX_BLOCKS, 0xFFFF).map(lambda lo: (hi << 16) | lo)
+    ),
+)
+
+#: (key index, blocks, whether the counter follows the key's last one).
+stream_steps = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(1, LANES_MAX_BLOCKS), st.booleans()),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _walk(keys: list[bytes], firsts: list[int], steps, jumps):
+    """Yield ``(key index, counter, n)``: sequential runs per key, interleaved."""
+    counters = list(firsts)
+    for (index, n, sequential), jump in zip(steps, jumps):
+        index %= len(keys)
+        if sequential:
+            counters[index] = min(counters[index] + 1, MAX_COUNTER - 1)
+        else:
+            counters[index] = jump
+        yield index, counters[index], n
+
+
+def _assert_one_batch(kernel) -> None:
+    """A kernel holds no batch, or one that fits one lane pass."""
+    batch = kernel._batch
+    if batch is not None:
+        first, depth, width, data = batch
+        assert depth >= 2 and depth * width <= LANES_MAX_BLOCKS
+        assert len(data) == 8 * depth * width
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=3, unique=True),
+    firsts=st.lists(first_counters, min_size=3, max_size=3),
+    steps=stream_steps,
+    jumps=st.lists(first_counters, min_size=40, max_size=40),
+)
+@pytest.mark.parametrize("cipher_name", LANE_CIPHERS)
+def test_lane_batches_match_per_counter_keystreams(cipher_name, keys, firsts, steps, jumps):
+    """Property: a message keystream served from (or starting) a lane
+    batch equals the per-counter lane keystream, for sequential and
+    interleaved keys, and a kernel never keeps more than one batch."""
+    ciphers = [get_cipher(cipher_name, key) for key in keys]
+    for index, counter, n in _walk(keys, firsts, steps, jumps):
+        cipher = ciphers[index]
+        kernel = get_kernel(cipher)
+        got = kernels.message_keystream(cipher, counter, n)
+        assert got == kernel.lane_keystream(counter << 16, n)
+        _assert_one_batch(kernel)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    first=first_counters,
+    lengths=st.lists(st.integers(1, 8 * LANES_MAX_BLOCKS), min_size=1, max_size=30),
+)
+@pytest.mark.parametrize("cipher_name", LANE_CIPHERS)
+def test_batched_ctr_counts_what_per_call_computation_counts(cipher_name, key, first, lengths):
+    """Property: CTR over a sequential stream gives the pure oracle's
+    bytes and counts, per call, the blocks a lone keystream would."""
+    cipher = get_cipher(cipher_name, key)
+    before = STATS.snapshot()
+    blocks = 0
+    for offset, length in enumerate(lengths):
+        counter = min(first + offset, MAX_COUNTER - 1)
+        payload = bytes(length)
+        assert ctr_encrypt(cipher, counter, payload, "vector") == ctr_encrypt(
+            cipher, counter, payload, "pure"
+        )
+        blocks += -(-length // 8)
+    after = STATS.snapshot()
+    # Each block counted once by the vector call and once by the pure one.
+    assert after["keystream_blocks"] - before["keystream_blocks"] == 2 * blocks
+    assert after["keystream_vector_blocks"] - before["keystream_vector_blocks"] == blocks
+    assert after["keystream_reused_blocks"] == before["keystream_reused_blocks"]
+    _assert_one_batch(get_kernel(cipher))
+
+
+@pytest.mark.parametrize("cipher_name", LANE_CIPHERS)
+def test_the_pure_backend_bypasses_lane_batches(cipher_name):
+    cipher = get_cipher(cipher_name, bytes(range(100, 116)))
+    kernel = get_kernel(cipher)
+    state = (kernel._last, kernel._batch)
+    for counter in range(1, 20):
+        ctr_encrypt(cipher, counter, bytes(40), "pure")
+    assert (kernel._last, kernel._batch) == state
+    # The same stream on the vector backend starts a batch at its
+    # second counter and serves the following ones from it.
+    for counter in range(1, 4):
+        ctr_encrypt(cipher, counter, bytes(40), "vector")
+    first, depth, width, _ = kernel._batch
+    assert (first, depth, width) == (2, LANES_MAX_BLOCKS // 5, 5)
+
+
+def test_setup_counters_never_form_a_stream():
+    """HELLO/LINKINFO under K_m use counters 2i and 2i+1 in random node
+    order: no counter follows the previous one, so no batch is made."""
+    cipher = get_cipher("speck64/128", bytes(range(200, 216)))
+    kernel = get_kernel(cipher)
+    for node in (7, 3, 11, 5, 2):
+        kernels.message_keystream(cipher, 2 * node, 6)
+    for node in (5, 11, 2, 7, 3):
+        kernels.message_keystream(cipher, 2 * node + 1, 6)
+    assert kernel._batch is None
 
 
 # -- backend selector semantics ----------------------------------------------

@@ -1,0 +1,197 @@
+"""Pin the reception pass: every receiver of a DATA broadcast decides as it always did.
+
+Seeded n=100 clean loopback soaks run with receivers that take every
+branch of a DATA frame's fan-out:
+
+* a receive listener on the base-station runtime (the gateway's
+  ingress tap);
+* a sensor whose finite battery runs out mid-run, so it dies on a
+  later reception;
+* a non-agent application hosted on one sensor, which sees frames
+  through ``on_frame`` like any app;
+* a cluster the base station revokes mid-run, so its frames meet
+  receivers that erased the key;
+* a stale frame, sealed with a ``τ`` outside the freshness window;
+* a frame sent twice, byte for byte (a replayed hop seq);
+* a frame sealed under the revoked cluster's key after the revocation.
+
+The variants run the same field with default settings, with hop ACKs
+on, with hop ACKs on and no forwarding jitter (a forward is sealed
+inside the fan-out of the frame that triggered it), the same with a
+one-entry frame memo (that forward evicts the frame being received),
+and without the frame memo. Each soak pins the delivered readings, ``frames_received``
+of every node, the trace counters, the growth of the crypto ``STATS``
+totals and the executed-event count in one sha256. Any change to the
+reception path that moves one decision, one counter or one event fails
+here. A deliberate change to reception semantics re-records these
+digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.crypto import aead
+from repro.crypto.stats import STATS
+from repro.protocol import forwarding
+from repro.protocol.config import ProtocolConfig
+from repro.protocol.forwarding import wrap_hop
+from repro.runtime.cluster import deploy_live
+from repro.workloads import SoakWorkload
+
+N = 100
+DENSITY = 10.0
+SEED = 11
+RATE = 150.0
+DURATION_S = 1.5
+SETTLE_S = 1.5
+FRESHNESS_S = 2.0
+
+#: (sha256 of the reception record, readings delivered) per variant.
+EXPECTED = {
+    "default": ("5a45f4f276c8e22c8a562ad272244ddbaee5ed3ae53e9cb276895f6b605fb66c", 201),
+    "hop_acks": ("13509b3e878d143f77c348a4206b4079b9e3513183a9ecca38c39292214deb3f", 201),
+    "no_jitter": ("ce191a2d1597c587e5f7867637ab3d6d23404f7db5648d2903de6c8f2ae13de2", 202),
+    "no_frame_memo": ("5a45f4f276c8e22c8a562ad272244ddbaee5ed3ae53e9cb276895f6b605fb66c", 201),
+    "one_entry_memo": ("ce191a2d1597c587e5f7867637ab3d6d23404f7db5648d2903de6c8f2ae13de2", 202),
+}
+
+CONFIGS = {
+    "default": ProtocolConfig(freshness_window_s=FRESHNESS_S),
+    "hop_acks": ProtocolConfig(freshness_window_s=FRESHNESS_S, hop_ack_enabled=True),
+    "no_jitter": ProtocolConfig(
+        freshness_window_s=FRESHNESS_S, hop_ack_enabled=True, forward_jitter_s=0.0
+    ),
+    "no_frame_memo": ProtocolConfig(freshness_window_s=FRESHNESS_S),
+    "one_entry_memo": ProtocolConfig(
+        freshness_window_s=FRESHNESS_S, hop_ack_enabled=True, forward_jitter_s=0.0
+    ),
+}
+
+#: Frame-memo size per variant (the default elsewhere).
+MEMO_SIZES = {"no_frame_memo": 0, "one_entry_memo": 1}
+
+
+class _Recorder:
+    """A non-agent application: hashes every frame it is handed."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.frames = 0
+
+    def on_frame(self, sender_id: int, frame: bytes) -> None:
+        self.frames += 1
+        self.digest.update(sender_id.to_bytes(4, "big") + frame)
+
+
+def _c1(reading: bytes) -> bytes:
+    """A plaintext inner envelope from source 7."""
+    return b"\x00\x00\x00\x07\x00" + reading
+
+
+def _reception_record(config: ProtocolConfig) -> dict:
+    before = STATS.snapshot()
+    deployed, _metrics = deploy_live(
+        n=N, density=DENSITY, seed=SEED, transport="loopback", config=config
+    )
+    deployed.assign_gradient()
+    network = deployed.network
+    transport = network.transport
+    registry = network.trace.telemetry.registry
+    events_before = transport.events_executed
+
+    ingress: list[tuple[float, int, int]] = []
+
+    def on_ingress(sender: int, frame: bytes) -> None:
+        registry.inc("gateway.ingest.frames")
+        ingress.append((deployed.now(), sender, len(frame)))
+
+    network.bs.add_receive_listener(on_ingress)
+
+    by_hops = sorted(
+        (agent.state.hops_to_bs, nid)
+        for nid, agent in deployed.agents.items()
+        if agent.state.hops_to_bs > 0
+    )
+    # A forwarder two hops out runs on a battery that lasts about a second.
+    battery_node = next(nid for hops, nid in by_hops if hops == 2)
+    meter = network.nodes[battery_node].energy
+    meter.capacity = meter.consumed + 60_000.0
+    # A sensor one hop further out hosts a plain recorder instead of its agent.
+    recorder_node = next(nid for hops, nid in by_hops if hops == 3 and nid != battery_node)
+    recorder = _Recorder()
+    network.nodes[recorder_node].app = recorder
+    del deployed.agents[recorder_node]
+
+    one_hop = [deployed.agent(nid) for hops, nid in by_hops if hops == 1]
+    sender = one_hop[0]
+    # A cluster in earshot of the base station is revoked mid-run.
+    revoked = next(a for a in one_hop if a.state.cid != sender.state.cid)
+    revoked_key = revoked.state.keyring.get(revoked.state.cid).material
+
+    def send(agent, key: bytes, age_s: float, c1: bytes, times: int = 1) -> None:
+        st = agent.state
+        frame = wrap_hop(
+            key,
+            st.cid if st.cid is not None else revoked_cid,
+            st.node_id,
+            st.next_hop_seq(),
+            st.hops_to_bs,
+            deployed.now() - age_s,
+            c1,
+            deployed.config.aead,
+        )
+        for _ in range(times):
+            agent.node.broadcast(frame)
+
+    revoked_cid = revoked.state.cid
+    own_key = sender.state.keyring.get(sender.state.cid).material
+    deployed.schedule(0.4, lambda: send(sender, own_key, 10 * FRESHNESS_S, _c1(b"stale")))
+    deployed.schedule(0.5, lambda: send(sender, own_key, 0.0, _c1(b"twice"), times=2))
+    deployed.schedule(0.7, lambda: deployed.bs_agent.revoke_clusters([revoked_cid]))
+    deployed.schedule(1.0, lambda: send(revoked, revoked_key, 0.0, _c1(b"revoked")))
+    workload = SoakWorkload(deployed, RATE, DURATION_S, warmup_s=0.2, seed=SEED)
+    workload.start()
+    deployed.run_for(DURATION_S + SETTLE_S)
+    after = STATS.snapshot()
+    assert not network.nodes[battery_node].alive
+    assert recorder.frames > 0
+    return {
+        "delivered": [
+            (r.time, r.source, r.data.hex(), r.was_encrypted)
+            for r in deployed.bs_agent.delivered
+        ],
+        "frames_received": [network.nodes[nid].frames_received for nid in sorted(network.nodes)],
+        "counters": dict(sorted(network.trace.counters.items())),
+        "stats": {name: after[name] - before[name] for name in after},
+        "events": transport.events_executed - events_before,
+        "ingress": ingress,
+        "recorder": (recorder.frames, recorder.digest.hexdigest()),
+        "bs_rejected": deployed.bs_agent.rejected,
+    }
+
+
+@pytest.mark.parametrize("variant", sorted(EXPECTED))
+def test_reception_pass_is_pinned(monkeypatch, variant):
+    if variant in MEMO_SIZES:
+        monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", MEMO_SIZES[variant])
+    forwarding._frames.clear()
+    aead._opened.clear()
+    record = _reception_record(CONFIGS[variant])
+    counters = record["counters"]
+    # Every branch the soak is built to reach was reached.
+    for name in (
+        "drop.data_stale",
+        "drop.data_replay",
+        "drop.data_unknown_cluster",
+        "drop.data_duplicate",
+        "drop.data_uphill",
+        "bs.drop_revoked_cluster",
+        "forward.dedup_hit",
+    ):
+        assert counters.get(name, 0) > 0, name
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert (digest, len(record["delivered"])) == EXPECTED[variant]

@@ -20,7 +20,9 @@ from repro.crypto import aead
 from repro.crypto.aead import AeadConfig, AuthenticationError
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.stats import STATS
+from repro.protocol import agent as agent_module
 from repro.protocol import forwarding, messages
+from repro.protocol.agent import DataReception
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.forwarding import (
     DedupCache,
@@ -274,6 +276,100 @@ def test_agent_dispatch_on_a_primed_frame_still_checks_freshness():
     assert frame in forwarding._frames
     receiver.on_frame(sender.state.node_id, frame)
     assert trace["drop.data_stale"] == stale + 1
+
+
+# ---------------------------------------------------------------------------
+# One reception shared by several receivers
+# ---------------------------------------------------------------------------
+
+
+def _key_holders(deployed, sender, count: int) -> list:
+    """``count`` agents other than ``sender`` that hold its cluster key."""
+    cid = sender.state.cid
+    holders = [
+        agent
+        for _, agent in sorted(deployed.agents.items())
+        if agent is not sender and agent.state.keyring.has(cid)
+    ]
+    assert len(holders) >= count
+    return holders[:count]
+
+
+def _count_unwraps(monkeypatch) -> list[bytes]:
+    """Record the cluster key of every ``unwrap_hop`` call agents make."""
+    keys: list[bytes] = []
+
+    def unwrap(cluster_key, *args):
+        keys.append(cluster_key)
+        return unwrap_hop(cluster_key, *args)
+
+    monkeypatch.setattr(agent_module, "unwrap_hop", unwrap)
+    return keys
+
+
+def test_a_shared_reception_serves_only_an_equal_key(monkeypatch):
+    deployed = small_deployment(n=60, density=8.0, seed=3)
+    trace = deployed.network.trace
+    sender, _ = _sender_and_neighbour(deployed)
+    cid = sender.state.cid
+    first, wrong, third, other_tags = _key_holders(deployed, sender, 4)
+    wrong.state.keyring.store(cid, SymmetricKey(OTHER_KEY, "wrong"))
+    other_tags.config = ProtocolConfig(tag_len=deployed.config.tag_len + 4)
+    frame = _primed_frame(deployed, sender, first)
+    unwraps = _count_unwraps(monkeypatch)
+    bad_auth = trace["drop.data_bad_auth"]
+
+    reception = DataReception(frame, deployed.now(), trace)
+
+    def receive() -> None:
+        for receiver in (first, wrong, third, other_tags):
+            reception.deliver(receiver, sender.state.node_id)
+        reception.close()
+
+    _, stats = _stats_delta(receive)
+    # The first key holder opened the frame. The wrong key and the other
+    # AEAD settings were refused the shared open and failed their own;
+    # the third receiver was served by it.
+    key = first.state.keyring.get(cid).material
+    assert unwraps == [key, OTHER_KEY, key]
+    assert trace["drop.data_bad_auth"] == bad_auth + 2
+    assert third.state.last_seen_seq[sender.state.node_id] == hop_header(frame).seq
+    # Every receiver counts one open, shared or not.
+    assert stats["opens"] == 4
+
+
+def test_a_shared_open_ends_when_the_memo_evicts_it(monkeypatch):
+    monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", 1)
+    deployed = small_deployment(n=60, density=8.0, seed=3)
+    sender, _ = _sender_and_neighbour(deployed)
+    first, second = _key_holders(deployed, sender, 2)
+    frame = _primed_frame(deployed, sender, first)
+    unwraps = _count_unwraps(monkeypatch)
+    reception = DataReception(frame, deployed.now(), deployed.network.trace)
+    reception.deliver(first, sender.state.node_id)
+    _primed_frame(deployed, sender, first)  # a newer frame evicts this one
+    assert frame not in forwarding._frames
+    reception.deliver(second, sender.state.node_id)
+    reception.close()
+    assert len(unwraps) == 2
+    assert frame in forwarding._frames  # re-opened in full by the second
+
+
+def test_a_reception_hands_any_other_app_the_frame():
+    deployed = small_deployment(n=60, density=8.0, seed=3)
+    sender, receiver = _sender_and_neighbour(deployed)
+    frame = _primed_frame(deployed, sender, receiver)
+    heard: list[tuple[int, bytes]] = []
+
+    class Recorder:
+        def on_frame(self, sender_id: int, frame: bytes) -> None:
+            heard.append((sender_id, frame))
+
+    reception = DataReception(frame, deployed.now(), deployed.network.trace)
+    reception.deliver(Recorder(), 7)
+    reception.deliver(deployed.bs_agent, 7)
+    reception.close()
+    assert heard == [(7, frame)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.protocol import forwarding, messages
 from repro.protocol.addition import deploy_new_node
+from repro.protocol.aggregation import DuplicateEventFilter
 from repro.protocol.forwarding import build_inner, wrap_hop
+from repro.runtime.cluster import deploy_live
 from tests.conftest import small_deployment
 
 # One shared deployment: the fuzz only reads/drops, never mutates
@@ -138,3 +140,70 @@ def test_unknown_type_counted():
     before = trace["drop.unknown_type"]
     _AGENT.on_frame(0, bytes([99]) + b"whatever")
     assert trace["drop.unknown_type"] == before + 1
+
+
+def _keyed_hop_frame(deployed, agent, c1: bytes) -> bytes:
+    """A DATA frame ``agent`` seals under its own cluster key around ``c1``."""
+    st_ = agent.state
+    return wrap_hop(
+        st_.keyring.get(st_.cid).material,
+        st_.cid,
+        st_.node_id,
+        st_.next_hop_seq(),
+        st_.hops_to_bs,
+        deployed.now(),
+        c1,
+        deployed.config.aead,
+    )
+
+
+def _downhill_neighbour(deployed, sender):
+    """A neighbour of ``sender`` one hop nearer the BS that holds its cluster key."""
+    return next(
+        deployed.agent(nid)
+        for nid in deployed.network.adjacency(sender.state.node_id)
+        if nid in deployed.agents
+        and deployed.agent(nid).state.keyring.has(sender.state.cid)
+        and 0 <= deployed.agent(nid).state.hops_to_bs < sender.state.hops_to_bs
+    )
+
+
+def test_a_short_authenticated_inner_blob_is_dropped_as_malformed():
+    # A cluster-key holder can seal any c1, including one shorter than
+    # the inner envelope's header: it authenticates, dedups as new, and
+    # must then be dropped, not parsed into an exception.
+    deployed = small_deployment(n=60, density=8.0, seed=242)
+    sender = next(a for a in deployed.agents.values() if a.state.hops_to_bs > 1)
+    receiver = _downhill_neighbour(deployed, sender)
+    trace = deployed.network.trace
+    cases = [
+        (None, b""),
+        (None, b"\x00\x01"),
+        (DuplicateEventFilter(), b"\x00\x02\x03"),
+        # Explicit-counter flag without its 6-byte counter: read only by
+        # a fusion hook.
+        (DuplicateEventFilter(), b"\x00\x00\x00\x07\x02\x00"),
+    ]
+    for fusion, c1 in cases:
+        receiver.fusion = fusion
+        malformed, forwarded = trace["drop.data_malformed"], receiver.forwarded_count
+        receiver.on_frame(sender.state.node_id, _keyed_hop_frame(deployed, sender, c1))
+        assert trace["drop.data_malformed"] == malformed + 1
+        assert receiver.forwarded_count == forwarded
+
+
+def test_a_short_authenticated_inner_blob_does_not_stop_a_live_run():
+    deployed, _ = deploy_live(60, 10.0, seed=1)
+    deployed.assign_gradient()
+    sender = next(a for a in deployed.agents.values() if a.state.hops_to_bs > 1)
+    sender.node.broadcast(_keyed_hop_frame(deployed, sender, b"\x00\x01"))
+    start = deployed.now()
+    assert deployed.run_for(1.0) == start + 1.0
+    # Every neighbour that could open the frame dropped it as malformed.
+    holders = [
+        nid
+        for nid in deployed.network.adjacency(sender.state.node_id)
+        if nid in deployed.agents and deployed.agent(nid).state.keyring.has(sender.state.cid)
+    ]
+    assert holders
+    assert deployed.network.trace["drop.data_malformed"] == len(holders)
