@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.crypto.aead import AuthenticationError
 from repro.protocol import messages
-from repro.protocol.forwarding import StaleMessage, hop_header, parse_inner, unwrap_hop
+from repro.protocol.forwarding import parse_inner, unwrap_hop
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.config import ProtocolConfig
@@ -49,21 +49,21 @@ class Eavesdropper:
     def readable_hop_payloads(self, cluster_keys: dict[int, bytes]) -> list[bytes]:
         """Inner blobs ``c1`` recoverable with the given cluster keys.
 
-        Freshness is irrelevant to a passive adversary (she decrypts
-        offline), so recordings are opened against an infinite window.
+        Freshness is irrelevant to a passive adversary, who decrypts
+        offline, so ``τ`` is never checked.
         """
         out: list[bytes] = []
         for rec in self.data_frames():
             try:
-                header = hop_header(rec.frame)
+                header, sealed = messages.decode_data_view(rec.frame)
             except messages.MalformedMessage:
                 continue
             key = cluster_keys.get(header.cid)
             if key is None:
                 continue
             try:
-                c1, _ = unwrap_hop(key, rec.frame, rec.time, float("inf"), self.config.aead)
-            except (AuthenticationError, StaleMessage):
+                _, c1, _ = unwrap_hop(key, header, sealed, self.config.aead)
+            except AuthenticationError:
                 continue
             out.append(c1)
         return out

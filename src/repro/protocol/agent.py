@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.crypto.aead import AeadConfig, AuthenticationError
 from repro.crypto.keys import KeyErasedError, SymmetricKey
 from repro.crypto.mac import mac, verify
+from repro.crypto.stats import STATS
 from repro.protocol import messages
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.forwarding import (
@@ -34,9 +35,7 @@ from repro.protocol.forwarding import (
     DedupCache,
     StaleMessage,
     build_inner,
-    count_memo_hits,
-    hop_header,
-    opened_frame,
+    check_fresh,
     parse_inner,
     unwrap_hop,
     wrap_hop,
@@ -45,7 +44,6 @@ from repro.protocol.state import NodeState, Preload, Role
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.aggregation import FusionFilter
-    from repro.protocol.forwarding import _OpenedFrame
     from repro.runtime.node import NodeRuntime
     from repro.sim.trace import Trace
 
@@ -425,8 +423,12 @@ class ProtocolAgent:
         self._trace.count("net.retx.acked")
 
     def _on_data(self, frame: bytes) -> None:
-        # A reception with one receiver: nothing is shared, so its counts
-        # go straight to the trace and there is nothing left to close.
+        """A DATA frame received alone: over UDP, as a delayed, duplicated
+        or corrupted copy under fault injection, or by direct dispatch.
+
+        A reception with one receiver shares nothing, so its counts go
+        straight to the trace and there is nothing left to close.
+        """
         outcome = self._decide_data(DataReception(frame, self.node.now(), self._trace), None)
         if outcome is not None:
             self._trace.count(outcome)
@@ -552,8 +554,12 @@ class ProtocolAgent:
             # An echo of a flood already applied (or a replay of one).
             self._trace.count("drop.revoke_duplicate")
             return
-        if not st.chain.verify(index, chain_key):
-            # A key that does not hash to the commitment.
+        if index > self.config.revocation_chain_length or not st.chain.verify(
+            index, chain_key
+        ):
+            # A key that does not hash to the commitment. An index past
+            # the chain's end cannot verify; walking to it would cost up
+            # to 2^32 hash steps for one forged or corrupted frame.
             self._trace.count("drop.revoke_bad_chain")
             return
         if not verify(chain_key, messages.revoke_mac_input(index, cids), tag):
@@ -822,33 +828,48 @@ class DataReception:
     """One DATA frame's reception by every agent that hears its broadcast.
 
     A hop frame is sealed once and heard by all of its sender's
-    neighbours. What depends only on the frame — its header, its open,
-    the AEAD settings and kernel backend of that open — is resolved once
-    here, and each receiving agent then makes only its own decisions, in
-    the order it hears the frame (:meth:`ProtocolAgent._decide_data`):
-    its operational state, its key for the header's CID, freshness
-    against its own clock, its hop anti-replay, its dedup cache, then
-    custody, ACK and forwarding.
+    neighbours. What depends only on the frame — its header and its
+    open — is resolved once here, and each receiving agent then makes
+    only its own decisions, in the order it hears the frame
+    (:meth:`ProtocolAgent._decide_data`): its operational state, its key
+    for the header's CID, freshness against its own clock, its hop
+    anti-replay, its dedup cache, then custody, ACK and forwarding.
 
     The first receiver that holds the frame's cluster key opens it with
-    :func:`~repro.protocol.forwarding.unwrap_hop`, and that verified open
-    — the frame memo's entry — serves every later receiver whose cluster
+    :func:`~repro.protocol.forwarding.unwrap_hop`, and that verified
+    open serves every later receiver of this reception whose cluster
     key equals the verifying one (compared in constant time) and whose
-    AEAD settings are the same object, for as long as the memo holds the
-    entry. Any other receiver unwraps the frame itself, so every
-    receiver ends exactly as it would alone. Trace counts and the crypto
-    ``STATS`` of memo hits are collected here and added once per frame
-    and outcome by :meth:`close`.
+    AEAD settings are the same object. Any other receiver unwraps the
+    frame itself, so every receiver ends exactly as it would alone.
+    Nothing outlives the reception. Trace counts and the crypto
+    ``STATS`` of shared opens (what an open-memo hit of
+    :func:`~repro.crypto.aead.open_` counts) are collected here and
+    added once per frame and outcome by :meth:`close`.
 
     :meth:`ProtocolAgent._on_data` is a reception with one receiver (UDP,
-    fault injection and direct dispatch), which counts as it goes. The
-    loopback fan-out runs one reception for all of a DATA frame's
-    receivers (see :attr:`repro.sim.radio.Radio.receptions`) and hands
-    every app that is not a :class:`ProtocolAgent` the frame through its
-    own ``on_frame``.
+    a delayed, duplicated or corrupted copy under fault injection, and
+    direct dispatch), which counts as it goes. The loopback fan-out,
+    with or without a fault plan, runs one reception for all of a DATA
+    frame's immediate receivers (see
+    :attr:`repro.sim.radio.Radio.receptions`) and hands every app that
+    is not a :class:`ProtocolAgent` the frame through its own
+    ``on_frame``.
     """
 
-    __slots__ = ("frame", "now", "trace", "header", "_counts", "_opened", "_key", "_aead", "_hits")
+    __slots__ = (
+        "frame",
+        "now",
+        "trace",
+        "header",
+        "_sealed",
+        "_counts",
+        "_opened",
+        "_key",
+        "_aead",
+        "_blocks",
+        "_vector",
+        "_hits",
+    )
 
     def __init__(self, frame: bytes, now: float, trace: "Trace") -> None:
         """``now`` is the protocol time every receiver hears the frame at;
@@ -856,17 +877,22 @@ class DataReception:
         self.frame = frame
         self.now = now
         self.trace = trace
+        self.header: messages.DataHeader | None
         try:
-            self.header: messages.DataHeader | None = hop_header(frame)
+            self.header, self._sealed = messages.decode_data_view(frame)
         except messages.MalformedMessage:
             self.header = None
         #: Counter increments for ``trace``, added by :meth:`close`.
         self._counts: dict[str, int] = {}
-        #: The shared open, the cluster key that verified it, its AEAD
-        #: settings, and the memo hits it served since they were counted.
-        self._opened: "_OpenedFrame | None" = None
+        #: The shared open ``(τ, c1, fingerprint)``, the cluster key that
+        #: verified it, its AEAD settings, the keystream blocks it counted
+        #: and whether the batched kernel made them, and the opens it
+        #: served since they were counted.
+        self._opened: tuple[float, bytes, bytes] | None = None
         self._key = b""
         self._aead: AeadConfig | None = None
+        self._blocks = 0
+        self._vector = False
         self._hits = 0
 
     def deliver(self, app: Any, sender_id: int) -> None:
@@ -892,7 +918,8 @@ class DataReception:
         """One receiver's hop-layer open: ``(c1, fingerprint)``.
 
         Same contract as :func:`~repro.protocol.forwarding.unwrap_hop`
-        with the reception's clock.
+        followed by :func:`~repro.protocol.forwarding.check_fresh` with
+        the reception's clock.
 
         Raises:
             AuthenticationError: tag failure under ``cluster_key``.
@@ -902,29 +929,36 @@ class DataReception:
         if (
             opened is not None
             and config.aead is self._aead
-            and opened_frame(self.frame) is opened
             and compare_digest(cluster_key, self._key)
         ):
             self._hits += 1
-            if self.now - opened.tau_s > config.freshness_window_s:
-                raise StaleMessage(f"frame is {self.now - opened.tau_s:.3f}s old")
-            return opened.c1, opened.fingerprint
-        result = unwrap_hop(
-            cluster_key, self.frame, self.now, config.freshness_window_s, config.aead
-        )
-        # Verified under ``cluster_key``: later receivers with an equal
-        # key share this open while the memo holds its entry.
-        if self._hits:
-            self._count_hits()
-        self._opened = opened_frame(self.frame)
-        self._key = cluster_key
-        self._aead = config.aead
-        return result
+        else:
+            assert self.header is not None
+            blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
+            opened = unwrap_hop(cluster_key, self.header, self._sealed, config.aead)
+            # Verified under ``cluster_key``: later receivers with an
+            # equal key share this open.
+            if self._hits:
+                self._count_hits()
+            self._opened = opened
+            self._key = cluster_key
+            self._aead = config.aead
+            self._blocks = STATS.keystream_blocks - blocks
+            self._vector = STATS.keystream_vector_blocks != vector_blocks
+        tau_s, c1, fingerprint = opened
+        check_fresh(tau_s, self.now, config.freshness_window_s)
+        return c1, fingerprint
 
     def _count_hits(self) -> None:
-        assert self._opened is not None
-        count_memo_hits(self._opened, self._hits)
+        """Count in ``STATS`` what the shared opens would have counted."""
+        hits = self._hits
         self._hits = 0
+        STATS.opens += hits
+        blocks = self._blocks * hits
+        STATS.keystream_blocks += blocks
+        if self._vector:
+            STATS.keystream_vector_blocks += blocks
+        STATS.keystream_reused_blocks += blocks
 
     def close(self) -> None:
         """Add the reception's counts to the trace and to ``STATS``."""

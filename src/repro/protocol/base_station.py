@@ -31,7 +31,7 @@ from repro.protocol.forwarding import (
     CounterWindow,
     DedupCache,
     StaleMessage,
-    hop_header,
+    check_fresh,
     open_inner_windowed,
     parse_inner,
     unwrap_hop,
@@ -208,7 +208,7 @@ class BaseStationAgent:
 
     def _on_data(self, frame: bytes) -> None:
         try:
-            header = hop_header(frame)
+            header, sealed = messages.decode_data_view(frame)
         except messages.MalformedMessage:
             self._reject()
             return
@@ -217,13 +217,10 @@ class BaseStationAgent:
             self._reject(header.cid)
             return
         try:
-            c1, fp = unwrap_hop(
-                self.cluster_key(header.cid),
-                frame,
-                self.node.now(),
-                self.config.freshness_window_s,
-                self.config.aead,
+            tau_s, c1, fp = unwrap_hop(
+                self.cluster_key(header.cid), header, sealed, self.config.aead
             )
+            check_fresh(tau_s, self.node.now(), self.config.freshness_window_s)
         except KeyError:
             self._trace.count("bs.drop_unknown_cluster")
             self._reject(header.cid)

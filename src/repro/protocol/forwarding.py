@@ -25,21 +25,15 @@ The inner blob ``c1`` is invariant along the path: intermediate nodes use
 it for duplicate suppression, and — when Step 1 is disabled — can "peek"
 at the plaintext reading for data-fusion decisions (Sec. II).
 
-A hop frame is broadcast once and received by every neighbour, and what
-opening it yields — the parsed header, ``τ``, ``c1`` and ``c1``'s dedup
-fingerprint — depends only on the frame's bytes and the hop key. The
-*frame memo* keeps that result for the most recent frames:
-:func:`wrap_hop` primes it for the frame it builds, and an
-:func:`unwrap_hop` that misses inserts once the tag verified (a
-malformed frame, a failed tag or a short plaintext inserts nothing).
-A receiver served by the memo still makes every decision that is its
-own: it picks its cluster key by the header's CID, derives the hop key
-itself (the memo is used only if that key equals the one that verified
-the frame), checks ``τ`` against its own clock and runs its own
-anti-replay and duplicate checks. On the loopback fan-out, one
+A hop frame is broadcast once and received by every neighbour.
+:func:`wrap_hop` seals it, which primes the open memo of
+:mod:`repro.crypto.aead`, and each receiver's :func:`unwrap_hop` opens
+it through :func:`~repro.crypto.aead.open_`, served by that memo after
+comparing the receiver's own tag. :func:`unwrap_hop` returns ``τ``
+rather than judging it, so every receiver checks freshness against its
+own clock (:func:`check_fresh`). On the loopback fan-out one
 :class:`~repro.protocol.agent.DataReception` unwraps a frame once for
-all of its receivers and lets each later receiver compare its cluster
-key with the one that verified the frame instead.
+all of its receivers whose cluster key equals the one that verified it.
 """
 
 from __future__ import annotations
@@ -48,20 +42,11 @@ import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from hmac import compare_digest
-from typing import NamedTuple
 
 from repro.crypto.aead import AeadConfig, AuthenticationError, open_, seal
 from repro.crypto.kdf import prf
-from repro.crypto.kernels import active_backend
 from repro.crypto.sha256 import sha256_fast
-from repro.crypto.stats import STATS
-from repro.protocol.messages import (
-    DataFrameAssembler,
-    DataHeader,
-    data_associated_data,
-    decode_data_view,
-)
+from repro.protocol.messages import DataFrameAssembler, DataHeader, data_associated_data
 
 _AD_E2E = b"e2e"
 _HOP_LABEL = b"hop"
@@ -250,78 +235,6 @@ def hop_key(cluster_key: bytes, sender: int) -> bytes:
 #: makes one module-level scratch buffer safe; see DataFrameAssembler.
 _ASSEMBLER = DataFrameAssembler()
 
-#: Most opened DATA frames the frame memo keeps (oldest inserted evicted
-#: first). A frame's receivers open it within a few hundred hop
-#: transmissions of it even on a lossy soak with retransmits.
-FRAME_MEMO_SIZE = 512
-
-
-class _OpenedFrame(NamedTuple):
-    """What opening one DATA frame yields, shared by all its receivers."""
-
-    header: DataHeader
-    #: The hop key whose tag verified the frame.
-    key: bytes
-    #: The AEAD settings of that open, and the kernel backend they resolved to.
-    aead: AeadConfig
-    backend: str
-    tau_s: float
-    c1: bytes
-    #: ``DedupCache.fingerprint(c1)``.
-    fingerprint: bytes
-    #: Keystream blocks an open of the frame counts, and whether the
-    #: batched kernel made them (what a hit adds to ``STATS``).
-    blocks: int
-    vector: bool
-
-
-#: DATA frame bytes -> :class:`_OpenedFrame`, in insertion order. It takes
-#: no lock: every caller of wrap_hop/unwrap_hop runs on its deployment's
-#: event-loop thread.
-_frames: dict[bytes, _OpenedFrame] = {}
-
-
-def _resolved_backend(aead: AeadConfig) -> str:
-    """The keystream kernel backend ``aead`` selects right now."""
-    return active_backend() if aead.backend is None else aead.backend
-
-
-def _remember(
-    frame: bytes,
-    header: DataHeader,
-    key: bytes,
-    aead: AeadConfig,
-    tau_s: float,
-    c1: bytes,
-    blocks: int,
-    vector_blocks: int,
-) -> _OpenedFrame:
-    """Insert what opening ``frame`` yields as the newest frame-memo entry.
-
-    ``blocks`` and ``vector_blocks`` are the ``STATS`` keystream totals
-    read just before the frame was sealed or opened; the growth since is
-    what a hit must count again. A re-inserted frame moves to the newest
-    position, so whether an entry is held depends only on the inserts
-    since it was last made, not on what an earlier run in the process
-    left behind.
-    """
-    opened = _OpenedFrame(
-        header,
-        key,
-        aead,
-        _resolved_backend(aead),
-        tau_s,
-        c1,
-        DedupCache.fingerprint(c1),
-        STATS.keystream_blocks - blocks,
-        STATS.keystream_vector_blocks != vector_blocks,
-    )
-    _frames.pop(frame, None)
-    _frames[frame] = opened
-    if len(_frames) > FRAME_MEMO_SIZE:
-        del _frames[next(iter(_frames))]
-    return opened
-
 
 def wrap_hop(
     cluster_key: bytes,
@@ -335,103 +248,48 @@ def wrap_hop(
 ) -> bytes:
     """Apply Step 2: produce the on-air DATA frame ``c2``.
 
-    The frame primes the frame memo, so its receivers share one open.
+    The seal primes the open memo of :mod:`repro.crypto.aead`, so each
+    receiver of the broadcast pays only its own tag comparison.
     """
     header = DataHeader(cid=cid, sender=sender, seq=seq, hops_to_bs=hops_to_bs)
-    tau_us = max(0, int(tau_s * 1e6))
-    key = hop_key(cluster_key, sender)
-    blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
-    sealed = seal(key, seq, _TAU.pack(tau_us) + c1, data_associated_data(header), aead)
-    frame = _ASSEMBLER.assemble(header, sealed)
-    _remember(frame, header, key, aead, tau_us / 1e6, c1, blocks, vector_blocks)
-    return frame
-
-
-def opened_frame(frame: bytes) -> _OpenedFrame | None:
-    """The frame memo's entry for ``frame``, if it holds one."""
-    return _frames.get(frame)
-
-
-def count_memo_hits(opened: _OpenedFrame, hits: int = 1) -> None:
-    """Count in ``STATS`` what ``hits`` opens of ``opened``'s frame count.
-
-    A frame-memo hit counts what an open-memo hit of
-    :func:`~repro.crypto.aead.open_` would: one open and the frame's
-    keystream blocks, all of them reused.
-    """
-    STATS.opens += hits
-    blocks = opened.blocks * hits
-    STATS.keystream_blocks += blocks
-    if opened.vector:
-        STATS.keystream_vector_blocks += blocks
-    STATS.keystream_reused_blocks += blocks
-
-
-def hop_header(frame: bytes) -> DataHeader:
-    """The clear header of a received DATA frame.
-
-    A frame in the frame memo was parsed when it was built or first
-    opened, and its entry's header is returned; any other frame is
-    parsed.
-
-    Raises:
-        MalformedMessage: not a DATA frame.
-    """
-    opened = _frames.get(frame)
-    if opened is not None:
-        return opened.header
-    return decode_data_view(frame)[0]
-
-
-def _open_frame(cluster_key: bytes, frame: bytes, aead: AeadConfig) -> _OpenedFrame:
-    """Parse and open ``frame`` in full; insert the result once it verified."""
-    header, sealed = decode_data_view(frame)
-    key = hop_key(cluster_key, header.sender)
-    blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
-    plaintext = open_(key, header.seq, sealed, data_associated_data(header), aead)
-    if len(plaintext) < _TAU.size:
-        raise AuthenticationError("hop plaintext too short")
-    tau_s = _TAU.unpack_from(plaintext)[0] / 1e6
-    return _remember(
-        frame, header, key, aead, tau_s, plaintext[_TAU.size :], blocks, vector_blocks
+    plaintext = _TAU.pack(max(0, int(tau_s * 1e6))) + c1
+    sealed = seal(
+        hop_key(cluster_key, sender), seq, plaintext, data_associated_data(header), aead
     )
+    return _ASSEMBLER.assemble(header, sealed)
 
 
 def unwrap_hop(
-    cluster_key: bytes,
-    frame: bytes,
-    now_s: float,
-    freshness_window_s: float,
-    aead: AeadConfig,
-) -> tuple[bytes, bytes]:
-    """Verify the hop layer of a DATA frame; return ``(c1, fingerprint)``.
+    cluster_key: bytes, header: DataHeader, sealed: bytes | memoryview, aead: AeadConfig
+) -> tuple[float, bytes, bytes]:
+    """Verify the hop layer of a DATA frame; return ``(τ, c1, fingerprint)``.
 
-    ``cluster_key`` is the receiver's key for the CID of
-    :func:`hop_header`'s header; ``fingerprint`` is
-    ``DedupCache.fingerprint(c1)``. The frame memo serves the open when
-    it holds ``frame`` under the very hop key this receiver derives (and
-    the same AEAD settings); a hit counts in ``STATS`` what
-    :func:`~repro.crypto.aead.open_` would. Otherwise the frame is parsed
-    and opened in full. Either way ``τ`` is checked against ``now_s``.
+    ``header`` and ``sealed`` are the frame split by
+    :func:`~repro.protocol.messages.decode_data_view`; ``cluster_key`` is
+    the receiver's key for the header's CID; ``fingerprint`` is
+    ``DedupCache.fingerprint(c1)``. The caller checks ``τ`` against its
+    own clock (:func:`check_fresh`).
 
     Raises:
-        MalformedMessage: not a DATA frame.
-        AuthenticationError: tag failure (tampered/unknown key).
+        AuthenticationError: tag failure (tampered/unknown key), or a
+            plaintext too short to hold ``τ``.
+    """
+    key = hop_key(cluster_key, header.sender)
+    plaintext = open_(key, header.seq, sealed, data_associated_data(header), aead)
+    if len(plaintext) < _TAU.size:
+        raise AuthenticationError("hop plaintext too short")
+    c1 = plaintext[_TAU.size :]
+    return _TAU.unpack_from(plaintext)[0] / 1e6, c1, DedupCache.fingerprint(c1)
+
+
+def check_fresh(tau_s: float, now_s: float, freshness_window_s: float) -> None:
+    """The freshness check of Step 2: ``τ`` within the window at ``now_s``.
+
+    Raises:
         StaleMessage: τ outside the freshness window.
     """
-    opened = _frames.get(frame)
-    if (
-        opened is not None
-        and (opened.aead is aead or opened.aead == aead)
-        and opened.backend == _resolved_backend(aead)
-        and compare_digest(opened.key, hop_key(cluster_key, opened.header.sender))
-    ):
-        count_memo_hits(opened)
-    else:
-        opened = _open_frame(cluster_key, frame, aead)
-    if now_s - opened.tau_s > freshness_window_s:
-        raise StaleMessage(f"frame is {now_s - opened.tau_s:.3f}s old")
-    return opened.c1, opened.fingerprint
+    if now_s - tau_s > freshness_window_s:
+        raise StaleMessage(f"frame is {now_s - tau_s:.3f}s old")
 
 
 # ---------------------------------------------------------------------------

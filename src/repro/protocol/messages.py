@@ -225,9 +225,11 @@ def decode_data_view(frame: bytes) -> "tuple[DataHeader, memoryview]":
 
     The sealed part comes back as a ``memoryview`` of the received
     frame, so the split itself copies nothing; :func:`repro.crypto.aead.open_`
-    copies it to ``bytes`` once, for its memo key. The hop-open path
-    (:func:`repro.protocol.forwarding.unwrap_hop`) parses a frame only
-    when the frame memo does not already hold it.
+    copies it to ``bytes`` once, for its memo key. Every receiver of a
+    DATA frame parses it here once and hands both parts to
+    :func:`repro.protocol.forwarding.unwrap_hop`; on the loopback fan-out
+    one :class:`~repro.protocol.agent.DataReception` parses it for all of
+    its receivers.
 
     Raises:
         MalformedMessage: wrong structure.

@@ -16,7 +16,9 @@ vocabulary shared by every backend:
 
 One method, :meth:`FaultInjectingTransport.inject`, decides each
 delivery: loopback's fan-out loop calls it directly, and UDP through a
-per-node :class:`_FaultedEndpoint`.
+per-node :class:`_FaultedEndpoint`. On loopback an immediate, uncorrupted
+delivery joins the fan-out's shared reception pass like any clean one;
+a corrupted, delayed or duplicated copy is received on its own.
 
 Fault decisions are drawn from a ``numpy`` generator seeded by the plan,
 so on the deterministic loopback fabric a chaos run is exactly
@@ -356,15 +358,22 @@ class FaultInjectingTransport(Transport):
             node.offline()
             self.trace.count("fault.crash")
 
-    def inject(self, node: ReceiveEndpoint, sender_id: int, frame: bytes) -> None:
-        """Apply the plan to one delivery, then hand it to the real node."""
+    def inject(
+        self, node: ReceiveEndpoint, sender_id: int, frame: bytes, reception: Any = None
+    ) -> None:
+        """Apply the plan to one delivery, then hand it to the real node.
+
+        ``reception`` is the loopback fan-out's shared reception pass,
+        if any: an immediate, uncorrupted delivery is handed on through
+        it, and a corrupted, delayed or duplicated copy without it.
+        """
         plan = self.plan
         if plan.partitions and plan.severed(sender_id, node.id, self.inner.now):
             self.trace.count("fault.partition_drop")
             return
         link = plan.link(sender_id, node.id) if plan.per_link else plan.defaults
         if link.is_noop:
-            self._deliver(node, sender_id, frame)
+            self._deliver(node, sender_id, frame, reception)
             return
         # ``w * random()`` below is numpy's ``uniform(0, w)``, value for value.
         random = self._draws.random
@@ -374,6 +383,7 @@ class FaultInjectingTransport(Transport):
             return
         if corrupt > 0.0 and random() < corrupt:
             frame = self._corrupt(frame)
+            reception = None
             self.trace.count("fault.corrupt")
         if duplicate > 0.0 and random() < duplicate:
             copy_delay = plan.duplicate_window_s * random()
@@ -389,13 +399,15 @@ class FaultInjectingTransport(Transport):
         if delay > 0.0:
             self.inner.schedule(delay, _LateDelivery(self, node, sender_id, frame))
         else:
-            self._deliver(node, sender_id, frame)
+            self._deliver(node, sender_id, frame, reception)
 
-    def _deliver(self, node: ReceiveEndpoint, sender_id: int, frame: bytes) -> None:
+    def _deliver(
+        self, node: ReceiveEndpoint, sender_id: int, frame: bytes, reception: Any = None
+    ) -> None:
         if not node.alive:
             return
         self.frames_delivered += 1
-        node.receive(sender_id, frame)
+        node.receive(sender_id, frame, reception)
 
     def _corrupt(self, frame: bytes) -> bytes:
         """Flip one random byte (guaranteed to differ from the original)."""
@@ -408,9 +420,9 @@ class FaultInjectingTransport(Transport):
 
 class _FaultedEndpoint:
     """Registered in place of the real endpoint on fabrics without a
-    fan-out loop (UDP); routes each delivery through the fault plan.
-    Exposes the full ``ReceiveEndpoint`` surface, so inner transports
-    cannot tell it from a real node runtime."""
+    fan-out loop (UDP); routes each delivery, one datagram at a time,
+    through the fault plan. Exposes the full ``ReceiveEndpoint`` surface,
+    so inner transports cannot tell it from a real node runtime."""
 
     __slots__ = ("transport", "node", "id")
 
@@ -424,9 +436,9 @@ class _FaultedEndpoint:
         """Liveness of the real endpoint (crashes read through)."""
         return self.node.alive
 
-    def receive(self, sender_id: int, frame: bytes) -> None:
+    def receive(self, sender_id: int, frame: bytes, reception: Any = None) -> None:
         """Delivery entry point: apply the fault plan, then forward."""
-        self.transport.inject(self.node, sender_id, frame)
+        self.transport.inject(self.node, sender_id, frame, reception)
 
 
 class _CrashFire:

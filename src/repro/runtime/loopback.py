@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.engine import EventHandle, EventQueue
 from repro.sim.trace import Trace
@@ -50,9 +50,10 @@ class LoopbackTransport(Transport):
         super().__init__(trace=trace)
         self.pace = pace
         self.radio: "Radio | None" = None
-        #: Called as ``inject(endpoint, sender_id, frame)`` in place of
-        #: ``endpoint.receive``; set by a wrapping FaultInjectingTransport.
-        self.inject: Callable[[ReceiveEndpoint, int, bytes], None] | None = None
+        #: Called as ``inject(endpoint, sender_id, frame, reception)`` in
+        #: place of ``endpoint.receive``, with the fan-out's shared
+        #: reception pass or None; set by a wrapping FaultInjectingTransport.
+        self.inject: Callable[[ReceiveEndpoint, int, bytes, Any], None] | None = None
         self._nodes: dict[int, ReceiveEndpoint] = {}
         self._events = EventQueue()
         self._now = 0.0

@@ -53,8 +53,14 @@ class ReceiveEndpoint(Protocol):
     id: int
     alive: bool
 
-    def receive(self, sender_id: int, frame: bytes) -> None:  # pragma: no cover
-        """Deliver one frame (``sender_id`` is the untrusted link source)."""
+    def receive(
+        self, sender_id: int, frame: bytes, reception: Any = None
+    ) -> None:  # pragma: no cover
+        """Deliver one frame (``sender_id`` is the untrusted link source).
+
+        ``reception`` is the loopback fan-out's shared reception pass for
+        the frame, or None.
+        """
         ...
 
 

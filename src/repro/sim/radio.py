@@ -99,8 +99,8 @@ class Radio:
         self._carrier_until: dict[int, float] = {}
         #: Shared reception passes by frame type byte. ``factory(frame,
         #: now, trace)`` makes one pass for a frame of that type; the
-        #: fan-out without ``inject`` hands it to every receiving endpoint
-        #: (``receive(sender_id, frame, reception)``), then calls its
+        #: fan-out hands it to every receiving endpoint (``receive(sender_id,
+        #: frame, reception)``, or through ``inject``), then calls its
         #: ``close()``. The protocol registers its DATA reception here.
         self.receptions: dict[int, Callable[[bytes, float, Trace], Any]] = {}
         self.frames_sent = 0
@@ -179,23 +179,23 @@ class Radio:
         receivers: list[int],
         sender_id: int,
         frame: bytes,
-        inject: "Callable[[ReceiveEndpoint, int, bytes], None] | None" = None,
+        inject: "Callable[[ReceiveEndpoint, int, bytes, Any], None] | None" = None,
     ) -> int:
         """Hand ``frame`` to each receiver still alive at arrival.
 
         ``endpoints`` are the fabric's registered receive endpoints by
         node id. Each reception's energy is charged before the receiver
-        handles it, by ``inject(endpoint, ...)`` in place of ``receive``
-        when given. Without ``inject``, a frame whose type has a
+        handles it, by ``inject(endpoint, sender_id, frame, reception)``
+        in place of ``receive`` when given. A frame whose type has a
         registered reception (:attr:`receptions`) is received in one
-        shared pass. Returns the number of receptions (before
-        ``inject``).
+        shared pass (``reception``; None for other frames). Returns the
+        number of receptions (before ``inject``).
         """
         nodes = self._network.nodes
         nbytes = len(frame) + self.config.header_bytes
         delivered = 0
         reception = None
-        if inject is None and frame:
+        if frame:
             factory = self.receptions.get(frame[0])
             if factory is not None:
                 network = self._network
@@ -207,12 +207,10 @@ class Radio:
                     continue
                 nodes[receiver_id].energy.charge_rx(nbytes)
                 delivered += 1
-                if inject is not None:
-                    inject(endpoint, sender_id, frame)
-                elif reception is None:
-                    endpoint.receive(sender_id, frame)
-                else:
+                if inject is None:
                     endpoint.receive(sender_id, frame, reception)
+                else:
+                    inject(endpoint, sender_id, frame, reception)
         finally:
             if reception is not None:
                 reception.close()

@@ -8,9 +8,9 @@ oracle's plaintext and counts what a recomputation would, any change to
 a MAC input or the tag is refused, forged traffic cannot touch the
 memo, backends never share an entry, the memo stays bounded, and a
 deployment behaves identically without it or after a run that warmed it.
-A DATA frame's receivers are served one level up, by the frame memo in
-:mod:`repro.protocol.forwarding`; the deployment tests switch off or
-clear that memo too, so every hop open reaches this one.
+It is the only memo of verified opens: DATA hop opens reach it too, and
+only one loopback fan-out shares an open above it
+(:class:`~repro.protocol.agent.DataReception`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.crypto.block import get_cipher
 from repro.crypto.kdf import ENCRYPT_USAGE, derive_usage_key
 from repro.crypto.modes import message_counter
 from repro.crypto.stats import STATS
-from repro.protocol import forwarding
 from repro.runtime.cluster import deploy_live
 from repro.workloads import SoakWorkload
 
@@ -39,12 +38,10 @@ TAG_LEN = AeadConfig().tag_len
 
 @pytest.fixture(autouse=True)
 def empty_memo():
-    """Each test starts from empty memos and leaves none behind."""
+    """Each test starts from an empty memo and leaves none behind."""
     aead._opened.clear()
-    forwarding._frames.clear()
     yield
     aead._opened.clear()
-    forwarding._frames.clear()
 
 
 def _oracle_keystream(key: bytes, counter: int, length: int) -> bytes:
@@ -195,11 +192,17 @@ def test_a_re_primed_entry_becomes_the_newest(monkeypatch):
     assert [key[3] for key in aead._opened] == [0, *range(8, 15)]
 
 
-def _soak() -> tuple:
-    """Delivered readings, frames sent, events run and STATS growth of a seeded soak."""
+def _soak(shared: bool = True) -> tuple:
+    """Delivered readings, frames sent, events run and STATS growth of a seeded soak.
+
+    ``shared=False`` takes away the loopback fan-out's shared reception
+    pass, so every receiver of a DATA frame opens it through ``open_``.
+    """
     before = STATS.snapshot()
     deployed, _metrics = deploy_live(n=100, density=10.0, seed=4, transport="loopback")
     deployed.assign_gradient()
+    if not shared:
+        deployed.network.radio.receptions.clear()
     transport = deployed.network.transport
     sent_before = transport.frames_sent
     events_before = transport.events_executed
@@ -220,19 +223,17 @@ def test_loopback_soak_identical_without_the_memo(monkeypatch):
     assert with_memo[0]
     assert with_memo[3]["keystream_reused_blocks"] > 0
     monkeypatch.setattr(aead, "OPEN_MEMO_SIZE", 0)
-    monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", 0)
     aead._opened.clear()
-    forwarding._frames.clear()
-    without_memo = _soak()
-    assert not aead._opened and not forwarding._frames
+    # Without the shared pass too, so no open is served by another.
+    without_memo = _soak(shared=False)
+    assert not aead._opened
     assert without_memo[3].pop("keystream_reused_blocks") == 0
     del with_memo[3]["keystream_reused_blocks"]
     assert without_memo == with_memo
 
 
 def test_a_warm_memo_does_not_change_a_rerun():
-    # The memos are process-global; a run must not depend on what ran before it.
+    # The memo is process-global; a run must not depend on what ran before it.
     first = _soak()
     assert len(aead._opened) == aead.OPEN_MEMO_SIZE
-    assert len(forwarding._frames) == forwarding.FRAME_MEMO_SIZE
     assert _soak() == first

@@ -16,14 +16,17 @@ branch of a DATA frame's fan-out:
 * a frame sealed under the revoked cluster's key after the revocation.
 
 The variants run the same field with default settings, with hop ACKs
-on, with hop ACKs on and no forwarding jitter (a forward is sealed
-inside the fan-out of the frame that triggered it), the same with a
-one-entry frame memo (that forward evicts the frame being received),
-and without the frame memo. Each soak pins the delivered readings, ``frames_received``
-of every node, the trace counters, the growth of the crypto ``STATS``
-totals and the executed-event count in one sha256. Any change to the
-reception path that moves one decision, one counter or one event fails
-here. A deliberate change to reception semantics re-records these
+on, and with hop ACKs on and no forwarding jitter (a forward is sealed
+inside the fan-out of the frame that triggered it). Two more wrap the
+fabric in a fault plan: a seeded one with hop ACKs on (drop, duplicate,
+reorder and corrupt on every link, delay jitter on a fixed subset of
+links), so one fan-out mixes immediate, corrupted, delayed and
+duplicated copies of a frame, and one that injects nothing, which must
+match the default exactly. Each soak pins the delivered readings,
+``frames_received`` of every node, the trace counters, the growth of
+the crypto ``STATS`` totals and the executed-event count in one
+sha256. Any change to the reception path that moves one decision, one
+counter or one event fails here. A deliberate change to reception semantics re-records these
 digests.
 """
 
@@ -31,15 +34,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.crypto import aead
 from repro.crypto.stats import STATS
-from repro.protocol import forwarding
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.forwarding import wrap_hop
 from repro.runtime.cluster import deploy_live
+from repro.runtime.faults import FaultPlan, LinkFaults
 from repro.workloads import SoakWorkload
 
 N = 100
@@ -55,8 +59,9 @@ EXPECTED = {
     "default": ("5a45f4f276c8e22c8a562ad272244ddbaee5ed3ae53e9cb276895f6b605fb66c", 201),
     "hop_acks": ("13509b3e878d143f77c348a4206b4079b9e3513183a9ecca38c39292214deb3f", 201),
     "no_jitter": ("ce191a2d1597c587e5f7867637ab3d6d23404f7db5648d2903de6c8f2ae13de2", 202),
-    "no_frame_memo": ("5a45f4f276c8e22c8a562ad272244ddbaee5ed3ae53e9cb276895f6b605fb66c", 201),
-    "one_entry_memo": ("ce191a2d1597c587e5f7867637ab3d6d23404f7db5648d2903de6c8f2ae13de2", 202),
+    "faulted": ("b289784df15c37ff8de0722b6062ce075fa11a3254f51452a05754f2aaa52ec4", 192),
+    # A fault plan that injects nothing changes nothing: the default's digest.
+    "noop_faults": ("5a45f4f276c8e22c8a562ad272244ddbaee5ed3ae53e9cb276895f6b605fb66c", 201),
 }
 
 CONFIGS = {
@@ -65,14 +70,27 @@ CONFIGS = {
     "no_jitter": ProtocolConfig(
         freshness_window_s=FRESHNESS_S, hop_ack_enabled=True, forward_jitter_s=0.0
     ),
-    "no_frame_memo": ProtocolConfig(freshness_window_s=FRESHNESS_S),
-    "one_entry_memo": ProtocolConfig(
-        freshness_window_s=FRESHNESS_S, hop_ack_enabled=True, forward_jitter_s=0.0
-    ),
+    "faulted": ProtocolConfig(freshness_window_s=FRESHNESS_S, hop_ack_enabled=True),
+    "noop_faults": ProtocolConfig(freshness_window_s=FRESHNESS_S),
 }
 
-#: Frame-memo size per variant (the default elsewhere).
-MEMO_SIZES = {"no_frame_memo": 0, "one_entry_memo": 1}
+_LINK_FAULTS = LinkFaults(drop=0.1, duplicate=0.05, reorder=0.05, corrupt=0.05)
+_DELAYED_LINK_FAULTS = replace(_LINK_FAULTS, delay_jitter_s=0.003)
+
+#: Every link faulty; about one link in seven also delays every delivery.
+FAULTS = FaultPlan(
+    seed=SEED,
+    defaults=_LINK_FAULTS,
+    per_link={
+        (s, r): _DELAYED_LINK_FAULTS
+        for s in range(N + 1)
+        for r in range(N + 1)
+        if s != r and (s + 2 * r) % 7 == 0
+    },
+)
+
+#: Fault plan per variant (none elsewhere).
+FAULT_PLANS = {"faulted": FAULTS, "noop_faults": FaultPlan(seed=SEED)}
 
 
 class _Recorder:
@@ -92,14 +110,19 @@ def _c1(reading: bytes) -> bytes:
     return b"\x00\x00\x00\x07\x00" + reading
 
 
-def _reception_record(config: ProtocolConfig) -> dict:
+def _reception_record(config: ProtocolConfig, fault_plan: FaultPlan | None = None) -> dict:
     before = STATS.snapshot()
     deployed, _metrics = deploy_live(
-        n=N, density=DENSITY, seed=SEED, transport="loopback", config=config
+        n=N,
+        density=DENSITY,
+        seed=SEED,
+        transport="loopback",
+        config=config,
+        fault_plan=fault_plan,
     )
     deployed.assign_gradient()
     network = deployed.network
-    transport = network.transport
+    transport = getattr(network.transport, "inner", network.transport)
     registry = network.trace.telemetry.registry
     events_before = transport.events_executed
 
@@ -175,12 +198,9 @@ def _reception_record(config: ProtocolConfig) -> dict:
 
 
 @pytest.mark.parametrize("variant", sorted(EXPECTED))
-def test_reception_pass_is_pinned(monkeypatch, variant):
-    if variant in MEMO_SIZES:
-        monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", MEMO_SIZES[variant])
-    forwarding._frames.clear()
+def test_reception_pass_is_pinned(variant):
     aead._opened.clear()
-    record = _reception_record(CONFIGS[variant])
+    record = _reception_record(CONFIGS[variant], FAULT_PLANS.get(variant))
     counters = record["counters"]
     # Every branch the soak is built to reach was reached.
     for name in (
@@ -193,5 +213,9 @@ def test_reception_pass_is_pinned(monkeypatch, variant):
         "forward.dedup_hit",
     ):
         assert counters.get(name, 0) > 0, name
+    if variant == "faulted":
+        for name in ("fault.drop", "fault.duplicate", "fault.reorder", "fault.corrupt", "fault.delay"):
+            assert counters.get(name, 0) > 0, name
+        assert counters.get("drop.data_bad_auth", 0) + counters.get("drop.data_malformed", 0) > 0
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     assert (digest, len(record["delivered"])) == EXPECTED[variant]

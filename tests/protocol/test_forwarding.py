@@ -10,13 +10,14 @@ from repro.protocol.forwarding import (
     InnerEnvelope,
     StaleMessage,
     build_inner,
-    hop_header,
+    check_fresh,
     hop_key,
     open_inner_windowed,
     parse_inner,
     unwrap_hop,
     wrap_hop,
 )
+from repro.protocol.messages import decode_data_view
 
 AEAD = AeadConfig()
 NODE_KEY = bytes(range(16))
@@ -25,9 +26,11 @@ CLUSTER_KEY = bytes(range(16, 32))
 
 def _unwrap(key, frame, now_s):
     """A DATA frame's header and its hop layer's ``c1`` (30 s window)."""
-    c1, fingerprint = unwrap_hop(key, frame, now_s, 30.0, AEAD)
+    header, sealed = decode_data_view(frame)
+    tau_s, c1, fingerprint = unwrap_hop(key, header, sealed, AEAD)
     assert fingerprint == DedupCache.fingerprint(c1)
-    return hop_header(frame), c1
+    check_fresh(tau_s, now_s, 30.0)
+    return header, c1
 
 
 def _window(size, *accepted):

@@ -1,17 +1,22 @@
-"""The frame memo in ``repro.protocol.forwarding``: one reception per DATA broadcast.
+"""One open per DATA broadcast: ``DataReception`` and ``unwrap_hop``.
 
-A hop frame is sealed once and received by every neighbour; the memo
-lets those receivers share its header, ``τ``, ``c1`` and ``c1``'s dedup
-fingerprint while each still picks its own cluster key, derives its own
-hop key, checks ``τ`` against its own clock and runs its own anti-replay
-and duplicate checks. These tests pin that the sharing is invisible and
-safe: a hit returns and counts what a computed open does, a receiver
-without the frame's key is refused, freshness and replay still apply,
-forged or mutated frames are refused and never enter the memo, the memo
-stays bounded and FIFO, and a deployment behaves identically without it.
+A hop frame is sealed once and received by every neighbour. One
+:class:`~repro.protocol.agent.DataReception` per broadcast lets those
+receivers share its verified open (``τ``, ``c1`` and ``c1``'s dedup
+fingerprint) while each still picks its own cluster key, checks ``τ``
+against its own clock and runs its own anti-replay and duplicate
+checks. These tests pin that the sharing is invisible and safe: a
+shared open returns and counts what an open of its own does, a receiver
+with another key or other AEAD settings is refused it, freshness and
+replay still apply, forged or mutated frames are refused and never
+enter the open memo, a damaged, delayed or duplicated copy under fault
+injection opens on its own, and a deployment behaves identically
+without the shared pass.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,16 +32,18 @@ from repro.protocol.config import ProtocolConfig
 from repro.protocol.forwarding import (
     DedupCache,
     StaleMessage,
-    hop_header,
+    check_fresh,
     unwrap_hop,
     wrap_hop,
 )
 from repro.runtime.cluster import deploy_live
 from repro.runtime.faults import FaultPlan, LinkFaults
+from repro.sim.trace import Trace
 from repro.workloads import SoakWorkload
 from tests.conftest import small_deployment
 
-AEAD = AeadConfig()
+CONFIG = ProtocolConfig(freshness_window_s=30.0)
+AEAD = CONFIG.aead
 CLUSTER_KEY = bytes(range(16, 32))
 OTHER_KEY = bytes(range(32, 48))
 C1 = bytes(range(40))
@@ -44,17 +51,21 @@ TAU = 100.0
 
 
 @pytest.fixture(autouse=True)
-def empty_memos():
-    """Each test starts from empty memos and leaves none behind."""
+def empty_memo():
+    """Each test starts from an empty open memo and leaves none behind."""
     aead._opened.clear()
-    forwarding._frames.clear()
     yield
     aead._opened.clear()
-    forwarding._frames.clear()
 
 
 def _wrap(seq: int = 1, c1: bytes = C1, tau: float = TAU, sender: int = 5) -> bytes:
     return wrap_hop(CLUSTER_KEY, 9, sender, seq, 3, tau, c1, AEAD)
+
+
+def _unwrap(cluster_key: bytes, frame: bytes, aead_config: AeadConfig = AEAD):
+    """One receiver's own open of ``frame``: ``(τ, c1, fingerprint)``."""
+    header, sealed = messages.decode_data_view(frame)
+    return unwrap_hop(cluster_key, header, sealed, aead_config)
 
 
 def _stats_delta(call) -> tuple[object, dict[str, int]]:
@@ -65,61 +76,105 @@ def _stats_delta(call) -> tuple[object, dict[str, int]]:
 
 
 def _memo() -> list:
-    return list(forwarding._frames.items())
+    return list(aead._opened.items())
+
+
+def _shared(reception: DataReception, cluster_key: bytes, config: ProtocolConfig = CONFIG):
+    """A later receiver's open of ``reception``, its shared counts added."""
+    result = reception.unwrap(cluster_key, config)
+    reception.close()
+    return result
 
 
 def test_a_hit_returns_and_counts_what_a_computed_open_does():
     frame = _wrap()
-    assert frame in forwarding._frames  # wrap_hop primed it
-    header = hop_header(frame)
-    hit, hit_stats = _stats_delta(lambda: unwrap_hop(CLUSTER_KEY, frame, TAU, 30.0, AEAD))
-    assert hit == (C1, DedupCache.fingerprint(C1))
-    assert hit_stats["opens"] == 1 and hit_stats["keystream_reused_blocks"] > 0
+    reception = DataReception(frame, TAU, Trace())
+    first, first_stats = _stats_delta(lambda: reception.unwrap(CLUSTER_KEY, CONFIG))
+    assert first == (C1, DedupCache.fingerprint(C1))
+    # The seal primed the open memo: the first open is a memo hit.
+    assert first_stats["opens"] == 1 and first_stats["keystream_reused_blocks"] > 0
+    shared, shared_stats = _stats_delta(lambda: _shared(reception, CLUSTER_KEY))
+    assert shared == first
+    assert shared_stats == first_stats
 
-    # The same reception with the frame memo empty: parsed, opened by
-    # open_ (served by the open memo that seal primed), then inserted.
-    forwarding._frames.clear()
-    assert hop_header(frame) == header
-    computed, computed_stats = _stats_delta(
-        lambda: unwrap_hop(CLUSTER_KEY, frame, TAU, 30.0, AEAD)
-    )
-    assert computed == hit
-    assert computed_stats == hit_stats
-    assert forwarding._frames[frame].header == header
-
-    # And with no memo at all: the full HMAC and decryption agree too.
-    forwarding._frames.clear()
+    # With no memo at all: the full HMAC and decryption agree, and a
+    # receiver sharing that computed open counts what a memo hit of it
+    # would.
     aead._opened.clear()
-    assert unwrap_hop(CLUSTER_KEY, frame, TAU, 30.0, AEAD) == hit
+    reception = DataReception(frame, TAU, Trace())
+    computed, computed_stats = _stats_delta(lambda: reception.unwrap(CLUSTER_KEY, CONFIG))
+    assert computed == first
+    assert computed_stats["keystream_reused_blocks"] == 0
+    _, shared_stats = _stats_delta(lambda: _shared(reception, CLUSTER_KEY))
+    _, hit_stats = _stats_delta(lambda: _unwrap(CLUSTER_KEY, frame))
+    assert shared_stats == hit_stats == first_stats
+
+
+def test_unwrap_hop_returns_tau_and_leaves_freshness_to_the_caller():
+    frame = _wrap(tau=TAU)
+    tau, c1, fingerprint = _unwrap(CLUSTER_KEY, frame)
+    assert (tau, c1, fingerprint) == (TAU, C1, DedupCache.fingerprint(C1))
+    check_fresh(tau, TAU + 29.0, 30.0)
+    with pytest.raises(StaleMessage):
+        check_fresh(tau, TAU + 31.0, 30.0)
 
 
 def test_a_receiver_with_another_cluster_key_is_refused():
     frame = _wrap()
     memo = _memo()
     with pytest.raises(AuthenticationError):
-        unwrap_hop(OTHER_KEY, frame, TAU, 30.0, AEAD)
+        _unwrap(OTHER_KEY, frame)
     assert _memo() == memo
-    assert unwrap_hop(CLUSTER_KEY, frame, TAU, 30.0, AEAD)[0] == C1
-
-
-def test_a_receiver_with_other_aead_settings_does_not_share_the_entry():
-    frame = _wrap()
+    reception = DataReception(frame, TAU, Trace())
+    assert reception.unwrap(CLUSTER_KEY, CONFIG)[0] == C1
     with pytest.raises(AuthenticationError):
-        unwrap_hop(CLUSTER_KEY, frame, TAU, 30.0, AeadConfig(cipher="rc5-32/12/16"))
-    with pytest.raises(AuthenticationError):
-        unwrap_hop(CLUSTER_KEY, frame, TAU, 30.0, AeadConfig(tag_len=AEAD.tag_len - 1))
-    _, pure = _stats_delta(
-        lambda: unwrap_hop(CLUSTER_KEY, frame, TAU, 30.0, AeadConfig(backend="pure"))
-    )
-    assert pure["keystream_vector_blocks"] == 0 and pure["keystream_blocks"] > 0
+        reception.unwrap(OTHER_KEY, CONFIG)
+    assert _shared(reception, CLUSTER_KEY)[0] == C1
 
 
-def test_a_hit_still_checks_freshness():
+def test_a_receiver_with_other_aead_settings_does_not_share_the_entry(monkeypatch):
     frame = _wrap()
-    assert unwrap_hop(CLUSTER_KEY, frame, TAU + 29.0, 30.0, AEAD)[0] == C1
-    with pytest.raises(StaleMessage):
-        unwrap_hop(CLUSTER_KEY, frame, TAU + 31.0, 30.0, AEAD)
-    assert frame in forwarding._frames
+    reception = DataReception(frame, TAU, Trace())
+    assert reception.unwrap(CLUSTER_KEY, CONFIG)[0] == C1
+    unwraps = _count_unwraps(monkeypatch)
+    with pytest.raises(AuthenticationError):
+        reception.unwrap(CLUSTER_KEY, ProtocolConfig(freshness_window_s=30.0, cipher="rc5-32/12/16"))
+    with pytest.raises(AuthenticationError):
+        reception.unwrap(
+            CLUSTER_KEY, ProtocolConfig(freshness_window_s=30.0, tag_len=CONFIG.tag_len - 1)
+        )
+    pure = ProtocolConfig(freshness_window_s=30.0, crypto_backend="pure")
+
+    def hit_then_pure():
+        reception.unwrap(CLUSTER_KEY, CONFIG)  # served by the shared open
+        return _shared(reception, CLUSTER_KEY, pure)
+
+    _, stats = _stats_delta(hit_then_pure)
+    # The shared hit counts on the batched kernel that made its open; the
+    # pure receiver's own open does not.
+    assert stats["opens"] == 2
+    assert stats["keystream_vector_blocks"] * 2 == stats["keystream_blocks"] > 0
+    # Equal settings in another object are not the same settings object:
+    # that receiver opens the frame itself.
+    assert _shared(reception, CLUSTER_KEY, ProtocolConfig(freshness_window_s=30.0))[0] == C1
+    assert len(unwraps) == 4
+
+
+def test_a_hit_still_checks_freshness(monkeypatch):
+    frame = _wrap()
+    reception = DataReception(frame, TAU + 31.0, Trace())
+    unwraps = _count_unwraps(monkeypatch)
+    # The first receiver's open verified before its own freshness check
+    # failed; the second is served by that open and checks for itself.
+    for _ in range(2):
+        with pytest.raises(StaleMessage):
+            reception.unwrap(CLUSTER_KEY, CONFIG)
+    # A receiver with a wider window and the same AEAD settings object
+    # is served too, and accepts the frame.
+    wide = replace(CONFIG, freshness_window_s=60.0)
+    vars(wide)["aead"] = CONFIG.aead
+    assert reception.unwrap(CLUSTER_KEY, wide)[0] == C1
+    assert len(unwraps) == 1
 
 
 def _flip(data: bytes, index: int) -> bytes:
@@ -142,59 +197,36 @@ def test_any_flipped_byte_of_a_primed_frame_is_refused(seq, c1, index):
     mutated = _flip(frame, index)
     memo = _memo()
     with pytest.raises((AuthenticationError, messages.MalformedMessage)):
-        unwrap_hop(CLUSTER_KEY, mutated, TAU, 30.0, AEAD)
+        _unwrap(CLUSTER_KEY, mutated)
     assert _memo() == memo
 
 
 def test_forged_frames_leave_the_memo_unchanged():
-    genuine = [_wrap(seq=s) for s in range(1, forwarding.FRAME_MEMO_SIZE + 1)]
+    genuine = [_wrap(seq=s) for s in range(1, aead.OPEN_MEMO_SIZE + 1)]
     memo = _memo()
-    assert len(memo) == forwarding.FRAME_MEMO_SIZE
+    assert len(memo) == aead.OPEN_MEMO_SIZE
     for i in range(1000):
         frame = genuine[i % len(genuine)]
         forged = _flip(frame, i) if i % 2 else frame[:11] + bytes(len(frame) - 11)
         with pytest.raises((AuthenticationError, messages.MalformedMessage)):
-            unwrap_hop(CLUSTER_KEY, forged, TAU, 30.0, AEAD)
+            _unwrap(CLUSTER_KEY, forged)
     assert _memo() == memo
 
 
 def test_a_short_plaintext_inserts_nothing():
     # A genuine seal of fewer bytes than τ: the tag verifies, the frame
-    # is still refused and never remembered.
+    # is still refused, and no receiver of the reception is served.
     header = messages.DataHeader(cid=9, sender=5, seq=1, hops_to_bs=3)
     sealed = aead.seal(
         forwarding.hop_key(CLUSTER_KEY, 5), 1, b"abc", messages.data_associated_data(header), AEAD
     )
     frame = messages.encode_data(header, sealed)
-    with pytest.raises(AuthenticationError):
-        unwrap_hop(CLUSTER_KEY, frame, TAU, 30.0, AEAD)
-    assert not forwarding._frames
-
-
-def test_memo_never_exceeds_its_cap_and_evicts_oldest_first(monkeypatch):
-    monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", 8)
-    frames = []
-    for seq in range(1, 41):
-        frames.append(_wrap(seq=seq))
-        assert len(forwarding._frames) <= 8
-    assert list(forwarding._frames) == frames[-8:]
-
-
-def test_a_re_primed_frame_becomes_the_newest(monkeypatch):
-    monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", 8)
-    frames = [_wrap(seq=seq) for seq in range(1, 9)]
-    assert _wrap(seq=1) == frames[0]
-    later = [_wrap(seq=seq) for seq in range(9, 16)]
-    assert list(forwarding._frames) == [frames[0], *later]
-
-
-def test_a_verified_miss_inserts_as_the_newest(monkeypatch):
-    monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", 8)
-    first = _wrap(seq=1)
-    forwarding._frames.clear()
-    others = [_wrap(seq=seq) for seq in range(2, 9)]
-    unwrap_hop(CLUSTER_KEY, first, TAU, 30.0, AEAD)
-    assert list(forwarding._frames) == [*others, first]
+    memo = _memo()
+    reception = DataReception(frame, TAU, Trace())
+    for _ in range(2):
+        with pytest.raises(AuthenticationError):
+            reception.unwrap(CLUSTER_KEY, CONFIG)
+    assert _memo() == memo
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +260,6 @@ def _primed_frame(deployed, sender, receiver) -> bytes:
         b"\x00" * 12,
         deployed.config.aead,
     )
-    assert frame in forwarding._frames
     return frame
 
 
@@ -245,7 +276,7 @@ def test_agent_dispatch_on_a_primed_frame_makes_its_own_decisions():
     receiver.on_frame(sender_id, frame)
     assert trace["drop.data_replay"] == replay + 1
 
-    # Another cluster key under the same CID: the memo does not serve it.
+    # Another cluster key under the same CID: refused.
     bad_auth = trace["drop.data_bad_auth"]
     receiver.state.keyring.store(cid, SymmetricKey(OTHER_KEY, "wrong"))
     receiver.on_frame(sender_id, _primed_frame(deployed, sender, receiver))
@@ -273,7 +304,6 @@ def test_agent_dispatch_on_a_primed_frame_still_checks_freshness():
     trace = deployed.network.trace
     stale = trace["drop.data_stale"]
     deployed.run_for(10.0)
-    assert frame in forwarding._frames
     receiver.on_frame(sender.state.node_id, frame)
     assert trace["drop.data_stale"] == stale + 1
 
@@ -333,26 +363,9 @@ def test_a_shared_reception_serves_only_an_equal_key(monkeypatch):
     key = first.state.keyring.get(cid).material
     assert unwraps == [key, OTHER_KEY, key]
     assert trace["drop.data_bad_auth"] == bad_auth + 2
-    assert third.state.last_seen_seq[sender.state.node_id] == hop_header(frame).seq
+    assert third.state.last_seen_seq[sender.state.node_id] == messages.decode_data_view(frame)[0].seq
     # Every receiver counts one open, shared or not.
     assert stats["opens"] == 4
-
-
-def test_a_shared_open_ends_when_the_memo_evicts_it(monkeypatch):
-    monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", 1)
-    deployed = small_deployment(n=60, density=8.0, seed=3)
-    sender, _ = _sender_and_neighbour(deployed)
-    first, second = _key_holders(deployed, sender, 2)
-    frame = _primed_frame(deployed, sender, first)
-    unwraps = _count_unwraps(monkeypatch)
-    reception = DataReception(frame, deployed.now(), deployed.network.trace)
-    reception.deliver(first, sender.state.node_id)
-    _primed_frame(deployed, sender, first)  # a newer frame evicts this one
-    assert frame not in forwarding._frames
-    reception.deliver(second, sender.state.node_id)
-    reception.close()
-    assert len(unwraps) == 2
-    assert frame in forwarding._frames  # re-opened in full by the second
 
 
 def test_a_reception_hands_any_other_app_the_frame():
@@ -373,11 +386,73 @@ def test_a_reception_hands_any_other_app_the_frame():
 
 
 # ---------------------------------------------------------------------------
-# Deployments behave identically without the memo
+# Fault injection: immediate copies share, damaged and late copies do not
 # ---------------------------------------------------------------------------
 
 
-def _soak(fault_plan: FaultPlan | None) -> tuple:
+@pytest.mark.parametrize("flip_at", [-1, 20], ids=["tag", "ciphertext"])
+def test_a_damaged_copy_never_reuses_the_shared_open(monkeypatch, flip_at):
+    deployed, _ = deploy_live(n=60, density=8.0, seed=3, fault_plan=FaultPlan(seed=3))
+    transport = deployed.network.transport
+    trace = deployed.network.trace
+    sender, _ = _sender_and_neighbour(deployed)
+    neighbours = [
+        deployed.agents[nid]
+        for nid in deployed.network.adjacency(sender.state.node_id)
+        if nid in deployed.agents and deployed.agents[nid].state.keyring.has(sender.state.cid)
+    ]
+    assert len(neighbours) >= 5
+    damaged, delayed, duplicated, *immediate = neighbours
+    sender_id = sender.state.node_id
+    transport.plan = FaultPlan(
+        seed=3,
+        per_link={
+            (sender_id, damaged.state.node_id): LinkFaults(corrupt=1.0),
+            (sender_id, delayed.state.node_id): LinkFaults(delay_jitter_s=0.01),
+            (sender_id, duplicated.state.node_id): LinkFaults(duplicate=1.0),
+        },
+    )
+    monkeypatch.setattr(transport, "_corrupt", lambda frame: _flip(frame, flip_at))
+    on_air: list[bytes] = []
+    deployed.network.radio.monitors.append(
+        lambda _time, tx, frame: on_air.append(frame) if tx == sender_id else None
+    )
+    opens: list[bool] = []
+
+    def unwrap(cluster_key, frame_header, frame_sealed, aead_config):
+        if frame_header.sender == sender_id:
+            # The frame's genuine bytes, or a damaged copy of them.
+            opens.append(bytes(frame_sealed) == on_air[0][-len(frame_sealed) :])
+        return unwrap_hop(cluster_key, frame_header, frame_sealed, aead_config)
+
+    monkeypatch.setattr(agent_module, "unwrap_hop", unwrap)
+    bad_auth, replay = trace["drop.data_bad_auth"], trace["drop.data_replay"]
+    # A reading of the sender's own, which it never forwards again.
+    sender.send_reading(b"reading")
+    seq = sender.state.hop_seq
+    deployed.run_for(0.2)
+
+    # The damaged copy failed its own open; every neighbour handed the
+    # genuine frame accepted it, the delayed and duplicated ones included.
+    assert on_air[1:] == []
+    assert trace["drop.data_bad_auth"] == bad_auth + 1
+    assert damaged.state.last_seen_seq.get(sender_id, 0) < seq
+    for receiver in (delayed, duplicated, *immediate):
+        assert receiver.state.last_seen_seq[sender_id] == seq
+    # The second copy of the duplicated delivery was a replay.
+    assert trace["drop.data_replay"] == replay + 1
+    # One open served every immediate neighbour (the duplicated one's
+    # first copy among them); the damaged copy, the delayed copy and the
+    # duplicate each opened on their own.
+    assert sorted(opens) == [False, True, True, True]
+
+
+# ---------------------------------------------------------------------------
+# Deployments behave identically without the shared reception pass
+# ---------------------------------------------------------------------------
+
+
+def _soak(fault_plan: FaultPlan | None, shared: bool) -> tuple:
     """Delivered readings, frames, events, trace counters and STATS growth of a seeded soak."""
     before = STATS.snapshot()
     config = ProtocolConfig(hop_ack_enabled=fault_plan is not None)
@@ -385,6 +460,9 @@ def _soak(fault_plan: FaultPlan | None) -> tuple:
         n=100, density=10.0, seed=5, transport="loopback", config=config, fault_plan=fault_plan
     )
     deployed.assign_gradient()
+    if not shared:
+        # Every receiver then takes the frame alone, through on_frame.
+        deployed.network.radio.receptions.clear()
     transport = deployed.network.transport
     loopback = getattr(transport, "inner", transport)
     sent_before = transport.frames_sent
@@ -395,6 +473,7 @@ def _soak(fault_plan: FaultPlan | None) -> tuple:
     after = STATS.snapshot()
     return (
         [(r.time, r.source, r.data) for r in deployed.bs_agent.delivered],
+        [node.frames_received for _, node in sorted(deployed.network.nodes.items())],
         transport.frames_sent - sent_before,
         loopback.events_executed - events_before,
         dict(deployed.network.trace.counters),
@@ -407,14 +486,10 @@ def _soak(fault_plan: FaultPlan | None) -> tuple:
     [None, FaultPlan(seed=5, defaults=LinkFaults(drop=0.1, duplicate=0.05, corrupt=0.05))],
     ids=["clean", "lossy"],
 )
-def test_loopback_soak_identical_without_the_frame_memo(monkeypatch, fault_plan):
-    with_memo = _soak(fault_plan)
-    assert with_memo[0]
+def test_loopback_soak_identical_without_the_shared_reception(fault_plan):
+    shared = _soak(fault_plan, shared=True)
+    assert shared[0]
     if fault_plan is not None:
-        assert with_memo[3]["fault.corrupt"] > 0 and with_memo[3]["tx.ack"] > 0
-    monkeypatch.setattr(forwarding, "FRAME_MEMO_SIZE", 0)
-    forwarding._frames.clear()
+        assert shared[4]["fault.corrupt"] > 0 and shared[4]["tx.ack"] > 0
     aead._opened.clear()
-    without_memo = _soak(fault_plan)
-    assert not forwarding._frames
-    assert without_memo == with_memo
+    assert _soak(fault_plan, shared=False) == shared

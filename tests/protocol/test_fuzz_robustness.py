@@ -4,13 +4,14 @@ A sensor network's radio delivers whatever an adversary airs. Every
 handler must treat malformed, truncated and random frames as data — drop
 and count, never raise. These tests drive random bytes (and structured
 near-misses) through the full dispatch path of agents, the base station
-and a joining node, including near-misses of a genuine DATA frame the
-frame memo holds.
+and a joining node, including near-misses of a genuine DATA frame
+whose seal primed the open memo.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.protocol import forwarding, messages
+from repro.crypto import aead
+from repro.protocol import messages
 from repro.protocol.addition import deploy_new_node
 from repro.protocol.aggregation import DuplicateEventFilter
 from repro.protocol.forwarding import build_inner, wrap_hop
@@ -72,7 +73,7 @@ def test_truncations_of_valid_frames_are_safe(prefix):
 
 
 def _primed_data_frame() -> bytes:
-    """A genuine DATA frame of ``_AGENT``'s, primed in the frame memo."""
+    """A genuine DATA frame of ``_AGENT``'s; its seal primed the open memo."""
     st_ = _AGENT.state
     c1 = build_inner(st_.node_id, b"payload", None, None, _DEPLOYED.config.aead)
     frame = wrap_hop(
@@ -85,7 +86,6 @@ def _primed_data_frame() -> bytes:
         c1,
         _DEPLOYED.config.aead,
     )
-    assert frame in forwarding._frames
     return frame
 
 
@@ -99,7 +99,7 @@ def _drops() -> int:
 @given(st.data())
 def test_mutations_of_a_primed_data_frame_end_in_a_drop(data):
     # A single changed byte after the type byte, or a truncation, of a
-    # frame the memo holds: a miss that fails, never an entry of its own.
+    # frame the open memo holds: a miss that fails, never an entry of its own.
     frame = _primed_data_frame()
     if data.draw(st.booleans(), label="truncate"):
         mutated = frame[: data.draw(st.integers(1, len(frame) - 1), label="length")]
@@ -107,14 +107,13 @@ def test_mutations_of_a_primed_data_frame_end_in_a_drop(data):
         index = data.draw(st.integers(1, len(frame) - 1), label="index")
         value = data.draw(st.integers(0, 255).filter(lambda v: v != frame[index]), label="value")
         mutated = frame[:index] + bytes([value]) + frame[index + 1 :]
-    memo = list(forwarding._frames.items())
+    memo = list(aead._opened.items())
     drops, rejected = _drops(), _BS.rejected
     _AGENT.on_frame(0, mutated)
     _BS.on_frame(0, mutated)
     assert _drops() == drops + 1
     assert _BS.rejected == rejected + 1
-    assert mutated not in forwarding._frames
-    assert list(forwarding._frames.items()) == memo
+    assert list(aead._opened.items()) == memo
 
 
 def test_joining_node_survives_garbage():

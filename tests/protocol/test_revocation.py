@@ -1,5 +1,7 @@
 """Eviction of compromised nodes (Sec. IV-D)."""
 
+from repro.crypto import keychain
+from repro.crypto.kdf import chain_step
 from repro.crypto.mac import mac
 from repro.protocol import messages
 from tests.conftest import run_for, small_deployment
@@ -60,6 +62,31 @@ def test_forged_revocation_rejected():
     deployed.network.node(sorted(deployed.agents)[0]).broadcast(forged)
     run_for(deployed, 10)
     assert trace["drop.revoke_bad_chain"] > 0
+    for agent in deployed.agents.values():
+        assert agent.state.chain.index == 0
+
+
+def test_revocation_index_past_the_chain_is_rejected_without_walking_it(monkeypatch):
+    deployed = small_deployment(seed=24)
+    trace = deployed.network.trace
+    steps: list[bytes] = []
+
+    def counted_step(key: bytes) -> bytes:
+        steps.append(key)
+        assert len(steps) < 10_000, "walked the chain past its end"
+        return chain_step(key)
+
+    monkeypatch.setattr(keychain, "chain_step", counted_step)
+    # A huge index (a forged or corrupted frame) is refused before the
+    # commitment walk, which would take up to 2^32 hash steps.
+    index = 2**32 - 1
+    forged = messages.encode_revoke(
+        index, bytes(16), [1], mac(bytes(16), messages.revoke_mac_input(index, [1]), 8)
+    )
+    deployed.network.node(sorted(deployed.agents)[0]).broadcast(forged)
+    run_for(deployed, 10)
+    assert trace["drop.revoke_bad_chain"] > 0
+    assert not steps
     for agent in deployed.agents.values():
         assert agent.state.chain.index == 0
 
