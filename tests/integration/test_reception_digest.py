@@ -28,6 +28,17 @@ the crypto ``STATS`` totals and the executed-event count in one
 sha256. Any change to the reception path that moves one decision, one
 counter or one event fails here. A deliberate change to reception semantics re-records these
 digests.
+
+The setup variants pin key setup the same way. Seeded n=400 deployments
+run with every LINKINFO receiver kind: the default field; a fault plan
+with drop, duplicate, reorder and corrupt on every link and re-announced
+setup frames, so one fan-out mixes immediate, corrupted and late copies;
+a sensor hosting a non-agent application and one hosting a
+``ProtocolAgent`` subclass; a sensor preloaded with another ``K_m``;
+and a LINKINFO replayed after ``K_m`` is erased. Each pins every agent's
+role, CID and keyring (insertion order and key material),
+``frames_received`` of every node, the trace counters, the growth of the
+crypto ``STATS`` totals and the executed-event count in one sha256.
 """
 
 from __future__ import annotations
@@ -39,7 +50,10 @@ from dataclasses import replace
 import pytest
 
 from repro.crypto import aead
+from repro.crypto.keys import SymmetricKey
 from repro.crypto.stats import STATS
+from repro.protocol import messages, setup
+from repro.protocol.agent import ProtocolAgent
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.forwarding import wrap_hop
 from repro.runtime.cluster import deploy_live
@@ -219,3 +233,109 @@ def test_reception_pass_is_pinned(variant):
         assert counters.get("drop.data_bad_auth", 0) + counters.get("drop.data_malformed", 0) > 0
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     assert (digest, len(record["delivered"])) == EXPECTED[variant]
+
+
+# ---------------------------------------------------------------------------
+# Key setup: every receiver of a LINKINFO broadcast decides as it always did
+# ---------------------------------------------------------------------------
+
+SETUP_N = 400
+SETUP_SEED = 13
+#: Sensors (among the best-connected) given another application, another
+#: K_m or a replayed LINKINFO.
+RECORDER_NODE, SUBCLASS_NODE, OTHER_KM_NODE, REPLAYED_NODE = 94, 259, 278, 220
+
+#: sha256 of the setup record per variant.
+SETUP_EXPECTED = {
+    "default": "056aaa2521c347c3b217e543e6fa3bd951c9f808f2b66808b00ea36dff0c1899",
+    "faulted": "82c77c9b2b92afa131018a61ef0c4919287957f65b08128b1e5448ca5d5dcb56",
+    "other_apps": "d951a32d379bfe273a4b8840fb018c33b514023d38bcb98ed205eff14d0a581a",
+    "other_km": "7279480e06fe487d6de64bcb51580861dab5eeb63071854c5da1def2aab84876",
+    "replayed": "3a36a7ca63d70759733ba4e034b75251511fc519e316bf76aec4515d98018bd9",
+}
+
+SETUP_CONFIGS = {
+    "faulted": ProtocolConfig(setup_reannounce_count=2, setup_reannounce_interval_s=0.3),
+}
+
+SETUP_FAULTS = FaultPlan(seed=SETUP_SEED, defaults=_LINK_FAULTS)
+
+
+class _Subclassed(ProtocolAgent):
+    """A ``ProtocolAgent`` subclass: handed frames through ``on_frame``."""
+
+
+def _setup_record(variant: str, monkeypatch) -> dict:
+    recorder = _Recorder()
+    linkinfo: list[bytes] = []
+    provision = setup.provision
+
+    def provision_variant(network, config=None):
+        deployed = provision(network, config)
+        network.radio.monitors.append(
+            lambda _time, sender, frame: linkinfo.append(frame)
+            if sender == REPLAYED_NODE and frame[:1] == bytes([messages.LINKINFO])
+            else None
+        )
+        if variant == "other_apps":
+            network.nodes[RECORDER_NODE].app = recorder
+            del deployed.agents[RECORDER_NODE]
+            deployed.agents[SUBCLASS_NODE].__class__ = _Subclassed
+        elif variant == "other_km":
+            deployed.agents[OTHER_KM_NODE].state.preload.master_key = SymmetricKey(
+                bytes(range(100, 116)), label="K_m'"
+            )
+        return deployed
+
+    monkeypatch.setattr(setup, "provision", provision_variant)
+    before = STATS.snapshot()
+    deployed, _metrics = deploy_live(
+        n=SETUP_N,
+        density=DENSITY,
+        seed=SETUP_SEED,
+        transport="loopback",
+        config=SETUP_CONFIGS.get(variant),
+        fault_plan=SETUP_FAULTS if variant == "faulted" else None,
+    )
+    network = deployed.network
+    if variant == "replayed":
+        # The sensor's own LINKINFO, heard again once K_m is erased.
+        network.nodes[REPLAYED_NODE].broadcast(linkinfo[0])
+        deployed.run_for(0.5)
+    after = STATS.snapshot()
+    transport = getattr(network.transport, "inner", network.transport)
+    agents = {}
+    for nid, agent in sorted(deployed.agents.items()):
+        st = agent.state
+        keys = hashlib.sha256(b"".join(st.keyring.get(cid).material for cid in st.keyring._keys))
+        agents[nid] = (st.role.value, st.cid, list(st.keyring._keys), keys.hexdigest())
+    return {
+        "agents": agents,
+        "frames_received": [network.nodes[nid].frames_received for nid in sorted(network.nodes)],
+        "counters": dict(sorted(network.trace.counters.items())),
+        "stats": {name: after[name] - before[name] for name in after},
+        "events": transport.events_executed,
+        "recorder": (recorder.frames, recorder.digest.hexdigest()),
+    }
+
+
+@pytest.mark.parametrize("variant", sorted(SETUP_EXPECTED))
+def test_setup_reception_is_pinned(variant, monkeypatch):
+    aead._opened.clear()
+    record = _setup_record(variant, monkeypatch)
+    counters = record["counters"]
+    assert counters["link.neighbor_cluster"] > 0
+    # Every branch the variant is built to reach was reached.
+    if variant == "faulted":
+        for name in ("fault.drop", "fault.duplicate", "fault.reorder", "fault.corrupt"):
+            assert counters.get(name, 0) > 0, name
+        assert counters["tx.linkinfo_reannounce"] > 0
+        assert counters["drop.linkinfo_bad_auth"] > 0
+    if variant == "other_apps":
+        assert record["recorder"][0] > 0
+    if variant == "other_km":
+        assert counters["drop.linkinfo_bad_auth"] > 0
+    if variant == "replayed":
+        assert counters["drop.linkinfo_after_setup"] > 0
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digest == SETUP_EXPECTED[variant]
