@@ -209,23 +209,33 @@ class ProtocolAgent:
         self.node.broadcast(frame)
 
     def _on_linkinfo(self, frame: bytes) -> None:
+        """A LINKINFO frame received alone: over UDP, as a delayed,
+        duplicated or corrupted copy under fault injection, or by direct
+        dispatch. Its count goes straight to the trace."""
+        outcome = self._decide_linkinfo(LinkinfoReception(frame, self.node.now(), self._trace))
+        if outcome is not None:
+            self._trace.count(outcome)
+
+    def _decide_linkinfo(self, reception: "LinkinfoReception") -> str | None:
+        """This agent's decisions on one received LINKINFO frame.
+
+        Returns the name of the counter the reception ends in, or None
+        when the frame changes nothing here.
+        """
         st = self.state
-        if st.preload.master_key.erased:
-            self._trace.count("drop.linkinfo_after_setup")
-            return
+        master_key = st.preload.master_key
+        if master_key.erased:
+            return "drop.linkinfo_after_setup"
         try:
-            _sender, cid, cluster_key = messages.decode_linkinfo(
-                st.preload.master_key.material, frame, self.config.aead
-            )
+            _sender, cid, cluster_key = reception.verified(master_key.material, self.config.aead)
         except (messages.MalformedMessage, AuthenticationError):
-            self._trace.count("drop.linkinfo_bad_auth")
-            return
-        if cid == st.cid:
-            # Same-cluster broadcast: ignore (paper, Sec. IV-B.2).
-            return
-        if not st.keyring.has(cid):
-            st.keyring.store(cid, SymmetricKey(cluster_key, label=f"Kc[{cid}]"))
-            self._trace.count("link.neighbor_cluster")
+            return "drop.linkinfo_bad_auth"
+        if cid == st.cid or st.keyring.has(cid):
+            # Same-cluster broadcast: ignore (paper, Sec. IV-B.2); or a
+            # neighbor cluster already held.
+            return None
+        st.keyring.store(cid, SymmetricKey(cluster_key, label=f"Kc[{cid}]"))
+        return "link.neighbor_cluster"
 
     def _finish_setup(self) -> None:
         """Erase ``K_m`` and demote heads: the network becomes operational.
@@ -824,44 +834,38 @@ class ProtocolAgent:
         handler(frame)
 
 
-class DataReception:
-    """One DATA frame's reception by every agent that hears its broadcast.
+class SharedReception:
+    """One frame's reception by every agent that hears its broadcast.
 
-    A hop frame is sealed once and heard by all of its sender's
-    neighbours. What depends only on the frame — its header and its
-    open — is resolved once here, and each receiving agent then makes
-    only its own decisions, in the order it hears the frame
-    (:meth:`ProtocolAgent._decide_data`): its operational state, its key
-    for the header's CID, freshness against its own clock, its hop
-    anti-replay, its dedup cache, then custody, ACK and forwarding.
+    A frame is sealed once and heard by all of its sender's neighbours.
+    What depends only on the frame — its parse and its open — is
+    resolved once per reception, and each receiving agent then makes only
+    its own decisions, in the order it hears the frame. Subclasses say
+    how a frame is opened (:meth:`_open_alone`) and which of the agent's
+    decisions it reaches (:meth:`_decide`).
 
-    The first receiver that holds the frame's cluster key opens it with
-    :func:`~repro.protocol.forwarding.unwrap_hop`, and that verified
-    open serves every later receiver of this reception whose cluster
-    key equals the verifying one (compared in constant time) and whose
-    AEAD settings are the same object. Any other receiver unwraps the
-    frame itself, so every receiver ends exactly as it would alone.
-    Nothing outlives the reception. Trace counts and the crypto
-    ``STATS`` of shared opens (what an open-memo hit of
-    :func:`~repro.crypto.aead.open_` counts) are collected here and
-    added once per frame and outcome by :meth:`close`.
+    The first receiver whose open verifies holds it, and that open
+    serves every later receiver of this reception whose key equals the
+    verifying one (compared in constant time) and whose AEAD settings
+    are the same object. Any other receiver opens the frame itself, so
+    every receiver ends exactly as it would alone. Nothing outlives the
+    reception. Trace counts and the crypto ``STATS`` of shared opens
+    (what an open-memo hit of :func:`~repro.crypto.aead.open_` counts)
+    are collected here and added once per frame and outcome by
+    :meth:`close`.
 
-    :meth:`ProtocolAgent._on_data` is a reception with one receiver (UDP,
-    a delayed, duplicated or corrupted copy under fault injection, and
-    direct dispatch), which counts as it goes. The loopback fan-out,
-    with or without a fault plan, runs one reception for all of a DATA
-    frame's immediate receivers (see
-    :attr:`repro.sim.radio.Radio.receptions`) and hands every app that
-    is not a :class:`ProtocolAgent` the frame through its own
-    ``on_frame``.
+    A reception with one receiver (UDP, a delayed, duplicated or
+    corrupted copy under fault injection, and direct dispatch) counts as
+    it goes. The loopback fan-out, with or without a fault plan, runs one
+    reception for all of a frame's immediate receivers (see
+    :attr:`repro.sim.radio.Radio.receptions`) and hands every app that is
+    not a :class:`ProtocolAgent` the frame through its own ``on_frame``.
     """
 
     __slots__ = (
         "frame",
         "now",
         "trace",
-        "header",
-        "_sealed",
         "_counts",
         "_opened",
         "_key",
@@ -877,18 +881,12 @@ class DataReception:
         self.frame = frame
         self.now = now
         self.trace = trace
-        self.header: messages.DataHeader | None
-        try:
-            self.header, self._sealed = messages.decode_data_view(frame)
-        except messages.MalformedMessage:
-            self.header = None
         #: Counter increments for ``trace``, added by :meth:`close`.
         self._counts: dict[str, int] = {}
-        #: The shared open ``(τ, c1, fingerprint)``, the cluster key that
-        #: verified it, its AEAD settings, the keystream blocks it counted
-        #: and whether the batched kernel made them, and the opens it
-        #: served since they were counted.
-        self._opened: tuple[float, bytes, bytes] | None = None
+        #: The shared open, the key that verified it, its AEAD settings,
+        #: the keystream blocks it counted and whether the batched kernel
+        #: made them, and the opens it served since they were counted.
+        self._opened: Any = None
         self._key = b""
         self._aead: AeadConfig | None = None
         self._blocks = 0
@@ -906,7 +904,7 @@ class DataReception:
             app.on_frame(sender_id, self.frame)
             return
         counts = self._counts if app._trace is self.trace else None
-        outcome = app._decide_data(self, counts)
+        outcome = self._decide(app, counts)
         if outcome is None:
             return
         if counts is None:
@@ -914,40 +912,35 @@ class DataReception:
         else:
             counts[outcome] = counts.get(outcome, 0) + 1
 
-    def unwrap(self, cluster_key: bytes, config: ProtocolConfig) -> tuple[bytes, bytes]:
-        """One receiver's hop-layer open: ``(c1, fingerprint)``.
+    def _decide(self, app: ProtocolAgent, counts: dict[str, int] | None) -> str | None:
+        """``app``'s decisions on the frame: the counter it ends in, or None."""
+        raise NotImplementedError
 
-        Same contract as :func:`~repro.protocol.forwarding.unwrap_hop`
-        followed by :func:`~repro.protocol.forwarding.check_fresh` with
-        the reception's clock.
+    def _open_alone(self, key: bytes, aead: AeadConfig) -> Any:
+        """One receiver's own open of the frame under ``key``."""
+        raise NotImplementedError
 
-        Raises:
-            AuthenticationError: tag failure under ``cluster_key``.
-            StaleMessage: τ outside ``config.freshness_window_s``.
-        """
+    def verified(self, key: bytes, aead: AeadConfig) -> Any:
+        """One receiver's open of the frame under ``key``: the shared one
+        if it verified under an equal key and the same settings object,
+        else this receiver's own (:meth:`_open_alone`, which raises what
+        it raises)."""
         opened = self._opened
-        if (
-            opened is not None
-            and config.aead is self._aead
-            and compare_digest(cluster_key, self._key)
-        ):
+        if opened is not None and aead is self._aead and compare_digest(key, self._key):
             self._hits += 1
-        else:
-            assert self.header is not None
-            blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
-            opened = unwrap_hop(cluster_key, self.header, self._sealed, config.aead)
-            # Verified under ``cluster_key``: later receivers with an
-            # equal key share this open.
-            if self._hits:
-                self._count_hits()
-            self._opened = opened
-            self._key = cluster_key
-            self._aead = config.aead
-            self._blocks = STATS.keystream_blocks - blocks
-            self._vector = STATS.keystream_vector_blocks != vector_blocks
-        tau_s, c1, fingerprint = opened
-        check_fresh(tau_s, self.now, config.freshness_window_s)
-        return c1, fingerprint
+            return opened
+        blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
+        opened = self._open_alone(key, aead)
+        # Verified under ``key``: later receivers with an equal key
+        # share this open.
+        if self._hits:
+            self._count_hits()
+        self._opened = opened
+        self._key = key
+        self._aead = aead
+        self._blocks = STATS.keystream_blocks - blocks
+        self._vector = STATS.keystream_vector_blocks != vector_blocks
+        return opened
 
     def _count_hits(self) -> None:
         """Count in ``STATS`` what the shared opens would have counted."""
@@ -966,3 +959,73 @@ class DataReception:
             self._count_hits()
         for name, amount in self._counts.items():
             self.trace.count(name, amount)
+
+
+class DataReception(SharedReception):
+    """One DATA frame's reception by every agent that hears its broadcast.
+
+    The header and the hop-layer open
+    (:func:`~repro.protocol.forwarding.unwrap_hop`, shared under an equal
+    cluster key) are resolved once; each receiving agent then makes only
+    its own decisions (:meth:`ProtocolAgent._decide_data`): its
+    operational state, its key for the header's CID, freshness against
+    its own clock, its hop anti-replay, its dedup cache, then custody,
+    ACK and forwarding. :meth:`ProtocolAgent._on_data` is a reception
+    with one receiver.
+    """
+
+    __slots__ = ("header", "_sealed")
+
+    def __init__(self, frame: bytes, now: float, trace: "Trace") -> None:
+        """See :class:`SharedReception`."""
+        super().__init__(frame, now, trace)
+        self.header: messages.DataHeader | None
+        try:
+            self.header, self._sealed = messages.decode_data_view(frame)
+        except messages.MalformedMessage:
+            self.header = None
+
+    def _decide(self, app: ProtocolAgent, counts: dict[str, int] | None) -> str | None:
+        return app._decide_data(self, counts)
+
+    def unwrap(self, cluster_key: bytes, config: ProtocolConfig) -> tuple[bytes, bytes]:
+        """One receiver's hop-layer open: ``(c1, fingerprint)``.
+
+        Same contract as :func:`~repro.protocol.forwarding.unwrap_hop`
+        followed by :func:`~repro.protocol.forwarding.check_fresh` with
+        the reception's clock.
+
+        Raises:
+            AuthenticationError: tag failure under ``cluster_key``.
+            StaleMessage: τ outside ``config.freshness_window_s``.
+        """
+        tau_s, c1, fingerprint = self.verified(cluster_key, config.aead)
+        check_fresh(tau_s, self.now, config.freshness_window_s)
+        return c1, fingerprint
+
+    def _open_alone(self, key: bytes, aead: AeadConfig) -> tuple[float, bytes, bytes]:
+        assert self.header is not None
+        return unwrap_hop(key, self.header, self._sealed, aead)
+
+
+class LinkinfoReception(SharedReception):
+    """One LINKINFO frame's reception by every agent that hears its broadcast.
+
+    Phase 2 seals each node's ``CID | K_c`` once under the network-wide
+    ``K_m`` (Sec. IV-B.2), so every neighbour opens the same frame under
+    an equal key: :func:`~repro.protocol.messages.decode_linkinfo` runs
+    once, for the first receiver that still holds ``K_m``, and serves
+    every later receiver holding an equal ``K_m``; :meth:`verified`
+    returns what it returns. Each receiver then makes its own decisions
+    (:meth:`ProtocolAgent._decide_linkinfo`): the erased-``K_m`` drop, the
+    same-cluster ignore and the keyring store.
+    :meth:`ProtocolAgent._on_linkinfo` is a reception with one receiver.
+    """
+
+    __slots__ = ()
+
+    def _decide(self, app: ProtocolAgent, counts: dict[str, int] | None) -> str | None:
+        return app._decide_linkinfo(self)
+
+    def _open_alone(self, key: bytes, aead: AeadConfig) -> tuple[int, int, bytes]:
+        return messages.decode_linkinfo(key, self.frame, aead)

@@ -21,7 +21,7 @@ from repro.crypto.kdf import derive_cluster_key
 from repro.crypto.keychain import KeyChain
 from repro.crypto.keys import SymmetricKey
 from repro.protocol import messages
-from repro.protocol.agent import DataReception, ProtocolAgent
+from repro.protocol.agent import DataReception, LinkinfoReception, ProtocolAgent
 from repro.protocol.base_station import BaseStationAgent, KeyRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.metrics import SetupMetrics, compute_setup_metrics
@@ -115,8 +115,10 @@ def provision(network: Network, config: ProtocolConfig | None = None) -> Deploye
         node.app = agent
         agents[nid] = agent
 
-    # The loopback fan-out receives each DATA frame in one shared pass.
+    # The loopback fan-out receives each DATA and LINKINFO frame in one
+    # shared pass: one open per broadcast, each receiver's own decisions.
     network.radio.receptions[messages.DATA] = DataReception
+    network.radio.receptions[messages.LINKINFO] = LinkinfoReception
     registry = KeyRegistry(node_keys=node_keys, kmc=kmc, chain=chain)
     bs_agent = BaseStationAgent(network.bs, config, registry)
     network.bs.app = bs_agent

@@ -101,7 +101,9 @@ class Radio:
         #: now, trace)`` makes one pass for a frame of that type; the
         #: fan-out hands it to every receiving endpoint (``receive(sender_id,
         #: frame, reception)``, or through ``inject``), then calls its
-        #: ``close()``. The protocol registers its DATA reception here.
+        #: ``close()``. The protocol registers its DATA and LINKINFO
+        #: receptions here (one open per broadcast, see
+        #: :class:`repro.protocol.agent.SharedReception`).
         self.receptions: dict[int, Callable[[bytes, float, Trace], Any]] = {}
         self.frames_sent = 0
         self.frames_delivered = 0

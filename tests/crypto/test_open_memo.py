@@ -10,7 +10,8 @@ memo, backends never share an entry, the memo stays bounded, and a
 deployment behaves identically without it or after a run that warmed it.
 It is the only memo of verified opens: DATA hop opens reach it too, and
 only one loopback fan-out shares an open above it
-(:class:`~repro.protocol.agent.DataReception`).
+(:class:`~repro.protocol.agent.DataReception` and
+:class:`~repro.protocol.agent.LinkinfoReception`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.crypto.block import get_cipher
 from repro.crypto.kdf import ENCRYPT_USAGE, derive_usage_key
 from repro.crypto.modes import message_counter
 from repro.crypto.stats import STATS
+from repro.protocol import setup
 from repro.runtime.cluster import deploy_live
 from repro.workloads import SoakWorkload
 
@@ -196,13 +198,23 @@ def _soak(shared: bool = True) -> tuple:
     """Delivered readings, frames sent, events run and STATS growth of a seeded soak.
 
     ``shared=False`` takes away the loopback fan-out's shared reception
-    pass, so every receiver of a DATA frame opens it through ``open_``.
+    passes from the start of key setup, so every receiver of a frame
+    opens it through ``open_``.
     """
     before = STATS.snapshot()
-    deployed, _metrics = deploy_live(n=100, density=10.0, seed=4, transport="loopback")
+    with pytest.MonkeyPatch.context() as patches:
+        if not shared:
+            provision = setup.provision
+
+            def provision_unshared(network, config=None):
+                deployed = provision(network, config)
+                network.radio.receptions.clear()
+                return deployed
+
+            patches.setattr(setup, "provision", provision_unshared)
+        deployed, _metrics = deploy_live(n=100, density=10.0, seed=4, transport="loopback")
+    assert bool(deployed.network.radio.receptions) == shared
     deployed.assign_gradient()
-    if not shared:
-        deployed.network.radio.receptions.clear()
     transport = deployed.network.transport
     sent_before = transport.frames_sent
     events_before = transport.events_executed
