@@ -1,8 +1,10 @@
 """Performance benchmarks behind ``python -m repro bench ...``.
 
-Two benchmark families, each writing a machine-readable ``BENCH_*.json``
-payload at the repo root that ``scripts/bench_compare.py`` gates CI
-against (docs/BENCHMARKS.md is the handbook for all of them):
+Four benchmark families. Each ``bench_<name>`` returns the payload that
+``repro bench <name>`` writes to a machine-readable ``BENCH_<name>.json``
+at the repo root, which ``scripts/bench_compare.py`` gates CI against,
+and ``render_bench_<name>`` prints it as a table (docs/BENCHMARKS.md is
+the handbook for all of them):
 
 * :mod:`repro.bench.crypto` — keystream-kernel and frame-path
   microbenchmarks (``BENCH_crypto.json``);
@@ -18,14 +20,10 @@ against (docs/BENCHMARKS.md is the handbook for all of them):
   cell (``BENCH_churn.json``).
 """
 
-from repro.bench.churn import bench_churn, render_bench_churn, write_bench_churn
-from repro.bench.crypto import bench_crypto, render_bench_crypto, write_bench_crypto
-from repro.bench.forwarding import (
-    bench_forwarding,
-    render_bench_forwarding,
-    write_bench_forwarding,
-)
-from repro.bench.runtime import bench_runtime, render_bench_runtime, write_bench_runtime
+from repro.bench.churn import bench_churn, render_bench_churn
+from repro.bench.crypto import bench_crypto, render_bench_crypto
+from repro.bench.forwarding import bench_forwarding, render_bench_forwarding
+from repro.bench.runtime import bench_runtime, render_bench_runtime
 
 __all__ = [
     "bench_churn",
@@ -36,8 +34,4 @@ __all__ = [
     "render_bench_crypto",
     "render_bench_forwarding",
     "render_bench_runtime",
-    "write_bench_churn",
-    "write_bench_crypto",
-    "write_bench_forwarding",
-    "write_bench_runtime",
 ]

@@ -19,7 +19,6 @@ matching rows).
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 
@@ -100,15 +99,6 @@ def bench_churn(
         "seed": seed,
         "rows": rows,
     }
-
-
-def write_bench_churn(out_path: str, quick: bool = False, **kwargs) -> dict:
-    """Run :func:`bench_churn` and write the payload to ``out_path``."""
-    payload = bench_churn(quick=quick, **kwargs)
-    with open(out_path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2)
-        fp.write("\n")
-    return payload
 
 
 def render_bench_churn(payload: dict) -> str:

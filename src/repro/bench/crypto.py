@@ -16,7 +16,6 @@ noise from a microbenchmark without inflating run time.
 from __future__ import annotations
 
 import itertools
-import json
 import platform
 import struct
 import time
@@ -146,15 +145,6 @@ def bench_crypto(quick: bool = False) -> dict:
         "results": results,
         "frame_path": frame_path,
     }
-
-
-def write_bench_crypto(out_path: str, quick: bool = False) -> dict:
-    """Run :func:`bench_crypto` and write the payload to ``out_path``."""
-    payload = bench_crypto(quick=quick)
-    with open(out_path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2)
-        fp.write("\n")
-    return payload
 
 
 def render_bench_crypto(payload: dict) -> str:

@@ -24,7 +24,6 @@ matching rows).
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 
@@ -175,15 +174,6 @@ def bench_forwarding(
         "codec": _bench_codec(quick),
         "soak": soak_rows,
     }
-
-
-def write_bench_forwarding(out_path: str, quick: bool = False, **kwargs) -> dict:
-    """Run :func:`bench_forwarding` and write the payload to ``out_path``."""
-    payload = bench_forwarding(quick=quick, **kwargs)
-    with open(out_path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2)
-        fp.write("\n")
-    return payload
 
 
 def render_bench_forwarding(payload: dict) -> str:

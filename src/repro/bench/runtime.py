@@ -19,7 +19,6 @@ full baseline with ``--allow-missing`` (docs/BENCHMARKS.md).
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -95,15 +94,6 @@ def bench_runtime(quick: bool = False, seed: int = 0) -> dict:
         "seed": seed,
         "results": rows,
     }
-
-
-def write_bench_runtime(out_path: str, quick: bool = False, seed: int = 0) -> dict:
-    """Run :func:`bench_runtime` and write the payload to ``out_path``."""
-    payload = bench_runtime(quick=quick, seed=seed)
-    with open(out_path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2)
-        fp.write("\n")
-    return payload
 
 
 def render_bench_runtime(payload: dict) -> str:

@@ -167,7 +167,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_live(args: argparse.Namespace) -> int:
-    from repro.runtime import TRANSPORTS, GatewayService, deploy_live
+    import json
+
+    from repro.gateway import deployment_status
+    from repro.runtime import TRANSPORTS, deploy_live
     from repro.workloads import PeriodicReporting
 
     if args.transport not in TRANSPORTS:
@@ -248,26 +251,25 @@ def _cmd_run_live(args: argparse.Namespace) -> int:
         )
         writer.close()
 
-    gateway = GatewayService(deployed)
     latencies = workload.latencies()
-    print(
-        gateway.to_json(
-            setup={
-                "clusters": metrics.cluster_count,
-                "mean_keys_per_node": round(metrics.mean_keys_per_node, 3),
-                "setup_messages_per_node": round(metrics.messages_per_node, 3),
-            },
-            workload={
-                "sources": len(sources),
-                "readings_sent": len(workload.sent),
-                "send_failures": workload.send_failures,
-                "delivery_ratio": round(workload.delivery_ratio(), 4),
-                "mean_latency_s": round(
-                    sum(latencies) / len(latencies), 4
-                ) if latencies else None,
-            },
-        )
-    )
+    report = {
+        **deployment_status(deployed),
+        "setup": {
+            "clusters": metrics.cluster_count,
+            "mean_keys_per_node": round(metrics.mean_keys_per_node, 3),
+            "setup_messages_per_node": round(metrics.messages_per_node, 3),
+        },
+        "workload": {
+            "sources": len(sources),
+            "readings_sent": len(workload.sent),
+            "send_failures": workload.send_failures,
+            "delivery_ratio": round(workload.delivery_ratio(), 4),
+            "mean_latency_s": round(
+                sum(latencies) / len(latencies), 4
+            ) if latencies else None,
+        },
+    }
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -554,42 +556,54 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_crypto(args: argparse.Namespace) -> int:
-    from repro.bench import render_bench_crypto, write_bench_crypto
+#: ``repro bench <name>``: its help line, its ``--quick`` help and the
+#: flags passed on to ``repro.bench.bench_<name>`` as keyword arguments,
+#: each ``(flag, type, default, help)``. ``render_bench_<name>`` prints
+#: the payload.
+_BENCHES: dict[str, tuple[str, str, tuple[tuple[str, type, object, str], ...]]] = {
+    "crypto": (
+        "time the scalar vs vector keystream kernels",
+        "fewer repetitions — noisier, for CI smoke runs",
+        (),
+    ),
+    "forwarding": (
+        "soak the data plane at 0%%/15%% loss",
+        "shorter soak and fewer repetitions — noisier, for CI smoke runs",
+        (
+            ("--n", int, 100, "deployment size (default: 100)"),
+            ("--density", float, 10.0, "mean neighbors per node"),
+            ("--seed", int, 0, "deployment seed"),
+        ),
+    ),
+    "runtime": (
+        "time key setup across backends",
+        "skip the paper-scale sizes (n=2500/3600) — for CI smoke runs",
+        (("--seed", int, 0, "deployment seed"),),
+    ),
+    "churn": (
+        "lifecycle scenarios under mobility + churn",
+        "shorten the scenario horizon — for CI smoke runs",
+        (
+            ("--n", int, 40, "number of sensors"),
+            ("--density", float, 10.0, "mean neighbors/node"),
+            ("--seed", int, 0, "deployment seed"),
+        ),
+    ),
+}
 
-    payload = write_bench_crypto(args.out, quick=args.quick)
-    print(render_bench_crypto(payload))
-    print(f"\nwrote {args.out}")
-    return 0
 
+def _cmd_bench(args: argparse.Namespace) -> int:
+    import json
 
-def _cmd_bench_forwarding(args: argparse.Namespace) -> int:
-    from repro.bench import render_bench_forwarding, write_bench_forwarding
+    import repro.bench
 
-    payload = write_bench_forwarding(
-        args.out, quick=args.quick, n=args.n, density=args.density, seed=args.seed
-    )
-    print(render_bench_forwarding(payload))
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-def _cmd_bench_runtime(args: argparse.Namespace) -> int:
-    from repro.bench import render_bench_runtime, write_bench_runtime
-
-    payload = write_bench_runtime(args.out, quick=args.quick, seed=args.seed)
-    print(render_bench_runtime(payload))
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-def _cmd_bench_churn(args: argparse.Namespace) -> int:
-    from repro.bench import render_bench_churn, write_bench_churn
-
-    payload = write_bench_churn(
-        args.out, quick=args.quick, n=args.n, density=args.density, seed=args.seed
-    )
-    print(render_bench_churn(payload))
+    name = args.bench_command
+    kwargs = {flag[2:]: getattr(args, flag[2:]) for flag, *_ in _BENCHES[name][2]}
+    payload = getattr(repro.bench, f"bench_{name}")(quick=args.quick, **kwargs)
+    with open(args.out, "w", encoding="utf-8") as fp:
+        json.dump(payload, fp, indent=2)
+        fp.write("\n")
+    print(getattr(repro.bench, f"render_bench_{name}")(payload))
     print(f"\nwrote {args.out}")
     return 0
 
@@ -627,20 +641,6 @@ def _cmd_metrics_summarize(args: argparse.Namespace) -> int:
     else:
         print(render_summary(summary))
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.lint.cli import main as lint_main
-
-    forwarded: list[str] = list(args.paths)
-    forwarded += ["--format", args.format]
-    for rule in args.disable:
-        forwarded += ["--disable", rule]
-    if args.root:
-        forwarded += ["--root", args.root]
-    if args.list_rules:
-        forwarded += ["--list-rules"]
-    return lint_main(forwarded)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -964,93 +964,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="performance benchmarks")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_crypto = bench_sub.add_parser(
-        "crypto",
-        help="time the scalar vs vector keystream kernels; write BENCH_crypto.json",
-    )
-    bench_crypto.add_argument(
-        "--out",
-        default="BENCH_crypto.json",
-        metavar="PATH",
-        help="where to write the JSON payload (default: BENCH_crypto.json)",
-    )
-    bench_crypto.add_argument(
-        "--quick",
-        action="store_true",
-        help="fewer repetitions — noisier, for CI smoke runs",
-    )
-    bench_crypto.set_defaults(func=_cmd_bench_crypto)
-    bench_fwd = bench_sub.add_parser(
-        "forwarding",
-        help="soak the data plane at 0%%/15%% loss; write BENCH_forwarding.json",
-    )
-    bench_fwd.add_argument(
-        "--out",
-        default="BENCH_forwarding.json",
-        metavar="PATH",
-        help="where to write the JSON payload (default: BENCH_forwarding.json)",
-    )
-    bench_fwd.add_argument(
-        "--quick",
-        action="store_true",
-        help="shorter soak and fewer repetitions — noisier, for CI smoke runs",
-    )
-    bench_fwd.add_argument(
-        "--n", type=int, default=100, help="deployment size (default: 100)"
-    )
-    bench_fwd.add_argument(
-        "--density", type=float, default=10.0, help="mean neighbors per node"
-    )
-    bench_fwd.add_argument("--seed", type=int, default=0, help="deployment seed")
-    bench_fwd.set_defaults(func=_cmd_bench_forwarding)
-    bench_runtime = bench_sub.add_parser(
-        "runtime",
-        help="time key setup across backends; write BENCH_runtime.json",
-    )
-    bench_runtime.add_argument(
-        "--out",
-        default="BENCH_runtime.json",
-        metavar="PATH",
-        help="where to write the JSON payload (default: BENCH_runtime.json)",
-    )
-    bench_runtime.add_argument(
-        "--quick",
-        action="store_true",
-        help="skip the paper-scale sizes (n=2500/3600) — for CI smoke runs",
-    )
-    bench_runtime.add_argument("--seed", type=int, default=0, help="deployment seed")
-    bench_runtime.set_defaults(func=_cmd_bench_runtime)
-    bench_churn = bench_sub.add_parser(
-        "churn",
-        help="lifecycle scenarios under mobility + churn; write BENCH_churn.json",
-    )
-    bench_churn.add_argument(
-        "--out",
-        default="BENCH_churn.json",
-        metavar="PATH",
-        help="where to write the JSON payload (default: BENCH_churn.json)",
-    )
-    bench_churn.add_argument(
-        "--quick",
-        action="store_true",
-        help="shorten the scenario horizon — for CI smoke runs",
-    )
-    bench_churn.add_argument("--n", type=int, default=40, help="number of sensors")
-    bench_churn.add_argument(
-        "--density", type=float, default=10.0, help="mean neighbors/node"
-    )
-    bench_churn.add_argument("--seed", type=int, default=0, help="deployment seed")
-    bench_churn.set_defaults(func=_cmd_bench_churn)
+    for name, (summary, quick_help, flags) in _BENCHES.items():
+        out = f"BENCH_{name}.json"
+        cmd = bench_sub.add_parser(name, help=f"{summary}; write {out}")
+        cmd.add_argument(
+            "--out",
+            default=out,
+            metavar="PATH",
+            help=f"where to write the JSON payload (default: {out})",
+        )
+        cmd.add_argument("--quick", action="store_true", help=quick_help)
+        for flag, kind, default, flag_help in flags:
+            cmd.add_argument(flag, type=kind, default=default, help=flag_help)
+        cmd.set_defaults(func=_cmd_bench)
 
-    lint = sub.add_parser(
+    # Listed for --help only: main() hands `lint`'s arguments to ldplint's
+    # own parser (repro.analysis.lint.cli) unparsed.
+    sub.add_parser(
         "lint", help="ldplint: static analysis of the paper's security invariants"
     )
-    lint.add_argument("paths", nargs="*", help="files/dirs (default: [tool.ldplint])")
-    lint.add_argument("--format", choices=("text", "json", "github"), default="text")
-    lint.add_argument("--disable", action="append", default=[], metavar="RULE")
-    lint.add_argument("--root", default=None, metavar="DIR")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.set_defaults(func=_cmd_lint)
 
     metrics = sub.add_parser("metrics", help="work with exported telemetry streams")
     metrics_sub = metrics.add_subparsers(dest="metrics_command", required=True)
@@ -1068,6 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["lint"]:
+        from repro.analysis.lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
 

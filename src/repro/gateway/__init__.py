@@ -11,7 +11,9 @@ the constrained mesh:
 * :mod:`repro.gateway.api` — an HTTP/JSON query API on the stdlib
   ``http.server`` (``/status``, ``/nodes``, ``/nodes/<id>``,
   ``/readings``, ``/metrics`` and a cursor-resumable ``/updates``
-  long-poll stream);
+  long-poll stream), and :func:`~repro.gateway.api.deployment_status`,
+  the deployment health snapshot ``/status`` and ``repro run-live``
+  report;
 * :mod:`repro.gateway.federation` — signed version-vector digests and
   CRDT delta pulls between gateways, so several gateways each owning a
   mesh region converge to identical global state and any one answers
@@ -25,7 +27,7 @@ protocol, threat notes) lives in ``docs/GATEWAY.md``; the ``gateway.*``
 metric names are catalogued in ``docs/TELEMETRY.md``.
 """
 
-from repro.gateway.api import GatewayApp, GatewayHttpServer
+from repro.gateway.api import GatewayApp, GatewayHttpServer, deployment_status
 from repro.gateway.federation import (
     FederationError,
     FederationPeer,
@@ -43,6 +45,7 @@ from repro.gateway.store import (
 __all__ = [
     "GatewayApp",
     "GatewayHttpServer",
+    "deployment_status",
     "FederationError",
     "FederationPeer",
     "derive_federation_key",

@@ -19,8 +19,8 @@ constrained mesh keeps running underneath. Endpoints (all JSON):
 Split in two layers so tests can exercise routing without sockets:
 :class:`GatewayApp` is a pure ``(method, path, query, body) -> (status,
 payload)`` dispatcher over a :class:`~repro.gateway.store.GatewayStateStore`
-(plus, optionally, a live deployment's
-:class:`~repro.runtime.gateway.GatewayService`);
+(plus, optionally, a live deployment, summarised by
+:func:`deployment_status`);
 :class:`GatewayHttpServer` binds it to a ``ThreadingHTTPServer``.
 
 What the API must never expose: key material. Responses are built only
@@ -40,11 +40,18 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.gateway.federation import FederationError, handle_pull, signed_digest
 from repro.gateway.store import GatewayStateStore
+from repro.protocol.metrics import cluster_assignment
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.gateway import GatewayService
+    from repro.protocol.setup import DeployedProtocol
 
-__all__ = ["GatewayApp", "GatewayHttpServer", "MAX_BODY_BYTES", "MAX_POLL_TIMEOUT_S"]
+__all__ = [
+    "GatewayApp",
+    "GatewayHttpServer",
+    "MAX_BODY_BYTES",
+    "MAX_POLL_TIMEOUT_S",
+    "deployment_status",
+]
 
 #: Upper bound on one /updates long-poll park, seconds.
 MAX_POLL_TIMEOUT_S = 30.0
@@ -66,10 +73,47 @@ _ENDPOINTS = (
 )
 
 
+def deployment_status(deployed: "DeployedProtocol") -> dict:
+    """One JSON-serializable snapshot of a deployment's health.
+
+    Clusters formed, node liveness, the base station's delivery and
+    rejection totals, the transport's frame counters, and under
+    ``telemetry`` exactly :meth:`repro.telemetry.Telemetry.snapshot` —
+    the same structure JSONL ``sample`` records embed, so console and
+    stream consumers read one schema (docs/TELEMETRY.md). ``repro
+    run-live`` prints it; ``/status`` serves it without ``telemetry``.
+
+    Delivery totals come from the base station's incremental counters,
+    never from scanning ``bs.delivered``, so a status poll stays O(1) in
+    the number of readings ever delivered and ``/status`` can call it
+    per request.
+    """
+    bs = deployed.bs_agent
+    transport = deployed.network.transport
+    return {
+        "transport": transport.name,
+        "clock_s": round(deployed.now(), 6),
+        "nodes": len(deployed.agents),
+        "nodes_alive": sum(1 for a in deployed.agents.values() if a.node.alive),
+        "clusters_formed": len(cluster_assignment(deployed)),
+        "readings_delivered": bs.delivered_total,
+        "distinct_sources": bs.distinct_sources,
+        "readings_rejected": bs.rejected,
+        "revoked_clusters": sorted(bs.revoked_cids),
+        "suspicious_clusters": bs.suspicious_clusters(),
+        "telemetry": deployed.network.trace.telemetry.snapshot(),
+        "frames": {
+            "sent": transport.frames_sent,
+            "delivered": transport.frames_delivered,
+            "bytes_sent": transport.bytes_sent,
+        },
+    }
+
+
 class GatewayApp:
     """Transport-free request dispatcher over a gateway's state.
 
-    ``service`` (optional) adds the live deployment's status/telemetry
+    ``deployed`` (optional) adds the live deployment's status/telemetry
     to ``/status`` and ``/metrics``; without it the app serves store
     state only (useful for tests and store-only federation followers).
     ``run_lock`` is the mutex the deployment driver holds while
@@ -82,13 +126,13 @@ class GatewayApp:
     def __init__(
         self,
         store: GatewayStateStore,
-        service: "GatewayService | None" = None,
+        deployed: "DeployedProtocol | None" = None,
         federation_key: bytes | None = None,
         run_lock: threading.Lock | None = None,
     ) -> None:
         """Wire the dispatcher; see the class docstring for the knobs."""
         self.store = store
-        self.service = service
+        self.deployed = deployed
         self._federation_key = federation_key
         self.run_lock = run_lock if run_lock is not None else threading.Lock()
         self.registry = store.registry
@@ -166,19 +210,19 @@ class GatewayApp:
     def _status(self) -> dict:
         """O(1) health summary: store stats + deployment counters."""
         result: dict = {"gateway": self.store.gateway_id, "store": self.store.stats()}
-        if self.service is not None:
+        if self.deployed is not None:
             with self.run_lock:
-                deployment = self.service.status()
+                deployment = deployment_status(self.deployed)
             # The full metric dump has its own endpoint; /status stays small.
             deployment.pop("telemetry", None)
             result["deployment"] = deployment
         return result
 
     def _metrics(self) -> dict:
-        """The registry snapshot (deployment-wide when a service is wired)."""
-        if self.service is not None:
+        """The registry snapshot (deployment-wide when one is wired)."""
+        if self.deployed is not None:
             with self.run_lock:
-                return self.service.telemetry.snapshot()
+                return self.deployed.network.trace.telemetry.snapshot()
         return {"metrics": self.registry.snapshot()}
 
     def _node_detail(self, raw_id: str) -> tuple[int, dict]:

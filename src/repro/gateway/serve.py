@@ -35,7 +35,6 @@ from repro.gateway.federation import (
     derive_federation_key,
 )
 from repro.gateway.store import GatewayStateStore, parse_region
-from repro.runtime.gateway import GatewayService
 from repro.workloads import PeriodicReporting
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,7 +97,6 @@ class LiveGateway:
 
     options: ServeOptions
     deployed: "DeployedProtocol"
-    service: GatewayService
     store: GatewayStateStore
     app: GatewayApp
     server: GatewayHttpServer
@@ -126,7 +124,6 @@ class LiveGateway:
             seed=options.seed,
             transport=options.transport,
         )
-        service = GatewayService(deployed)
         registry = deployed.network.trace.telemetry.registry
         store = GatewayStateStore(
             options.gateway_id,
@@ -134,24 +131,21 @@ class LiveGateway:
             registry=registry,
         )
         deployed.bs_agent.add_delivery_listener(store.ingest)
-        bs_runtime = deployed.network.bs
-        if hasattr(bs_runtime, "add_receive_listener"):
-            bs_runtime.add_receive_listener(
-                lambda _sender, _frame: _note_ingress(registry, deployed)
-            )
+        deployed.network.bs.add_receive_listener(
+            lambda _sender, _frame: _note_ingress(registry, deployed)
+        )
         key = options.federation_key
         if key is None:
             key = derive_federation_key(deployed.registry.kmc.material)
         run_lock = threading.Lock()
         app = GatewayApp(
-            store, service=service, federation_key=key, run_lock=run_lock
+            store, deployed=deployed, federation_key=key, run_lock=run_lock
         )
         server = GatewayHttpServer(app, host=options.host, port=options.port)
         peers = [FederationPeer(url, key) for url in options.peers]
         gateway = cls(
             options=options,
             deployed=deployed,
-            service=service,
             store=store,
             app=app,
             server=server,

@@ -14,8 +14,6 @@ pieces:
 * :func:`~repro.runtime.cluster.build_transport` — ``--transport`` names
   to fabrics, for :func:`repro.protocol.setup.deploy` (also exported here
   under its older name ``deploy_live``);
-* :class:`~repro.runtime.gateway.GatewayService` — JSON status/metrics
-  snapshots over the base station;
 * :class:`~repro.runtime.faults.FaultPlan` /
   :class:`~repro.runtime.faults.FaultInjectingTransport` — seeded,
   declarative fault injection (loss, duplication, reordering, delay,
@@ -47,7 +45,6 @@ from repro.runtime.faults import (
     LinkFaults,
     Partition,
 )
-from repro.runtime.gateway import GatewayService
 from repro.runtime.loopback import LoopbackTransport
 from repro.runtime.node import NodeRuntime
 from repro.runtime.transport import Transport
@@ -62,7 +59,6 @@ __all__ = [
     "TRANSPORTS",
     "build_transport",
     "deploy_live",
-    "GatewayService",
     "LinkFaults",
     "CrashEvent",
     "Partition",

@@ -2,7 +2,8 @@
 
 Before this package existed the repo had two disjoint ways to observe a
 run: the sim-only ``Trace`` counter buffer (post-hoc) and the runtime's
-``GatewayService`` JSON snapshot (point-in-time). Both now publish into a
+JSON status snapshot (point-in-time, now
+:func:`repro.gateway.deployment_status`). Both now publish into a
 single :class:`Telemetry` object per deployment:
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges

@@ -129,9 +129,30 @@ def test_changed_outside_git_is_usage_error(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
-def test_repro_lint_subcommand(leaky_file, capsys):
-    assert repro_main(["lint", str(leaky_file), "--format", "json"]) == 1
-    assert json.loads(capsys.readouterr().out)["count"] == 1
+def _changed_repo(tmp_path):
+    """A git repo with one committed and one untracked leaky file."""
+    tmp_path.mkdir()
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "committed_leak.py").write_text(LEAKY, encoding="utf-8")
+    _git(tmp_path, "add", ".")
+    _git(tmp_path, "commit", "-qm", "seed")
+    (tmp_path / "fresh_leak.py").write_text(LEAKY, encoding="utf-8")
+    return ["--root", str(tmp_path), "--changed"]
+
+
+@pytest.mark.parametrize("case", ["json", "relaxed", "changed"])
+def test_repro_lint_subcommand(case, leaky_file, tmp_path, capsys):
+    if case == "json":
+        assert repro_main(["lint", str(leaky_file), "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["count"] == 1
+    elif case == "relaxed":
+        assert repro_main(["lint", "--profile", "relaxed", str(leaky_file)]) == 0
+    else:
+        args = _changed_repo(tmp_path / "repo")
+        expected = lint_main(args)
+        expected_out = capsys.readouterr().out
+        assert repro_main(["lint", *args]) == expected == 1
+        assert capsys.readouterr().out == expected_out
 
 
 def test_python_dash_m_repro_analysis(leaky_file):

@@ -1,14 +1,11 @@
-"""Gateway-service snapshots under adverse state, and the to_json contract."""
+"""Deployment status snapshots under adverse state."""
 
 import json
 
-import pytest
-
-from repro.gateway.api import GatewayApp
+from repro.gateway.api import GatewayApp, deployment_status
 from repro.gateway.store import GatewayStateStore
 from repro.protocol.setup import deploy
 from repro.runtime import deploy_live
-from repro.runtime.gateway import GatewayService
 from repro.workloads import PeriodicReporting
 from tests.conftest import run_for, small_deployment
 
@@ -22,33 +19,13 @@ def reported_deployment(seed=70, rounds=1):
     return deployed
 
 
-# -- to_json: extras may add sections, never overwrite the contract ----------
-
-
-def test_to_json_rejects_colliding_extra_keys():
-    service = GatewayService(small_deployment(n=40, seed=71))
-    with pytest.raises(ValueError, match="nodes"):
-        service.to_json(nodes=0)
-    with pytest.raises(ValueError, match="readings_delivered"):
-        service.to_json(readings_delivered=10**9, clock_s=0.0)
-
-
-def test_to_json_accepts_disjoint_extra_sections():
-    service = GatewayService(small_deployment(n=40, seed=71))
-    parsed = json.loads(service.to_json(setup={"ok": True}, workload={"sent": 3}))
-    assert parsed["setup"] == {"ok": True}
-    assert parsed["workload"] == {"sent": 3}
-    assert parsed["nodes"] == 40  # the snapshot itself is intact
-
-
 # -- O(1) status counters stay consistent with the delivery log --------------
 
 
 def test_status_counters_match_delivered_log():
     deployed = reported_deployment()
-    service = GatewayService(deployed)
-    assert service.delivered_count() == len(deployed.bs_agent.delivered) > 0
-    status = service.status()
+    assert len(deployed.bs_agent.delivered) > 0
+    status = deployment_status(deployed)
     assert status["readings_delivered"] == len(deployed.bs_agent.delivered)
     assert status["distinct_sources"] == len(
         {r.source for r in deployed.bs_agent.delivered}
@@ -60,33 +37,30 @@ def test_status_counters_match_delivered_log():
 
 def test_snapshot_with_revoked_clusters():
     deployed = reported_deployment(seed=72)
-    service = GatewayService(deployed)
     victim = sorted(deployed.agents)[5]
     cids = list(deployed.agents[victim].state.keyring.cluster_ids())
     deployed.bs_agent.revoke_clusters(cids)
     run_for(deployed, 10.0)
-    status = service.status()
+    status = deployment_status(deployed)
     assert status["revoked_clusters"] == sorted(cids)
-    json.loads(service.to_json())  # still serializes cleanly
+    json.loads(json.dumps(status))  # still serializes cleanly
 
 
 def test_snapshot_with_offline_and_restored_nodes():
     deployed, _ = deploy_live(n=40, density=10.0, seed=73, transport="loopback")
-    service = GatewayService(deployed)
-    total = service.status()["nodes_alive"]
+    total = deployment_status(deployed)["nodes_alive"]
     down = sorted(deployed.network.nodes)[1:4]
     for nid in down:
         deployed.network.nodes[nid].offline()
-    assert service.status()["nodes_alive"] == total - len(down)
+    assert deployment_status(deployed)["nodes_alive"] == total - len(down)
     for nid in down:
         deployed.network.nodes[nid].online()
-    assert service.status()["nodes_alive"] == total
+    assert deployment_status(deployed)["nodes_alive"] == total
 
 
 def test_snapshot_of_empty_deployment():
     deployed, _ = deploy(30, 10.0, seed=74)  # key setup ran, no readings yet
-    service = GatewayService(deployed)
-    status = service.status()
+    status = deployment_status(deployed)
     assert status["readings_delivered"] == 0
     assert status["distinct_sources"] == 0
     assert status["revoked_clusters"] == []
@@ -97,7 +71,7 @@ def test_http_status_over_empty_deployment():
     deployed, _ = deploy(30, 10.0, seed=74)
     store = GatewayStateStore("gw0")
     deployed.bs_agent.add_delivery_listener(store.ingest)
-    app = GatewayApp(store, service=GatewayService(deployed))
+    app = GatewayApp(store, deployed=deployed)
     status, payload = app.handle("GET", "/status", {})
     assert status == 200
     assert payload["store"]["nodes"] == 0

@@ -171,12 +171,12 @@ class TestValidation:
 
 
 def test_faulted_status_frames_match_the_trace_counters():
-    from repro.runtime import GatewayService
+    from repro.gateway import deployment_status
 
     deployed, _ = deploy_live(
         30, 8.0, seed=1, fault_plan=FaultPlan(seed=1, defaults=LinkFaults(drop=0.1))
     )
-    frames = GatewayService(deployed).status()["frames"]
+    frames = deployment_status(deployed)["frames"]
     trace = counters(deployed)
     assert trace.get("fault.drop", 0) > 0
     assert frames["sent"] == trace["net.frames_sent"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.gateway import deployment_status
 from repro.viz import cluster_map
 from tests.conftest import small_deployment
 
@@ -90,6 +91,8 @@ def test_cli_run_live_loopback(capsys):
     assert snapshot["transport"] == "loopback"
     assert snapshot["workload"]["delivery_ratio"] >= 0.95
     assert snapshot["clusters_formed"] > 0
+    status_keys = list(deployment_status(small_deployment(n=10, seed=0)))
+    assert list(snapshot) == [*status_keys, "setup", "workload"]
 
 
 def test_cli_run_live_rejects_unknown_transport(capsys):
