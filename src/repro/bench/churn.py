@@ -56,6 +56,7 @@ def _run_row(
         "duration_s": duration_s,
         "sent": result.sent,
         "delivered": result.delivered,
+        "unroutable": result.unroutable,
         "delivery_ratio": round(result.delivery_ratio, 4),
         "joins": result.joins_completed,
         "leaves": result.leaves,

@@ -45,6 +45,7 @@ from repro.protocol.state import NodeState, Preload, Role
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.aggregation import FusionFilter
     from repro.runtime.node import NodeRuntime
+    from repro.runtime.transport import TimerHandle
     from repro.sim.trace import Trace
 
 
@@ -103,6 +104,9 @@ class ProtocolAgent:
         #: also records messages merely *overheard* — re-ACKing those
         #: would claim custody the node never took.
         self._custody: OrderedDict[bytes, None] = OrderedDict()
+        #: Jittered forwards not yet sent, by fingerprint: the timer a
+        #: forwarder that is overtaken cancels.
+        self._pending: dict[bytes, "TimerHandle"] = {}
 
     # ------------------------------------------------------------------
     # Key setup (Sec. IV-B)
@@ -482,6 +486,17 @@ class ProtocolAgent:
                 self._send_ack(header.cid, header.sender, fp)
             return "drop.data_replay"
         if self._dedup.seen_before(fp, counts):
+            pending = self._pending.get(fp)
+            if pending is not None and 0 <= header.hops_to_bs <= st.hops_to_bs:
+                # Overtaken: a node no farther from the BS than we are
+                # already sent the reading on, so our forward would only
+                # add a frame (the counter-based broadcast-storm scheme of
+                # Ni et al., MobiCom 1999, with one overheard copy).
+                # Custody stays recorded: an upstream retransmit is still
+                # re-ACKed, and the overheard forwarder tracks its own.
+                del self._pending[fp]
+                pending.cancel()
+                self._trace.count("forward.suppressed")
             # Already seen — but "seen" includes messages merely overheard
             # and dropped (e.g. uphill receptions). Only a node that took
             # custody may re-ACK; anything else would cancel the sender's
@@ -533,7 +548,7 @@ class ProtocolAgent:
             self._send_ack(header.cid, header.sender, fp)
         if self.config.forward_jitter_s > 0:
             delay = float(self._rng.uniform(0.0, self.config.forward_jitter_s))
-            self.node.schedule(delay, lambda: self._forward_later(c1, fp))
+            self._pending[fp] = self.node.schedule(delay, lambda: self._forward_later(c1, fp))
         else:
             self._transmit_hop(c1, fp)
         return None
@@ -541,6 +556,7 @@ class ProtocolAgent:
     def _forward_later(self, c1: bytes, fp: bytes) -> None:
         """Jittered forward; re-checks the keys (revocation may have
         landed between reception and the timer firing)."""
+        self._pending.pop(fp, None)
         st = self.state
         if not self.node.alive or st.cid is None or not st.keyring.has(st.cid):
             self._trace.count("drop.data_no_cluster_key")

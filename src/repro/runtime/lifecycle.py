@@ -514,7 +514,10 @@ class ChurnScenario:
     window_s: float = 15.0
     settle_s: float = 15.0
     #: Documented convergence bounds (the ``--assert-convergence`` gate).
-    min_delivery: float = 0.90
+    #: ``min_delivery`` sits mid-gap between the default scenario over
+    #: seeds 0-9 with reliability + refresh on (0.975-0.997) and off
+    #: (0.862-0.903), so the gate passes on one side and fails on the other.
+    min_delivery: float = 0.94
     max_reconverge_s: float = 30.0
     max_orphan_dwell_s: float = 20.0
 
@@ -571,6 +574,9 @@ class ChurnResult:
     min_window_delivery: float
     sent: int
     delivered: int
+    #: Source-ticks the workload skipped because the source had no
+    #: route to the base station (not counted in ``sent``).
+    unroutable: int
     send_failures: int
     joins_completed: int
     joins_failed: int
@@ -659,9 +665,7 @@ def run_churn(scenario: ChurnScenario) -> ChurnResult:
         out = []
         for nid in live.alive_sensor_ids():
             agent = deployed.agents.get(nid)
-            if agent is None or ConvergenceTracker.is_orphan(agent):
-                continue
-            if agent.state.hops_to_bs > 0:
+            if agent is not None and not ConvergenceTracker.is_orphan(agent):
                 out.append(nid)
         return out
 
@@ -710,6 +714,7 @@ def run_churn(scenario: ChurnScenario) -> ChurnResult:
         min_window_delivery=tracker.min_window_delivery,
         sent=len(workload.sent),
         delivered=len(deployed.bs_agent.delivered),
+        unroutable=workload.unroutable,
         send_failures=workload.send_failures,
         joins_completed=churn.joins_completed,
         joins_failed=churn.joins_failed,

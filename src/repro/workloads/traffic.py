@@ -148,7 +148,11 @@ class ContinuousReporting(_WorkloadBase):
     schedules one report per returned source with a small phase jitter.
     Joined nodes start reporting as soon as the selector includes them;
     departed or orphaned nodes silently drop out instead of tanking the
-    delivery ratio with sends the network was never asked to carry.
+    delivery ratio with sends the network was never asked to carry. A
+    returned source with no route to the base station (``hops_to_bs <
+    0``) is skipped for that tick and counted in :attr:`unroutable`, so
+    the readings the network was never offered stay visible next to the
+    delivery ratio.
     """
 
     def __init__(
@@ -172,6 +176,8 @@ class ContinuousReporting(_WorkloadBase):
         self._rng = rng or np.random.default_rng(0)
         self._round = 0
         self._t0 = 0.0
+        #: Source-ticks skipped because the source had no route.
+        self.unroutable = 0
 
     def start(self) -> None:
         """Begin ticking on the deployment's clock."""
@@ -181,7 +187,11 @@ class ContinuousReporting(_WorkloadBase):
     def _tick(self) -> None:
         k = self._round
         self._round += 1
+        agents = self.deployed.agents
         for source in self._sources_fn():
+            if agents[source].state.hops_to_bs < 0:
+                self.unroutable += 1
+                continue
             offset = float(self._rng.uniform(0.0, 0.5 * self.period_s))
             self.deployed.schedule(
                 offset,

@@ -64,14 +64,14 @@ SWAPPED = FaultPlan(
 #: (wire sha256, counters sha256, frames on the air) per soak.
 EXPECTED = {
     "plan": (
-        "6ff2c42205d5b834d7f6c1a325269d623e1919b430b8add885bb874a158f4b23",
-        "0132961c0ba5d075c603da5aab589d39484363e249856ebe217b798ef4774694",
-        3770,
+        "c05bf360c407749be7cc47460b1c109d47f2d227bce7e39ee45d397df3f22e13",
+        "75a3916b1ff2e4bd251b5e83c7b35ba8b3594be6f265d419b68b601829e959ac",
+        3467,
     ),
     "swap": (
-        "4f91486670ab62b16744f6053f5410a1f1125702fdf587bb975f1657ce2294a1",
-        "0b23b5dc48c3428034e08156d19c870c8090d70ace30996a1a6fb8a1bad1113f",
-        3716,
+        "1c9a044b4d9d8819bf1f85e1cce198b9566c474b60bc7ca704a0a31c0f923384",
+        "7eb2fdbac8b4a493e4b29a10ca8ee5485cf5a2fe82e36bdf4028955b8aa5d23f",
+        3453,
     ),
 }
 

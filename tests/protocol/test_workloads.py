@@ -90,6 +90,22 @@ class TestContinuousReporting:
         assert wl.window_delivery_ratio(0.0, loaded.now()) == wl.delivery_ratio()
         assert wl.window_delivery_ratio(1e6, 2e6) == 1.0  # idle, not failing
 
+    def test_unroutable_sources_are_skipped_and_counted(self, loaded):
+        sources = routable(loaded, 3)
+        cut_off = loaded.agent(sources[0])
+        wl = ContinuousReporting(loaded, lambda: sources, period_s=5.0, duration_s=20.0)
+        wl.start()
+        run_for(loaded, 7)
+        ticks = wl.unroutable
+        cut_at = loaded.now()
+        cut_off.state.hops_to_bs = -1
+        run_for(loaded, 33)
+        assert ticks == 0 and wl.unroutable == 2  # the ticks at 10 s and 15 s
+        # Sends already scheduled at the cut land within half a period.
+        assert not [s for s in wl.sent if s.source == sources[0] and s.time > cut_at + 2.5]
+        assert wl.send_failures == 0
+        assert wl.delivery_ratio() == 1.0
+
     def test_validation(self, loaded):
         with pytest.raises(ValueError):
             ContinuousReporting(loaded, list, period_s=0.0, duration_s=1.0)

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.runtime.lifecycle import ChurnScenario
 
 # A scaled-down cousin of the CI acceptance scenario: same shape, a
 # quarter of the horizon, so the whole file runs in a few seconds.
@@ -39,10 +40,30 @@ def test_churn_json_output(capsys):
     assert payload["mobility"] == "waypoint"
     assert payload["churn_events"] == 3
     assert 0.0 <= payload["delivery_ratio"] <= 1.0
+    assert payload["unroutable"] >= 0
     assert payload["joins_completed"] + payload["joins_failed"] == 1
     assert payload["mobility_steps"] > 0
     assert isinstance(payload["converged"], bool)
     assert payload["store_evicted"] >= payload["leaves"]
+
+
+def test_churn_defaults_are_the_scenario_defaults():
+    # CI gates on the bare command: it must run ChurnScenario's defaults.
+    args = vars(build_parser().parse_args(["churn"]))
+    fields = {
+        "duration": "duration_s",
+        "refresh_period": "refresh_period_s",
+        "period": "report_period_s",
+        "window": "window_s",
+        "settle": "settle_s",
+        "max_reconverge": "max_reconverge_s",
+        "max_orphan_dwell": "max_orphan_dwell_s",
+    }
+    default = ChurnScenario()
+    for name, value in args.items():
+        field = fields.get(name, name)
+        if hasattr(default, field):
+            assert value == getattr(default, field), name
 
 
 def test_churn_rejects_bad_scenarios(capsys):

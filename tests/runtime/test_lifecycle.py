@@ -123,7 +123,7 @@ def test_acceptance_defaults_match_the_documented_gate():
     assert default.mobility == "waypoint"
     assert default.drop == 0.10
     assert default.churn_fraction >= 0.05
-    assert default.min_delivery == 0.90
+    assert default.min_delivery == 0.94
 
 
 def test_driver_constructor_validation():
