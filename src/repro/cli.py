@@ -370,8 +370,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     }
     retx_counters = {
         k: result.counter(k)
-        for k in ("net.retx.sent", "net.retx.acked", "net.retx.queue_full",
-                  "forward.giveup", "tx.ack")
+        for k in ("net.retx.sent", "net.retx.acked", "net.retx.overheard",
+                  "net.retx.queue_full", "forward.giveup", "tx.ack")
     }
     if args.json:
         print(
@@ -862,9 +862,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 if delivery falls below RATIO (e.g. 0.99)",
     )
     chaos.add_argument("--json", action="store_true", help="machine-readable output")
-    # The acceptance scenario is deliberately smaller than the common
-    # --n default: chaos runs every sensor as a reporting source.
-    chaos.set_defaults(func=_cmd_chaos, n=60)
+    # --n/--density defaults: ChaosScenario's field, so the bare command
+    # runs the documented acceptance scenario. It is deliberately smaller
+    # than the common --n default: chaos runs every sensor as a source.
+    chaos.set_defaults(func=_cmd_chaos, n=60, density=10.0)
 
     churn = sub.add_parser(
         "churn",

@@ -78,11 +78,14 @@ class ProtocolConfig:
     dedup_cache_size: int = 4096
 
     # -- hop-by-hop reliability (live-runtime extension, default off) --------
-    #: Per-hop custody ACKs + retransmission. Off by default: the paper's
+    #: Per-hop custody + retransmission: a sender stops on an overheard
+    #: downhill forward or an explicit ACK (the BS's, or a custodian's
+    #: re-ACK of a retransmission). Off by default: the paper's
     #: protocol has no ACKs, and the runtime parity tests pin the default
     #: behavior. Enable for lossy live fabrics (see docs/RUNTIME.md).
     hop_ack_enabled: bool = False
-    #: Base wait for a custody ACK before the first retransmission.
+    #: Base wait for a downhill forward or an ACK before the first
+    #: retransmission.
     ack_timeout_s: float = 0.3
     #: Exponential backoff factor between retransmissions.
     retx_backoff_factor: float = 2.0
@@ -93,7 +96,7 @@ class ProtocolConfig:
     retx_jitter_s: float = 0.05
     #: Retransmissions per message before giving up (``forward.giveup``).
     max_retransmits: int = 3
-    #: Bound on messages concurrently awaiting an ACK; beyond it new
+    #: Bound on messages concurrently awaiting custody; beyond it new
     #: transmissions are send-and-pray (``net.retx.queue_full``).
     retx_queue_limit: int = 128
     #: Times each HELLO / LINKINFO setup broadcast is re-announced so

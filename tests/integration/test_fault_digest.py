@@ -64,14 +64,14 @@ SWAPPED = FaultPlan(
 #: (wire sha256, counters sha256, frames on the air) per soak.
 EXPECTED = {
     "plan": (
-        "c05bf360c407749be7cc47460b1c109d47f2d227bce7e39ee45d397df3f22e13",
-        "75a3916b1ff2e4bd251b5e83c7b35ba8b3594be6f265d419b68b601829e959ac",
-        3467,
+        "af9466239bcafb0f9dce69497175a5c79be532b3f0758ec1f19fac42320ae96a",
+        "17eda2f0ba1a80953f98b09438a411a013d73332b1a5a0d7cfa1742feadb8309",
+        2607,
     ),
     "swap": (
-        "1c9a044b4d9d8819bf1f85e1cce198b9566c474b60bc7ca704a0a31c0f923384",
-        "7eb2fdbac8b4a493e4b29a10ca8ee5485cf5a2fe82e36bdf4028955b8aa5d23f",
-        3453,
+        "ef92ac61741e1483d32e73f3fa65078885b6882e7e5f33b0e207297e880947d4",
+        "78b5d57c28aa3f399e3aaddb6b9fab792f6e5e105bd2c556999e09267a025421",
+        2814,
     ),
 }
 

@@ -71,9 +71,9 @@ FRESHNESS_S = 2.0
 #: (sha256 of the reception record, readings delivered) per variant.
 EXPECTED = {
     "default": ("d539ec84d5a1afccde81434484166d031b6529a7a35aeb462835f32658a7b62b", 197),
-    "hop_acks": ("3b767163937e8d5fbf8c9514d88246d3d822e9882f0bbaf639b668571a80c303", 199),
-    "no_jitter": ("ce191a2d1597c587e5f7867637ab3d6d23404f7db5648d2903de6c8f2ae13de2", 202),
-    "faulted": ("c3a1e6ebb1d62b1d3a273c8a2698f54211de96aaf5d940f3b805af33d07ad892", 194),
+    "hop_acks": ("5ed3eec97fa62fdf5183b14dbacd782cc7e7985e5123b427487e05115cb8fea2", 198),
+    "no_jitter": ("52967d85089784af5124499da28bc6e6665a04d0ef7a6e882cd47df1035080c3", 202),
+    "faulted": ("8c44ecbc44cf5ddca5dde94a5405394ec8c65630f30629e326b0876aaef50c2e", 193),
     # A fault plan that injects nothing changes nothing: the default's digest.
     "noop_faults": ("d539ec84d5a1afccde81434484166d031b6529a7a35aeb462835f32658a7b62b", 197),
 }

@@ -40,9 +40,9 @@ EXPECTED = {
         1824,
     ),
     "lossy": (
-        "51a6d3266f2f69d337b3dafd788dea1a724b9f7ebbe0749e91d89b8adb073d24",
-        "ca28385452491f374dc41fda2594d9f41c582e6142c216b281995b589d58b523",
-        4901,
+        "55c82c0f082dd33dea43e88d73c37758121a1a000992d82bf66e2656c0e43ac1",
+        "0cbb9859e9afdeb3131b2045425cf162a2870a8cde0e57b2605ef9437f113a8f",
+        3386,
     ),
 }
 

@@ -2,8 +2,8 @@
 
 import json
 
-from repro.cli import main
-from repro.runtime.chaos import parse_crash, parse_partition
+from repro.cli import build_parser, main
+from repro.runtime.chaos import ChaosScenario, parse_crash, parse_partition
 
 SMALL = ["--n", "25", "--rounds", "1", "--settle", "8"]
 
@@ -32,6 +32,29 @@ def test_chaos_json_output(capsys):
     assert 0.0 <= payload["delivery_ratio"] <= 1.0
     assert "fault.drop" in payload["fault_counters"]
     assert "net.retx.sent" in payload["reliability_counters"]
+    assert "net.retx.overheard" in payload["reliability_counters"]
+
+
+def test_chaos_defaults_are_the_scenario_defaults():
+    # CI gates on the bare command: it must run ChaosScenario's defaults.
+    args = vars(build_parser().parse_args(["chaos"]))
+    args["retransmits"] = not args.pop("no_retransmits")
+    fields = {
+        "delay_jitter": "delay_jitter_s",
+        "crash": "crashes",
+        "partition": "partitions",
+        "period": "period_s",
+        "settle": "settle_s",
+    }
+    default = ChaosScenario()
+    checked = set()
+    for name, value in args.items():
+        field = fields.get(name, name)
+        if hasattr(default, field):
+            expected = getattr(default, field)
+            assert (tuple(value) if isinstance(value, list) else value) == expected, name
+            checked.add(field)
+    assert {"n", "density", "drop", "retransmits", "crashes"} <= checked
 
 
 def test_chaos_rejects_bad_specs(capsys):

@@ -126,13 +126,13 @@ def test_suppressed_custodian_still_reacks_upstream_retransmission():
     h = agent.state.hops_to_bs
     agent.on_frame(PEER, _copy(deployed, agent, PEER, h, c1))
     assert _suppressed(deployed) == 1
-    # The upstream sender did not hear the first ACK and retransmits
-    # under a fresh hop sequence number.
+    # Taking custody sent no ACK, and the suppressed forward never went
+    # out: the upstream sender retransmits under a fresh hop sequence
+    # number, and the custodian ACKs that.
     agent.on_frame(UPHILL, _copy(deployed, agent, UPHILL, h + 1, c1, seq=2))
     tag_len = deployed.config.tag_len
     acks = [messages.decode_ack(f, tag_len) for f in sent if f[0] == messages.ACK]
     assert [(hop_sender, ack_fp) for _cid, hop_sender, ack_fp, _tag in acks] == [
-        (UPHILL, fp),
         (UPHILL, fp),
     ]
     assert agent._has_custody(fp)
