@@ -30,6 +30,17 @@ sail through the gate unmeasured. Mismatches exit with the distinct
 code 4 (regressions still dominate with exit 1) so CI can tell "got
 slower" from "stopped comparing". Pass ``--allow-missing`` to downgrade
 mismatches to notes when a sweep legitimately grows mid-PR.
+
+Count columns are exact at a fixed seed, so they are compared for
+equality, not against a tolerance: a runtime row's ``events_executed``,
+``clusters`` and ``frames_sent`` whenever both payloads have the same
+``seed`` and ``density``; a forwarding soak row's or a churn row's
+counts (``COUNT_COLUMNS``) when, in addition, both payloads have the
+same ``quick`` flag and the rows the same ``duration_s``. A count that
+differs exits with the distinct code 5: the run did different work, so
+a PR that claims to leave behaviour untouched is held to it. A
+regression still dominates (exit 1); a count that differs dominates a
+mismatch.
 """
 
 from __future__ import annotations
@@ -43,6 +54,26 @@ from typing import Iterator
 #: from 1 (regression) and 2 (argparse usage error) so CI logs separate
 #: "got slower" from "stopped comparing".
 EXIT_KEY_MISMATCH = 4
+#: Exit code for "an exact count column differs" — the run did other work.
+EXIT_COUNT_DIFFERS = 5
+
+#: The exact columns of each row kind (the first element of its key).
+COUNT_COLUMNS = {
+    "setup": ("events_executed", "clusters", "frames_sent"),
+    "soak": ("sent", "delivered", "dedup_hits", "dedup_evictions", "retransmits"),
+    "churn": (
+        "sent",
+        "delivered",
+        "unroutable",
+        "joins",
+        "leaves",
+        "revoked",
+        "refresh_rounds",
+        "mobility_steps",
+        "links_added",
+        "links_removed",
+    ),
+}
 
 
 def _rows(payload: dict) -> dict[tuple, dict]:
@@ -113,6 +144,32 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> tuple[list[str], l
     return regressions, mismatches
 
 
+def count_differences(baseline: dict, fresh: dict) -> list[str]:
+    """Count columns that differ between rows measured alike.
+
+    Rows are compared only where their counts must agree: both payloads
+    share ``seed`` and ``density``, and for soak and churn rows also
+    ``quick`` and the row's ``duration_s``.
+    """
+    if any(baseline.get(k) != fresh.get(k) for k in ("seed", "density")):
+        return []
+    timed = baseline.get("benchmark") != "runtime_setup_throughput"
+    if timed and baseline.get("quick") != fresh.get("quick"):
+        return []
+    fresh_rows = _rows(fresh)
+    differences: list[str] = []
+    for key, base_row in sorted(_rows(baseline).items(), key=repr):
+        fresh_row = fresh_rows.get(key)
+        if fresh_row is None or base_row.get("duration_s") != fresh_row.get("duration_s"):
+            continue
+        for field in COUNT_COLUMNS.get(key[0], ()):
+            if field in base_row and base_row[field] != fresh_row.get(field):
+                differences.append(
+                    f"{key} {field}: {fresh_row.get(field)!r} != baseline {base_row[field]!r}"
+                )
+    return differences
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -138,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.fresh, encoding="utf-8") as fp:
         fresh = json.load(fp)
     regressions, mismatches = compare(baseline, fresh, args.tolerance)
+    differences = count_differences(baseline, fresh)
     if mismatches:
         label = "note" if args.allow_missing else "MISMATCH"
         print(f"{label}: {len(mismatches)} metric key(s) present in only one payload:")
@@ -148,11 +206,17 @@ def main(argv: list[str] | None = None) -> int:
                 "A renamed/dropped bench key cannot be gated; regenerate the "
                 "committed baseline or pass --allow-missing."
             )
+    if differences:
+        print(f"\nCOUNTS DIFFER: {len(differences)} exact column(s) changed:")
+        for message in differences:
+            print(f"  {message}")
     if regressions:
         print(f"\nFAIL: {len(regressions)} regression(s) beyond tolerance:")
         for message in regressions:
             print(f"  {message}")
         return 1
+    if differences:
+        return EXIT_COUNT_DIFFERS
     if mismatches and not args.allow_missing:
         return EXIT_KEY_MISMATCH
     print(f"\nOK: {len(_rows(baseline))} baseline rows within tolerance")

@@ -80,9 +80,10 @@ def run(
         )
     table.notes.append(
         "expected shape: high delivery at low load decaying as the channel "
-        "saturates; the protocol is ack-free (Sec. VI), so hidden-terminal "
-        "losses are repaired only by multi-path redundancy, capping "
-        "delivery below 1.0 on a collision-prone medium"
+        "saturates; the protocol is ack-free (Sec. VI), so a hidden-terminal "
+        "loss is repaired only by a backup forwarder (a downhill neighbour "
+        "that did not hear the sender's gradient parent forwards one jitter "
+        "window later), capping delivery below 1.0 on a collision-prone medium"
     )
     return table
 

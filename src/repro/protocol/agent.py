@@ -103,8 +103,10 @@ class ProtocolAgent:
         #: Fingerprints this node took custody of (accepted and forwarded,
         #: or is still forwarding). Distinct from the dedup cache, which
         #: also records messages merely *overheard* — re-ACKing those
-        #: would claim custody the node never took.
-        self._custody: OrderedDict[bytes, None] = OrderedDict()
+        #: would claim custody the node never took. The value is the
+        #: same-level node whose forward overtook ours, while this node
+        #: stands by for it (None otherwise).
+        self._custody: OrderedDict[bytes, int | None] = OrderedDict()
         #: Jittered forwards not yet sent, by fingerprint: the timer a
         #: forwarder that is overtaken cancels.
         self._pending: dict[bytes, "TimerHandle"] = {}
@@ -349,10 +351,10 @@ class ProtocolAgent:
             self._trace.count("forward.giveup")
             return
         self._trace.count("net.retx.sent")
-        # Re-wrap under a fresh hop sequence number: receivers' anti-replay
-        # windows are strictly increasing, so replaying the original bytes
-        # would be dropped. Duplicate suppression still works — it keys on
-        # the invariant inner blob, not the hop wrapper.
+        # Re-wrap under a fresh hop sequence number: the original bytes
+        # repeat a seq the receivers' anti-replay windows already hold, so
+        # they would be dropped. Duplicate suppression still works — it
+        # keys on the invariant inner blob, not the hop wrapper.
         self._transmit_hop(entry.c1, fp)
 
     def on_offline(self) -> None:
@@ -506,10 +508,19 @@ class ProtocolAgent:
                 # Ni et al., MobiCom 1999, with one overheard copy).
                 # Custody stays recorded: an upstream retransmit is still
                 # re-ACKed (the only ACK a suppressed custodian sends), and
-                # the overheard forwarder tracks its own.
+                # the overheard forwarder tracks its own. A same-level
+                # overtaker is remembered: we stand by for it.
                 del self._pending[fp]
                 pending.cancel()
                 self._trace.count("forward.suppressed")
+                if header.hops_to_bs == st.hops_to_bs and fp in self._custody:
+                    self._custody[fp] = header.sender
+            elif self._custody.get(fp) == header.sender:
+                # Standby: the node that overtook us retransmits, so it got
+                # no ACK and heard no downhill forward. Forward it once.
+                self._custody[fp] = None
+                self._trace.count("forward.standby")
+                self._forward_later(c1, fp)
             # Already seen — but "seen" includes messages merely overheard
             # and dropped (e.g. uphill receptions). Only a node that took
             # custody may re-ACK; anything else would cancel the sender's
@@ -559,16 +570,21 @@ class ProtocolAgent:
             # the hop sender overhears our forward, and a retransmission
             # it sends meanwhile is re-ACKed by the duplicate branch.
             self._take_custody(fp)
-        if self.config.forward_jitter_s > 0:
-            delay = float(self._rng.uniform(0.0, self.config.forward_jitter_s))
+        jitter = self.config.forward_jitter_s
+        if jitter > 0 and header.sender not in st.children:
+            # A backup: the hop sender's gradient parent forwards at once,
+            # so wait one jitter window to hear it (and stand down) first —
+            # prioritised forwarders, as in ExOR (Biswas & Morris, SIGCOMM
+            # 2005). Without jitter, every forwarder sends at once.
+            delay = jitter + float(self._rng.uniform(0.0, jitter))
             self._pending[fp] = self.node.schedule(delay, lambda: self._forward_later(c1, fp))
         else:
             self._transmit_hop(c1, fp)
         return None
 
     def _forward_later(self, c1: bytes, fp: bytes) -> None:
-        """Jittered forward; re-checks the keys (revocation may have
-        landed between reception and the timer firing)."""
+        """Jittered or standby forward; re-checks the keys (revocation may
+        have landed since the reading was accepted)."""
         self._pending.pop(fp, None)
         st = self.state
         if not self.node.alive or st.cid is None or not st.keyring.has(st.cid):

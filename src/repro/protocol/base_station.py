@@ -36,6 +36,7 @@ from repro.protocol.forwarding import (
     parse_inner,
     unwrap_hop,
 )
+from repro.protocol.state import accept_hop_seq
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.node import NodeRuntime
@@ -94,8 +95,8 @@ class BaseStationAgent:
         #: Per-source Step-1 anti-replay counter windows (bidirectional:
         #: multi-path forwarding can reorder a source's messages).
         self._e2e_windows: dict[int, CounterWindow] = {}
-        #: Anti-replay per hop sender, like any node.
-        self._last_seen_seq: dict[int, int] = {}
+        #: Hop anti-replay window per hop sender, like any node's.
+        self._hop_windows: dict[int, int] = {}
         self.delivered: list[DeliveredReading] = []
         #: Incremental delivery accounting: kept in lockstep with
         #: ``delivered`` so status consumers (the gateway query plane)
@@ -233,18 +234,18 @@ class BaseStationAgent:
             self._trace.count("bs.drop_stale")
             self._reject(header.cid)
             return
-        if header.seq <= self._last_seen_seq.get(header.sender, 0):
-            # Authenticated but already-seen hop sequence. Re-ACK only a
-            # true link duplicate (the sender's ACK may have been lost):
-            # for the BS, an inner blob in the dedup cache *was* accepted.
-            # An out-of-order seq carrying a new message stays unACKed so
-            # the sender re-wraps and retries it under a fresh seq.
+        if not accept_hop_seq(self._hop_windows, header.sender, header.seq):
+            # Authenticated but already-seen (or too old) hop sequence.
+            # Re-ACK only a true link duplicate (the sender's ACK may have
+            # been lost): for the BS, an inner blob in the dedup cache
+            # *was* accepted. A seq too old for the window carrying a new
+            # message stays unACKed so the sender re-wraps and retries it
+            # under a fresh seq.
             self._trace.count("bs.drop_replay")
             self._reject(header.cid)
             if self._dedup.contains(fp):
                 self._send_ack(header.cid, header.sender, fp)
             return
-        self._last_seen_seq[header.sender] = header.seq
         if self._dedup.seen_before(fp):
             # The same logical reading arriving over several paths is
             # expected with gradient forwarding; count it, don't reject it.

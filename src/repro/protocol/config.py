@@ -68,11 +68,14 @@ class ProtocolConfig:
     counter_window: int = 32
     #: Hop-layer freshness: frames whose timestamp τ is older are dropped.
     freshness_window_s: float = 30.0
-    #: Random delay before re-transmitting a forwarded frame. One
-    #: reception triggers several downhill forwarders at once; without
-    #: jitter they all key up simultaneously and collide (the classic
-    #: flooding broadcast storm). Zero disables (useful for step-debug
-    #: tests); has no effect on the single transmission a source makes.
+    #: Forwarding backoff window. One reception triggers several
+    #: downhill forwarders at once; without a backoff they all key up
+    #: simultaneously and collide (the classic flooding broadcast
+    #: storm). The hop sender's gradient parent forwards at once; every
+    #: other downhill receiver waits this long plus a uniform draw from
+    #: it, so it hears the parent and stands down. Zero makes every
+    #: forwarder send at once (useful for step-debug tests); has no
+    #: effect on the single transmission a source makes.
     forward_jitter_s: float = 0.05
     #: Bound on the per-node duplicate-suppression cache.
     dedup_cache_size: int = 4096

@@ -82,11 +82,20 @@ class DeployedProtocol:
         graph part ways; :meth:`Network.hop_gradient` stays radio-only.
         A node without its own cluster key is unroutable (-1). Re-run
         after topology changes (deaths, additions, motion, revocation).
+
+        The node through which the search first reaches ``u`` is ``u``'s
+        parent, its designated next hop: the base station, or a downhill
+        node holding ``K_{cid(u)}``. Each agent's ``children`` are the
+        nodes whose parent it is (a tuple: at n=3600, frozensets cost
+        four times the memory for two children on average). Like the
+        hop count, the parent stands in for what a gradient beacon
+        would carry.
         """
         network = self.network
         cid_of: dict[int, int] = {}
         for nid, agent in self.agents.items():
             st = agent.state
+            st.children = ()
             if st.cid is not None and st.keyring.has(st.cid) and network.nodes[nid].alive:
                 cid_of[nid] = st.cid
         revoked = self.bs_agent.revoked_cids
@@ -101,11 +110,15 @@ class DeployedProtocol:
             level += 1
             nxt = []
             for v in frontier:
-                keyring = self.agents[v].state.keyring
+                st = self.agents[v].state
+                kids = []
                 for u in network.adjacency(v):
-                    if u not in hops and u in cid_of and keyring.has(cid_of[u]):
+                    if u not in hops and u in cid_of and st.keyring.has(cid_of[u]):
                         hops[u] = level
-                        nxt.append(u)
+                        kids.append(u)
+                if kids:
+                    st.children = tuple(kids)
+                    nxt.extend(kids)
             frontier = nxt
         for nid, agent in self.agents.items():
             agent.state.hops_to_bs = hops.get(nid, -1)

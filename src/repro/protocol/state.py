@@ -17,6 +17,37 @@ from repro.crypto.keychain import ChainVerifier
 from repro.crypto.keys import KeyRing, SymmetricKey
 
 
+#: Width of the hop anti-replay window: an unseen hop seq fewer than
+#: this many below a sender's high-water mark is still accepted, once
+#: (the 32-bit bitmap window of RFC 4303, Sec. 3.4.3).
+HOP_SEQ_WINDOW = 32
+_WINDOW_MASK = (1 << HOP_SEQ_WINDOW) - 1
+
+
+def accept_hop_seq(windows: dict[int, int], sender: int, seq: int) -> bool:
+    """Windowed anti-replay check of one hop sequence number.
+
+    ``windows[sender]`` packs the sender's high-water mark (above the
+    low :data:`HOP_SEQ_WINDOW` bits) with a bitmap of the seqs seen at
+    and below it (bit ``k`` stands for ``high - k``); it costs 4 bytes
+    per neighbour beyond the mark itself. A seq above the mark slides
+    the window; an unseen seq inside it is accepted once; a repeat, or
+    anything older than the window, is rejected. Seq 0 is never valid.
+    """
+    packed = windows.get(sender, 1)
+    high = packed >> HOP_SEQ_WINDOW
+    if seq > high:
+        shift = seq - high
+        bitmap = (packed << shift | 1) & _WINDOW_MASK if shift < HOP_SEQ_WINDOW else 1
+        windows[sender] = seq << HOP_SEQ_WINDOW | bitmap
+        return True
+    age = high - seq
+    if age >= HOP_SEQ_WINDOW or packed >> age & 1:
+        return False
+    windows[sender] = packed | 1 << age
+    return True
+
+
 class Role(enum.Enum):
     """Phase-1 role of a node (transient: heads demote after setup)."""
 
@@ -63,10 +94,13 @@ class NodeState:
     e2e_counter: int = 0
     #: Hop-layer sequence number for frames this node originates/forwards.
     hop_seq: int = 0
-    #: Highest hop-layer seq seen per hop sender (anti-replay).
-    last_seen_seq: dict[int, int] = field(default_factory=dict)
+    #: Hop-layer anti-replay window per hop sender (see :func:`accept_hop_seq`).
+    hop_windows: dict[int, int] = field(default_factory=dict)
     #: Hop distance to the base station (gradient routing), -1 unknown.
     hops_to_bs: int = -1
+    #: Nodes whose gradient parent this node is: their readings it
+    #: forwards at once (see :meth:`DeployedProtocol.assign_gradient`).
+    children: tuple[int, ...] = ()
     #: Key-refresh epoch this node has applied.
     refresh_epoch: int = 0
 
@@ -92,16 +126,13 @@ class NodeState:
         return self.e2e_counter
 
     def accept_hop_seq(self, sender: int, seq: int) -> bool:
-        """Anti-replay check: accept strictly increasing seq per sender.
+        """Anti-replay check of a hop seq from ``sender``.
 
-        Gaps are fine (loss); repeats and reordering below the high-water
-        mark are rejected, which is the standard mote-grade compromise
-        (a full sliding window costs RAM the paper's nodes do not have).
+        Gaps are fine (loss), and so is a frame overtaken or reordered on
+        the way, as long as its seq is unseen and inside the window
+        (:func:`accept_hop_seq`); repeats are rejected.
         """
-        if seq <= self.last_seen_seq.get(sender, 0):
-            return False
-        self.last_seen_seq[sender] = seq
-        return True
+        return accept_hop_seq(self.hop_windows, sender, seq)
 
     def stored_key_count(self) -> int:
         """The Fig. 6 metric: cluster keys this node stores."""

@@ -64,14 +64,14 @@ SWAPPED = FaultPlan(
 #: (wire sha256, counters sha256, frames on the air) per soak.
 EXPECTED = {
     "plan": (
-        "af9466239bcafb0f9dce69497175a5c79be532b3f0758ec1f19fac42320ae96a",
-        "17eda2f0ba1a80953f98b09438a411a013d73332b1a5a0d7cfa1742feadb8309",
-        2607,
+        "2403fa262368279fd7732969394221f9e0f28b9c1468e858c543cf0c59c9ba58",
+        "90b9f5f8d787ac7e0a8a0c00b5b8198eb96d92660f282e5aed77c857353b2f89",
+        2199,
     ),
     "swap": (
-        "ef92ac61741e1483d32e73f3fa65078885b6882e7e5f33b0e207297e880947d4",
-        "78b5d57c28aa3f399e3aaddb6b9fab792f6e5e105bd2c556999e09267a025421",
-        2814,
+        "7c69612850656079d5b3cd16cf2e85d3050231841f73294a63a0f7f6855bd9f4",
+        "85807a55b23d4e96acca4cc7e95b59e5e1745e39d45074a9b4c9fe4481d109e6",
+        2453,
     ),
 }
 

@@ -70,12 +70,12 @@ FRESHNESS_S = 2.0
 
 #: (sha256 of the reception record, readings delivered) per variant.
 EXPECTED = {
-    "default": ("d539ec84d5a1afccde81434484166d031b6529a7a35aeb462835f32658a7b62b", 197),
-    "hop_acks": ("5ed3eec97fa62fdf5183b14dbacd782cc7e7985e5123b427487e05115cb8fea2", 198),
+    "default": ("ff0848771dbdd7f96c195ba74e6a89a5d07e58ad3eddf6e6a3819ac0eea74203", 202),
+    "hop_acks": ("c66f3944bd6c32deccb8a8684ffddccfc0f339f5b8d446fd4e04632685538032", 202),
     "no_jitter": ("52967d85089784af5124499da28bc6e6665a04d0ef7a6e882cd47df1035080c3", 202),
-    "faulted": ("8c44ecbc44cf5ddca5dde94a5405394ec8c65630f30629e326b0876aaef50c2e", 193),
+    "faulted": ("da4bac9ab62fa88de1ae0e8e975f65a582fe3c421f1cb1499c2f50a30403407c", 191),
     # A fault plan that injects nothing changes nothing: the default's digest.
-    "noop_faults": ("d539ec84d5a1afccde81434484166d031b6529a7a35aeb462835f32658a7b62b", 197),
+    "noop_faults": ("ff0848771dbdd7f96c195ba74e6a89a5d07e58ad3eddf6e6a3819ac0eea74203", 202),
 }
 
 CONFIGS = {

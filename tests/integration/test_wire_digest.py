@@ -35,14 +35,14 @@ SETTLE_S = 2.5
 #: (wire sha256, counters sha256, frames on the air) per soak.
 EXPECTED = {
     "clean": (
-        "ab5822b23d8fa9cf85cae92f7c68caad1a3bb2f5874dfa330d4828b339eb1dba",
-        "e6e7fc0ec8e7d09c782410375cc2f22fb046cf211afb1c32f7b693388a1849c7",
-        1824,
+        "24d016572cacbefe396f6bae58755ceff097123f968b7ebcdfafec4ad917a1ef",
+        "7466f88cb74129e52410ca0fa123a732d6622652d8fb553347262cb66529b1be",
+        1063,
     ),
     "lossy": (
-        "55c82c0f082dd33dea43e88d73c37758121a1a000992d82bf66e2656c0e43ac1",
-        "0cbb9859e9afdeb3131b2045425cf162a2870a8cde0e57b2605ef9437f113a8f",
-        3386,
+        "31ca56e966bb3fc530c4ef482255c61789fa4ae80aefd8db6418d887aec4feee",
+        "0fee7e38f25ae0cbcff07f84d9fcb9d6149cb905abd1099f9aee1baade00530a",
+        2709,
     ),
 }
 

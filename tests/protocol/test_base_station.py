@@ -178,3 +178,22 @@ def test_incremental_totals_track_the_delivery_log():
     bs = deployed.bs_agent
     assert bs.delivered_total == len(bs.delivered) > 0
     assert bs.distinct_sources == len({r.source for r in bs.delivered})
+
+
+def test_hop_seq_window_takes_an_overtaken_frame_once():
+    from repro.protocol.forwarding import build_inner, wrap_hop
+
+    deployed = small_deployment(seed=65)
+    bs = deployed.bs_agent
+    st = next(a for a in deployed.agents.values() if a.state.hops_to_bs == 1).state
+    key = st.keyring.get(st.cid).material
+
+    def frame(seq: int, reading: bytes) -> bytes:
+        c1 = build_inner(st.node_id, reading, None, None, deployed.config.aead)
+        return wrap_hop(key, st.cid, st.node_id, seq, 1, deployed.now(), c1, deployed.config.aead)
+
+    late, early = frame(40, b"sent first"), frame(41, b"overtook it")
+    for f in (early, late, late, frame(41 - 32, b"too old")):
+        bs.on_frame(st.node_id, f)
+    assert [r.data for r in bs.delivered] == [b"overtook it", b"sent first"]
+    assert deployed.network.trace["bs.drop_replay"] == 2

@@ -363,7 +363,9 @@ def test_a_shared_reception_serves_only_an_equal_key(monkeypatch):
     key = first.state.keyring.get(cid).material
     assert unwraps == [key, OTHER_KEY, key]
     assert trace["drop.data_bad_auth"] == bad_auth + 2
-    assert third.state.last_seen_seq[sender.state.node_id] == messages.decode_data_view(frame)[0].seq
+    # The third receiver recorded the frame's hop seq: a repeat is refused.
+    seq = messages.decode_data_view(frame)[0].seq
+    assert not third.state.accept_hop_seq(sender.state.node_id, seq)
     # Every receiver counts one open, shared or not.
     assert stats["opens"] == 4
 
@@ -436,9 +438,10 @@ def test_a_damaged_copy_never_reuses_the_shared_open(monkeypatch, flip_at):
     # genuine frame accepted it, the delayed and duplicated ones included.
     assert on_air[1:] == []
     assert trace["drop.data_bad_auth"] == bad_auth + 1
-    assert damaged.state.last_seen_seq.get(sender_id, 0) < seq
+    # Only the receivers of the genuine frame recorded its hop seq.
     for receiver in (delayed, duplicated, *immediate):
-        assert receiver.state.last_seen_seq[sender_id] == seq
+        assert not receiver.state.accept_hop_seq(sender_id, seq)
+    assert damaged.state.accept_hop_seq(sender_id, seq)
     # The second copy of the duplicated delivery was a replay.
     assert trace["drop.data_replay"] == replay + 1
     # One open served every immediate neighbour (the duplicated one's

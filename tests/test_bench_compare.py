@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -236,3 +237,80 @@ def test_committed_baselines_are_loadable():
         rows = bench_compare._rows(payload)
         assert rows, f"{name} produced no comparable rows"
         assert bench_compare.compare(payload, payload, 0.0) == ([], [])
+
+
+# -- exact count columns --------------------------------------------------------
+
+
+def _with_counts(payload: dict, rows: str, seed: int = 0, **counts) -> dict:
+    """``payload`` at ``seed`` (full run, 30 s rows) with ``counts`` in every row."""
+    payload.update(seed=seed, density=10.0, quick=False)
+    for row in payload[rows]:
+        row.update(duration_s=30.0, **counts)
+    return payload
+
+
+def test_equal_counts_pass():
+    base = _with_counts(_runtime_payload(1.0), "results", events_executed=5280, clusters=75)
+    assert bench_compare.count_differences(base, copy.deepcopy(base)) == []
+
+
+def test_runtime_count_that_differs_is_reported():
+    base = _with_counts(_runtime_payload(1.0), "results", events_executed=5280, frames_sent=475)
+    fresh = _with_counts(_runtime_payload(1.0), "results", events_executed=5281, frames_sent=475)
+    (difference,) = bench_compare.count_differences(base, fresh)
+    assert "events_executed" in difference and "5281" in difference
+    # The rates still pass: a count is not a rate.
+    assert bench_compare.compare(base, fresh, 0.5) == ([], [])
+
+
+def test_runtime_counts_are_compared_only_at_the_same_seed_and_density():
+    base = _with_counts(_runtime_payload(1.0), "results", clusters=75)
+    other_seed = _with_counts(_runtime_payload(1.0), "results", seed=1, clusters=80)
+    assert bench_compare.count_differences(base, other_seed) == []
+    other_density = _with_counts(_runtime_payload(1.0), "results", clusters=80)
+    other_density["density"] = 12.0
+    assert bench_compare.count_differences(base, other_density) == []
+    # A quick runtime run has the same rows, so its counts are checked.
+    quick = _with_counts(_runtime_payload(1.0), "results", clusters=80)
+    quick["quick"] = True
+    assert len(bench_compare.count_differences(base, quick)) == 1
+
+
+@pytest.mark.parametrize(
+    "make, rows, counts",
+    [
+        (_forwarding_payload, "soak", {"delivered": 4050, "retransmits": 137}),
+        (_churn_payload, "rows", {"delivered": 771, "unroutable": 61}),
+    ],
+)
+def test_soak_and_churn_counts_need_the_same_quick_flag_and_duration(make, rows, counts):
+    base = _with_counts(make(1_000.0), rows, **counts)
+    changed = {name: value + 1 for name, value in counts.items()}
+    fresh = _with_counts(make(1_000.0), rows, **changed)
+    assert len(bench_compare.count_differences(base, fresh)) == len(counts)
+    quick = _with_counts(make(1_000.0), rows, **changed)
+    quick["quick"] = True
+    assert bench_compare.count_differences(base, quick) == []
+    shorter = _with_counts(make(1_000.0), rows, **changed)
+    shorter[rows][0]["duration_s"] = 4.0
+    assert bench_compare.count_differences(base, shorter) == []
+
+
+def test_main_count_exit_code_and_precedence(tmp_path, capsys):
+    base, fresh = tmp_path / "base.json", tmp_path / "fresh.json"
+    payload = _with_counts(_churn_payload(1_000.0), "rows", delivered=771)
+    base.write_text(json.dumps(payload))
+    differs = _with_counts(_churn_payload(1_000.0), "rows", delivered=770)
+    fresh.write_text(json.dumps(differs))
+    args = [str(base), str(fresh), "--tolerance", "0.5"]
+    assert bench_compare.main(args) == bench_compare.EXIT_COUNT_DIFFERS == 5
+    assert "COUNTS DIFFER" in capsys.readouterr().out
+    # A count that differs dominates a mismatch ...
+    differs["rows"][0]["extra_per_s"] = 1.0
+    fresh.write_text(json.dumps(differs))
+    assert bench_compare.main(args) == 5
+    # ... and a regression dominates both.
+    differs["rows"][0]["frames_per_s"] = 1.0
+    fresh.write_text(json.dumps(differs))
+    assert bench_compare.main(args) == 1
