@@ -29,7 +29,7 @@ def run_campaign(fusion: bool, seed: int = 7) -> tuple[int, int, float]:
         ssn.enable_fusion(DuplicateEventFilter)
 
     rng = np.random.default_rng(seed)
-    routable = [nid for nid in ssn.node_ids() if ssn.agent(nid).state.hops_to_bs > 0]
+    routable = ssn.deployed.gradient.routable()
     tx_before = ssn.network.trace["tx.data"]
     for event in range(N_EVENTS):
         # A cluster of sensors near a random point all observe the event.

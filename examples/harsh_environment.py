@@ -40,7 +40,7 @@ def run_field(loss: float) -> None:
 
     # Stagger the reporting duty cycle: synchronized transmissions would
     # collide at every receiver no matter the MAC (hidden terminals).
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0][:30]
+    sources = deployed.gradient.routable()[:30]
     for i, src in enumerate(sources):
         agent = deployed.agents[src]
         deployed.schedule(1.0 + 2.0 * i, lambda a=agent: a.send_reading(b"harsh"))

@@ -70,9 +70,8 @@ def main() -> None:
     # cluster that still routes to the base station.
     healthy = next(
         nid
-        for nid in ssn.node_ids()
+        for nid in ssn.deployed.gradient.routable()
         if ssn.agent(nid).state.cid not in (*revoked, None)
-        and ssn.agent(nid).state.hops_to_bs > 0
         and ssn.agent(nid).state.keyring.has(ssn.agent(nid).state.cid)
     )
     replacement = ssn.add_node(positions[healthy - 1] + np.array([1.0, 0.0]))

@@ -33,15 +33,16 @@ def main() -> None:
     ssn.run(30.0)
 
     print("\nbase station received:")
+    gradient = ssn.deployed.gradient
     for reading in ssn.readings():
-        hops = ssn.agent(reading.source).state.hops_to_bs
+        hops = gradient.level(reading.source)
         print(
             f"  t={reading.time:7.3f}s  node {reading.source:4d} "
             f"({hops} hops away): {reading.data.decode()}"
         )
 
     delivered = {r.source for r in ssn.readings()}
-    routable = {s for s in sources if ssn.agent(s).state.hops_to_bs > 0}
+    routable = set(sources).intersection(gradient.routable())
     assert routable <= delivered, "some routable readings were lost"
     print(f"\ndelivered {len(delivered)}/{len(sources)} readings, all authenticated")
 

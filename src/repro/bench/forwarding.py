@@ -101,7 +101,6 @@ def _run_soak_row(
         config=config,
         fault_plan=fault_plan,
     )
-    deployed.assign_gradient()
     workload = SoakWorkload(
         deployed,
         offered_load_fps=offered_load_fps,

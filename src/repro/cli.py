@@ -60,7 +60,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"{m.cluster_count} clusters, {m.mean_keys_per_node:.2f} keys/node, "
         f"{m.messages_per_node:.2f} setup msgs/node"
     )
-    sources = [nid for nid in ssn.node_ids() if ssn.agent(nid).state.hops_to_bs > 0]
+    sources = ssn.deployed.gradient.routable()
     for i, src in enumerate(sources[:: max(1, len(sources) // 5)][:5]):
         ssn.send_reading(src, f"reading-{i}".encode())
     ssn.run(30.0)
@@ -232,7 +232,7 @@ def _cmd_run_live(args: argparse.Namespace) -> int:
         )
         sampler.start()
 
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0]
+    sources = deployed.gradient.routable()
     workload = PeriodicReporting(
         deployed, sources, period_s=args.period, rounds=args.rounds
     )

@@ -82,9 +82,7 @@ def run_fusion(
             for agent in deployed.agents.values():
                 agent.fusion = DuplicateEventFilter()
         trace = deployed.network.trace
-        routable = [
-            nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0
-        ]
+        routable = deployed.gradient.routable()
         for event in range(n_events):
             reporters = rng.choice(routable, size=reporters_per_event, replace=False)
             for origin in reporters:
@@ -135,9 +133,7 @@ def run_refresh(n: int = 300, density: float = 12.0, seed: int = 0) -> Experimen
             for cid, key in cap.cluster_keys.items()
             if deployed.agents[victim].state.keyring.has(cid)
         )
-        src = next(
-            nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0
-        )
+        src = deployed.gradient.routable()[0]
         deployed.agents[src].send_reading(b"post-refresh")
         deployed.run_for(30)
         delivered = any(
@@ -171,7 +167,7 @@ def run_counter_mode(n: int = 200, density: float = 12.0, seed: int = 0) -> Expe
         config = ProtocolConfig(e2e_counter_mode=mode)
         deployed, _ = deploy(n, density, seed=seed, config=config)
         radio = deployed.network.radio
-        src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+        src = deployed.gradient.routable()[0]
         agent = deployed.agents[src]
         frames0, bytes0 = radio.frames_sent, radio.bytes_sent
         agent.send_reading(b"0123456789")

@@ -49,18 +49,16 @@ def run(n: int = 250, density: float = 12.0, seed: int = 3) -> ExperimentTable:
     # -- selective forwarding ------------------------------------------------
     deployed, _ = _fresh(n, density, seed)
     sources = sorted(deployed.agents)[-40:]
+    gradient = deployed.gradient
     interior = [
-        nid
-        for nid, a in deployed.agents.items()
-        if 1 < a.state.hops_to_bs < 5 and nid not in sources
+        nid for nid in deployed.agents if 1 < gradient.level(nid) < 5 and nid not in sources
     ]
     droppers = list(rng.choice(interior, size=min(10, len(interior)), replace=False))
     compromise_forwarders(deployed, [int(x) for x in droppers], 1.0, rng)
     sent = 0
     for src in sources:
-        agent = deployed.agents[src]
-        if agent.state.hops_to_bs > 0:
-            agent.send_reading(b"reading")
+        if gradient.level(src) > 0:
+            deployed.agents[src].send_reading(b"reading")
             sent += 1
     deployed.run_for(30)
     got = len(deployed.bs_agent.delivered)

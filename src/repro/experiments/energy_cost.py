@@ -80,7 +80,7 @@ def run_reporting_cost(
                 agent.fusion = DuplicateEventFilter()
         report = EnergyReport(deployed.network)
         baseline = report.snapshot()
-        routable = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0]
+        routable = deployed.gradient.routable()
         for event in range(n_events):
             reporters = rng.choice(routable, size=reporters_per_event, replace=False)
             for origin in reporters:

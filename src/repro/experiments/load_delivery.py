@@ -59,9 +59,7 @@ def run(
             config=ProtocolConfig(forward_jitter_s=0.2),
             radio_config=RadioConfig(mac="csma", model_collisions=True),
         )
-        sources = [
-            nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0
-        ][:reporters]
+        sources = deployed.gradient.routable()[:reporters]
         workload = PeriodicReporting(
             deployed, sources, period_s=period, rounds=rounds,
             rng=np.random.default_rng(seed),

@@ -152,9 +152,7 @@ class LiveGateway:
             peers=peers,
             run_lock=run_lock,
         )
-        gateway._sources = [
-            nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0
-        ]
+        gateway._sources = deployed.gradient.routable()
         return gateway
 
     @property

@@ -26,7 +26,7 @@ from repro.crypto.mac import verify
 from repro.protocol import messages
 from repro.protocol.agent import ProtocolAgent
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.state import Preload, Role
+from repro.protocol.state import Gradient, Preload, Role
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -49,6 +49,7 @@ class JoiningNodeAgent:
         config: ProtocolConfig,
         preload: Preload,
         timer_rng,
+        gradient: Gradient,
         hash_epoch: int = 0,
     ) -> None:
         if preload.kmc is None:
@@ -57,6 +58,7 @@ class JoiningNodeAgent:
         self.config = config
         self.preload = preload
         self._rng = timer_rng
+        self._gradient = gradient
         self._hash_epoch = hash_epoch
         self._trace = node.trace
         #: Candidate (cid, tag) pairs in arrival order, first-response-first.
@@ -104,7 +106,7 @@ class JoiningNodeAgent:
             self._trace.count("join.failed")
             return
 
-        agent = ProtocolAgent(self.node, self.config, self.preload, self._rng)
+        agent = ProtocolAgent(self.node, self.config, self.preload, self._rng, self._gradient)
         st = agent.state
         own_cid, _ = verified[0]  # "member of the first such cluster"
         st.role = Role.MEMBER
@@ -151,8 +153,9 @@ def deploy_new_node(
         chain_index=revealed,
         kmc=SymmetricKey(deployed.registry.kmc.material, label="K_MC"),
     )
+    timer_rng = network.rng.stream("timers")
     joiner = JoiningNodeAgent(
-        node, deployed.config, preload, network.rng.stream("timers"), hash_epoch
+        node, deployed.config, preload, timer_rng, deployed.gradient, hash_epoch
     )
     node.app = joiner
     joiner.start()

@@ -40,13 +40,24 @@ from repro.protocol.forwarding import (
     unwrap_hop,
     wrap_hop,
 )
-from repro.protocol.state import NodeState, Preload, Role
+from repro.protocol.state import Gradient, NodeState, Preload, Role
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.aggregation import FusionFilter
     from repro.runtime.node import NodeRuntime
     from repro.runtime.transport import TimerHandle
     from repro.sim.trace import Trace
+
+
+#: Retransmit schedule (:meth:`ProtocolAgent._track_retx`): the delay is
+#: ``ack_timeout_s`` times the factor per attempt, up to the cap, plus a
+#: uniform jitter that desynchronizes neighbours which lost the same frame.
+RETX_BACKOFF_FACTOR = 2.0
+RETX_BACKOFF_MAX_S = 2.0
+RETX_JITTER_S = 0.05
+#: Messages awaiting custody at once; beyond it a transmission is
+#: send-and-pray (``net.retx.queue_full``).
+RETX_QUEUE_LIMIT = 128
 
 
 class ProtocolError(RuntimeError):
@@ -73,10 +84,13 @@ class ProtocolAgent:
         config: ProtocolConfig,
         preload: Preload,
         timer_rng,
+        gradient: Gradient,
     ) -> None:
         self.node = node
         self.config = config
         self.state = NodeState(node_id=node.id, preload=preload)
+        #: The deployment's routing gradient, shared by every agent.
+        self._gradient = gradient
         self._rng = timer_rng
         self._trace = node.trace
         self._dedup = DedupCache(config.dedup_cache_size, trace=self._trace)
@@ -294,7 +308,7 @@ class ProtocolAgent:
             st.cid,
             st.node_id,
             st.next_hop_seq(),
-            st.hops_to_bs,
+            self._gradient.level(st.node_id),
             self.node.now(),
             c1,
             self.config.aead,
@@ -319,15 +333,15 @@ class ProtocolAgent:
         cfg = self.config
         entry = self._retx.get(fp)
         if entry is None:
-            if len(self._retx) >= cfg.retx_queue_limit:
+            if len(self._retx) >= RETX_QUEUE_LIMIT:
                 # Queue bound reached: this transmission is send-and-pray.
                 self._trace.count("net.retx.queue_full")
                 return
             entry = self._retx[fp] = _RetxEntry(c1)
         delay = min(
-            cfg.ack_timeout_s * cfg.retx_backoff_factor**entry.attempt,
-            cfg.retx_backoff_max_s,
-        ) + float(self._rng.uniform(0.0, cfg.retx_jitter_s))
+            cfg.ack_timeout_s * RETX_BACKOFF_FACTOR**entry.attempt,
+            RETX_BACKOFF_MAX_S,
+        ) + float(self._rng.uniform(0.0, RETX_JITTER_S))
         entry.timer = self.node.schedule(delay, lambda: self._retx_fire(fp))
 
     def _retx_fire(self, fp: bytes) -> None:
@@ -387,10 +401,6 @@ class ProtocolAgent:
         if len(self._custody) > self.config.dedup_cache_size:
             self._custody.popitem(last=False)
 
-    def _has_custody(self, fp: bytes) -> bool:
-        """Whether this node accepted (and did not renounce) the message ``fp``."""
-        return fp in self._custody
-
     def _send_ack(self, cid: int, hop_sender: int, fp: bytes) -> None:
         """Broadcast a custody ACK for the message ``fp``, addressed to ``hop_sender``."""
         st = self.state
@@ -406,8 +416,7 @@ class ProtocolAgent:
 
     def _is_custodian(self, header: messages.DataHeader) -> bool:
         """Downhill of the hop sender — the node an ACK is expected from."""
-        st = self.state
-        return 0 <= st.hops_to_bs < header.hops_to_bs
+        return 0 <= self._gradient.level(self.state.node_id) < header.hops_to_bs
 
     def _on_ack(self, frame: bytes) -> None:
         if not self.config.hop_ack_enabled:
@@ -488,12 +497,12 @@ class ProtocolAgent:
             # — the sender may be retransmitting because our ACK was lost.
             if (
                 self.config.hop_ack_enabled
+                and fp in self._custody
                 and self._is_custodian(header)
-                and self._has_custody(fp)
             ):
                 self._send_ack(header.cid, header.sender, fp)
             return "drop.data_replay"
-        if fp in self._retx and 0 <= header.hops_to_bs < st.hops_to_bs:
+        if fp in self._retx and 0 <= header.hops_to_bs < self._gradient.level(st.node_id):
             # The forward is the ACK: a node closer to the BS sent on a
             # reading we await custody for, and the broadcast that carries
             # it on reaches us too. Checked before the dedup lookup: to
@@ -501,7 +510,7 @@ class ProtocolAgent:
             self._retx_done(fp, "net.retx.overheard")
         if self._dedup.seen_before(fp, counts):
             pending = self._pending.get(fp)
-            if pending is not None and 0 <= header.hops_to_bs <= st.hops_to_bs:
+            if pending is not None and 0 <= header.hops_to_bs <= self._gradient.level(st.node_id):
                 # Overtaken: a node no farther from the BS than we are
                 # already sent the reading on, so our forward would only
                 # add a frame (the counter-based broadcast-storm scheme of
@@ -513,7 +522,7 @@ class ProtocolAgent:
                 del self._pending[fp]
                 pending.cancel()
                 self._trace.count("forward.suppressed")
-                if header.hops_to_bs == st.hops_to_bs and fp in self._custody:
+                if header.hops_to_bs == self._gradient.level(st.node_id) and fp in self._custody:
                     self._custody[fp] = header.sender
             elif self._custody.get(fp) == header.sender:
                 # Standby: the node that overtook us retransmits, so it got
@@ -527,8 +536,8 @@ class ProtocolAgent:
             # retransmissions without anyone owning the message.
             if (
                 self.config.hop_ack_enabled
+                and fp in self._custody
                 and self._is_custodian(header)
-                and self._has_custody(fp)
             ):
                 self._send_ack(header.cid, header.sender, fp)
             return "drop.data_duplicate"
@@ -557,9 +566,10 @@ class ProtocolAgent:
             # information" — with Step 1 off the reading itself is visible.
             if not envelope.encrypted and self.fusion.should_discard(envelope.payload):
                 return "drop.data_fused"
-        if st.hops_to_bs < 0 or header.hops_to_bs < 0:
+        level = self._gradient.level(st.node_id)
+        if level < 0 or header.hops_to_bs < 0:
             return "drop.data_no_route"
-        if st.hops_to_bs >= header.hops_to_bs:
+        if level >= header.hops_to_bs:
             # Uphill or sideways: not on a shortest path, stay silent.
             return "drop.data_uphill"
         if st.cid is None or not st.keyring.has(st.cid):
@@ -571,7 +581,7 @@ class ProtocolAgent:
             # it sends meanwhile is re-ACKed by the duplicate branch.
             self._take_custody(fp)
         jitter = self.config.forward_jitter_s
-        if jitter > 0 and header.sender not in st.children:
+        if jitter > 0 and self._gradient.parent(header.sender) != st.node_id:
             # A backup: the hop sender's gradient parent forwards at once,
             # so wait one jitter window to hear it (and stand down) first —
             # prioritised forwarders, as in ExOR (Biswas & Morris, SIGCOMM

@@ -90,18 +90,8 @@ class ProtocolConfig:
     #: Base wait for a downhill forward or an ACK before the first
     #: retransmission.
     ack_timeout_s: float = 0.3
-    #: Exponential backoff factor between retransmissions.
-    retx_backoff_factor: float = 2.0
-    #: Cap on the backoff delay (keeps the schedule bounded).
-    retx_backoff_max_s: float = 2.0
-    #: Uniform jitter added to every retransmission delay (desynchronizes
-    #: neighbors that lost the same frame).
-    retx_jitter_s: float = 0.05
     #: Retransmissions per message before giving up (``forward.giveup``).
     max_retransmits: int = 3
-    #: Bound on messages concurrently awaiting custody; beyond it new
-    #: transmissions are send-and-pray (``net.retx.queue_full``).
-    retx_queue_limit: int = 128
     #: Times each HELLO / LINKINFO setup broadcast is re-announced so
     #: clustering converges on a lossy channel. 0 (default) disables;
     #: re-announcements are verbatim re-broadcasts (same sealed bytes, so
@@ -150,16 +140,9 @@ class ProtocolConfig:
         if self.revocation_chain_length < 1:
             raise ValueError("revocation_chain_length must be >= 1")
         check_positive("ack_timeout_s", self.ack_timeout_s)
-        check_positive("retx_backoff_max_s", self.retx_backoff_max_s)
         check_positive("setup_reannounce_interval_s", self.setup_reannounce_interval_s)
-        if self.retx_backoff_factor < 1.0:
-            raise ValueError("retx_backoff_factor must be >= 1")
-        if self.retx_jitter_s < 0:
-            raise ValueError("retx_jitter_s must be >= 0")
         if self.max_retransmits < 0:
             raise ValueError("max_retransmits must be >= 0")
-        if self.retx_queue_limit < 1:
-            raise ValueError("retx_queue_limit must be >= 1")
         if self.setup_reannounce_count < 0:
             raise ValueError("setup_reannounce_count must be >= 0")
         if self.cluster_phase_duration_s < 4 * self.mean_hello_delay_s:

@@ -74,10 +74,6 @@ class StaleMessage(Exception):
     """Frame older than the freshness window (τ check failed)."""
 
 
-class ReplayedMessage(Exception):
-    """Frame rejected by the per-sender anti-replay counter."""
-
-
 @dataclass(frozen=True)
 class InnerEnvelope:
     """Parsed ``c1``: the path-invariant end-to-end payload."""
@@ -324,10 +320,10 @@ class DedupCache:
     def contains(self, fingerprint: bytes) -> bool:
         """Whether ``fingerprint`` is in the cache, without recording it.
 
-        The reliability layer's re-ACK decision needs a peek: a frame
-        rejected by the hop anti-replay check only deserves a custody ACK
-        if its inner blob really was received before (a link duplicate) —
-        not when an out-of-order hop seq carries a brand-new message.
+        The base station peeks before re-ACKing a frame its hop
+        anti-replay check rejected: only a link duplicate of a reading it
+        already accepted is ACKed again, not a new reading under a hop
+        seq too old for the window (:meth:`BaseStationAgent._on_data`).
         """
         return fingerprint in self._seen
 

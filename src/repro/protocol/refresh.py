@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.protocol.state import Role
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.setup import DeployedProtocol
 
@@ -141,10 +139,3 @@ class RefreshCoordinator:
 
     def _periodic_tick(self) -> None:
         self.refresh_once()
-
-
-def demote_heads(deployed: "DeployedProtocol") -> None:
-    """Force any remaining HEAD roles back to MEMBER (normally automatic)."""
-    for agent in deployed.agents.values():
-        if agent.state.role is Role.HEAD:
-            agent.state.role = Role.MEMBER

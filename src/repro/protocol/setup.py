@@ -25,6 +25,7 @@ from repro.protocol.agent import DataReception, LinkinfoReception, ProtocolAgent
 from repro.protocol.base_station import BaseStationAgent, KeyRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.metrics import SetupMetrics, compute_setup_metrics
+from repro.protocol.state import Gradient, Preload
 from repro.sim.network import BS_ID, Network
 from repro.sim.radio import RadioConfig
 from repro.sim.trace import Trace
@@ -42,6 +43,8 @@ class DeployedProtocol:
     agents: dict[int, ProtocolAgent]
     bs_agent: BaseStationAgent
     registry: KeyRegistry
+    #: The routing gradient every agent reads (see :meth:`assign_gradient`).
+    gradient: Gradient
 
     def agent(self, node_id: int) -> ProtocolAgent:
         """Agent of sensor ``node_id``."""
@@ -69,7 +72,8 @@ class DeployedProtocol:
         return self.run_until(self.now() + duration_s)
 
     def assign_gradient(self) -> None:
-        """Give every agent its hop distance to the base station.
+        """Refill :attr:`gradient`: every node's hop distance to the base
+        station and its parent.
 
         The paper is routing-agnostic ("no matter what routing protocol is
         followed"); we use a shortest-hop gradient as the routing
@@ -85,43 +89,39 @@ class DeployedProtocol:
 
         The node through which the search first reaches ``u`` is ``u``'s
         parent, its designated next hop: the base station, or a downhill
-        node holding ``K_{cid(u)}``. Each agent's ``children`` are the
-        nodes whose parent it is (a tuple: at n=3600, frozensets cost
-        four times the memory for two children on average). Like the
-        hop count, the parent stands in for what a gradient beacon
-        would carry.
+        node holding ``K_{cid(u)}``.
         """
         network = self.network
         cid_of: dict[int, int] = {}
         for nid, agent in self.agents.items():
             st = agent.state
-            st.children = ()
             if st.cid is not None and st.keyring.has(st.cid) and network.nodes[nid].alive:
                 cid_of[nid] = st.cid
         revoked = self.bs_agent.revoked_cids
-        hops = {BS_ID: 0}
+        size = max(network.nodes) + 1
+        levels = [-1] * size
+        parents = [-1] * size
+        levels[BS_ID] = 0
         frontier = []
         for u in network.adjacency(BS_ID):
             if u in cid_of and cid_of[u] not in revoked:
-                hops[u] = 1
+                levels[u] = 1
+                parents[u] = BS_ID
                 frontier.append(u)
         level = 1
         while frontier:
             level += 1
             nxt = []
             for v in frontier:
-                st = self.agents[v].state
-                kids = []
+                keyring = self.agents[v].state.keyring
                 for u in network.adjacency(v):
-                    if u not in hops and u in cid_of and st.keyring.has(cid_of[u]):
-                        hops[u] = level
-                        kids.append(u)
-                if kids:
-                    st.children = tuple(kids)
-                    nxt.extend(kids)
+                    if levels[u] < 0 and u in cid_of and keyring.has(cid_of[u]):
+                        levels[u] = level
+                        parents[u] = v
+                        nxt.append(u)
             frontier = nxt
-        for nid, agent in self.agents.items():
-            agent.state.hops_to_bs = hops.get(nid, -1)
+        self.gradient.levels = levels
+        self.gradient.parents = parents
 
 
 def provision(network: Network, config: ProtocolConfig | None = None) -> DeployedProtocol:
@@ -141,7 +141,7 @@ def provision(network: Network, config: ProtocolConfig | None = None) -> Deploye
 
     node_keys: dict[int, SymmetricKey] = {}
     agents: dict[int, ProtocolAgent] = {}
-    from repro.protocol.state import Preload  # local import: avoid cycle at module load
+    gradient = Gradient()
 
     for nid in network.sensor_ids():
         ki = SymmetricKey.generate(key_rng, label=f"K[{nid}]")
@@ -155,7 +155,7 @@ def provision(network: Network, config: ProtocolConfig | None = None) -> Deploye
             chain_commitment=chain.commitment,
         )
         node = network.node(nid)
-        agent = ProtocolAgent(node, config, preload, timer_rng)
+        agent = ProtocolAgent(node, config, preload, timer_rng, gradient)
         node.app = agent
         agents[nid] = agent
 
@@ -166,7 +166,7 @@ def provision(network: Network, config: ProtocolConfig | None = None) -> Deploye
     registry = KeyRegistry(node_keys=node_keys, kmc=kmc, chain=chain)
     bs_agent = BaseStationAgent(network.bs, config, registry)
     network.bs.app = bs_agent
-    return DeployedProtocol(network, config, agents, bs_agent, registry)
+    return DeployedProtocol(network, config, agents, bs_agent, registry, gradient)
 
 
 def run_key_setup(

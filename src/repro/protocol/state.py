@@ -48,6 +48,37 @@ def accept_hop_seq(windows: dict[int, int], sender: int, seq: int) -> bool:
     return True
 
 
+class Gradient:
+    """The deployment's routing gradient, which every agent reads.
+
+    What a gradient beacon would carry, refilled by
+    :meth:`~repro.protocol.setup.DeployedProtocol.assign_gradient`. Both
+    lists are indexed by node id: ``levels`` holds the hop distance to
+    the base station (the BS 0, an unroutable node -1), ``parents`` each
+    routable node's next hop (-1 for none). Ids past them are unroutable.
+    """
+
+    __slots__ = ("levels", "parents")
+
+    def __init__(self) -> None:
+        self.levels: list[int] = [0]
+        self.parents: list[int] = [-1]
+
+    def level(self, node_id: int) -> int:
+        """Hop distance of ``node_id`` to the base station (-1 unroutable)."""
+        levels = self.levels
+        return levels[node_id] if node_id < len(levels) else -1
+
+    def parent(self, node_id: int) -> int:
+        """Gradient parent of ``node_id`` (-1 when it has none)."""
+        parents = self.parents
+        return parents[node_id] if node_id < len(parents) else -1
+
+    def routable(self) -> list[int]:
+        """Ids of the sensors with a route to the base station, ascending."""
+        return [nid for nid, hops in enumerate(self.levels) if hops > 0]
+
+
 class Role(enum.Enum):
     """Phase-1 role of a node (transient: heads demote after setup)."""
 
@@ -96,11 +127,6 @@ class NodeState:
     hop_seq: int = 0
     #: Hop-layer anti-replay window per hop sender (see :func:`accept_hop_seq`).
     hop_windows: dict[int, int] = field(default_factory=dict)
-    #: Hop distance to the base station (gradient routing), -1 unknown.
-    hops_to_bs: int = -1
-    #: Nodes whose gradient parent this node is: their readings it
-    #: forwards at once (see :meth:`DeployedProtocol.assign_gradient`).
-    children: tuple[int, ...] = ()
     #: Key-refresh epoch this node has applied.
     refresh_epoch: int = 0
 

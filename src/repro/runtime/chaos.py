@@ -123,11 +123,7 @@ def run_chaos(scenario: ChaosScenario) -> ChaosResult:
         config=scenario.protocol_config(),
         fault_plan=scenario.fault_plan(),
     )
-    deployed.assign_gradient()
-    sensor_ids = deployed.network.sensor_ids()
-    sources = [
-        nid for nid in sensor_ids if deployed.agents[nid].state.hops_to_bs > 0
-    ]
+    sources = deployed.gradient.routable()
 
     workload = PeriodicReporting(
         deployed, sources, period_s=scenario.period_s, rounds=scenario.rounds
@@ -141,7 +137,7 @@ def run_chaos(scenario: ChaosScenario) -> ChaosResult:
         sent=len(workload.sent),
         delivered=len(deployed.bs_agent.delivered),
         sources=len(sources),
-        unroutable=len(sensor_ids) - len(sources),
+        unroutable=len(deployed.network.sensor_ids()) - len(sources),
         send_failures=workload.send_failures,
         mean_latency_s=(sum(latencies) / len(latencies)) if latencies else None,
         duration_s=deployed.now(),

@@ -347,7 +347,7 @@ class ConvergenceTracker:
     A node counts as *orphaned* while it is alive but cannot originate
     readings: its agent is missing (join still in flight), not yet
     operational, or holds no cluster id / cluster key (revoked).
-    Routing disconnection (``hops_to_bs < 0``) is tracked separately as
+    Routing disconnection (gradient level -1) is tracked separately as
     ``lifecycle.unroutable`` — mobility makes it transient by nature and
     the sliding delivery window already prices it in.
 
@@ -412,11 +412,12 @@ class ConvergenceTracker:
         registry = live.trace.telemetry.registry
         orphans: set[int] = set()
         unroutable = 0
+        gradient = self._deployed.gradient
         for nid in live.alive_sensor_ids():
             agent = self._deployed.agents.get(nid)
             if self.is_orphan(agent):
                 orphans.add(nid)
-            elif agent is not None and agent.state.hops_to_bs < 0:
+            elif gradient.level(nid) < 0:
                 unroutable += 1
         registry.gauge("lifecycle.orphans", float(len(orphans)))
         registry.gauge("lifecycle.unroutable", float(unroutable))
@@ -618,7 +619,6 @@ def run_churn(scenario: ChurnScenario) -> ChurnResult:
         config=scenario.protocol_config(),
         fault_plan=scenario.fault_plan(),
     )
-    deployed.assign_gradient()
     live = deployed.network
     trace = live.trace
 

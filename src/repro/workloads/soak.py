@@ -113,8 +113,8 @@ class SoakWorkload(_WorkloadBase):
         if sources is None:
             sources = [
                 nid
-                for nid, agent in deployed.agents.items()
-                if agent.state.hops_to_bs > 0 and agent.node.alive
+                for nid in deployed.gradient.routable()
+                if deployed.network.nodes[nid].alive
             ]
         if not sources:
             raise ValueError("no routable sources to drive")
@@ -142,7 +142,7 @@ class SoakWorkload(_WorkloadBase):
         t0 = self.deployed.now()
         self._t0 = t0
         self._hops = {
-            nid: max(1, self.deployed.agents[nid].state.hops_to_bs)
+            nid: max(1, self.deployed.gradient.level(nid))
             for nid in self.sources
         }
         self.deployed.bs_agent.add_delivery_listener(self._on_delivery)

@@ -149,8 +149,8 @@ class ContinuousReporting(_WorkloadBase):
     Joined nodes start reporting as soon as the selector includes them;
     departed or orphaned nodes silently drop out instead of tanking the
     delivery ratio with sends the network was never asked to carry. A
-    returned source with no route to the base station (``hops_to_bs <
-    0``) is skipped for that tick and counted in :attr:`unroutable`, so
+    returned source with no route to the base station (gradient level
+    -1) is skipped for that tick and counted in :attr:`unroutable`, so
     the readings the network was never offered stay visible next to the
     delivery ratio.
     """
@@ -187,9 +187,9 @@ class ContinuousReporting(_WorkloadBase):
     def _tick(self) -> None:
         k = self._round
         self._round += 1
-        agents = self.deployed.agents
+        gradient = self.deployed.gradient
         for source in self._sources_fn():
-            if agents[source].state.hops_to_bs < 0:
+            if gradient.level(source) < 0:
                 self.unroutable += 1
                 continue
             offset = float(self._rng.uniform(0.0, 0.5 * self.period_s))
@@ -228,8 +228,8 @@ class PoissonEvents(_WorkloadBase):
         deployment = self.deployed.network.deployment
         routable = [
             nid
-            for nid, a in self.deployed.agents.items()
-            if a.state.hops_to_bs > 0 and a.node.alive
+            for nid in self.deployed.gradient.routable()
+            if self.deployed.network.nodes[nid].alive
         ]
         if not routable:
             return

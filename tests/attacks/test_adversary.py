@@ -26,7 +26,7 @@ def test_capture_yields_exactly_keyring_contents():
 
 def test_capture_includes_ram_counters():
     deployed = small_deployment(seed=92)
-    victim = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+    victim = deployed.gradient.routable()[0]
     deployed.agents[victim].send_reading(b"x")
     cap = Adversary(deployed).capture(victim)
     assert cap.e2e_counter == 1

@@ -6,7 +6,7 @@ from tests.conftest import run_for, small_deployment
 
 
 def traffic(deployed, n_sources=5):
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0]
+    sources = deployed.gradient.routable()
     for src in sources[:n_sources]:
         deployed.agents[src].send_reading(b"secret-reading")
     run_for(deployed, 30)

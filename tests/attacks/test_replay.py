@@ -6,7 +6,7 @@ from tests.conftest import run_for, small_deployment
 
 def setup_with_traffic(seed=110):
     deployed = small_deployment(seed=seed)
-    src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 1)
+    src = next(nid for nid in deployed.agents if deployed.gradient.level(nid) > 1)
     attacker = ReplayAttacker(
         deployed, deployed.network.deployment.positions[src - 1] + 0.2
     )

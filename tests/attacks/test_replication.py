@@ -11,7 +11,7 @@ from tests.conftest import run_for, small_deployment
 def captured():
     deployed = small_deployment(seed=100)
     victim = next(
-        nid for nid, a in deployed.agents.items() if 0 < a.state.hops_to_bs < 5
+        nid for nid in deployed.agents if 0 < deployed.gradient.level(nid) < 5
     )
     cap = Adversary(deployed).capture(victim)
     return deployed, victim, cap

@@ -9,7 +9,7 @@ from tests.conftest import run_for, small_deployment
 def delivery_ratio(deployed, sources):
     sent = 0
     for src in sources:
-        if deployed.agents[src].state.hops_to_bs > 0:
+        if deployed.gradient.level(src) > 0:
             deployed.agents[src].send_reading(b"probe")
             sent += 1
     run_for(deployed, 60)
@@ -21,10 +21,10 @@ def test_wrapper_drops_configured_fraction():
     deployed = small_deployment(seed=130)
     rng = np.random.default_rng(0)
     interior = [
-        nid for nid, a in deployed.agents.items() if 0 < a.state.hops_to_bs < 4
+        nid for nid in deployed.agents if 0 < deployed.gradient.level(nid) < 4
     ][:5]
     wrappers = compromise_forwarders(deployed, interior, 1.0, rng)
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs >= 4][:10]
+    sources = [nid for nid in deployed.agents if deployed.gradient.level(nid) >= 4][:10]
     delivery_ratio(deployed, sources)
     assert sum(w.dropped for w in wrappers) > 0
 
@@ -35,14 +35,14 @@ def test_few_droppers_insignificant():
     deployed = small_deployment(n=250, density=12.0, seed=131)
     rng = np.random.default_rng(1)
     interior = [
-        nid for nid, a in deployed.agents.items() if 1 < a.state.hops_to_bs < 5
+        nid for nid in deployed.agents if 1 < deployed.gradient.level(nid) < 5
     ]
     droppers = [int(x) for x in rng.choice(interior, size=8, replace=False)]
     compromise_forwarders(deployed, droppers, 1.0, rng)
     sources = [
         nid
-        for nid, a in deployed.agents.items()
-        if a.state.hops_to_bs >= 3 and nid not in droppers
+        for nid in deployed.gradient.routable()
+        if deployed.gradient.level(nid) >= 3 and nid not in droppers
     ][:20]
     ratio = delivery_ratio(deployed, sources)
     assert ratio >= 0.85
@@ -50,7 +50,7 @@ def test_few_droppers_insignificant():
 
 def test_control_run_without_droppers_delivers_fully():
     deployed = small_deployment(n=250, density=12.0, seed=131)
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs >= 3][:20]
+    sources = [nid for nid in deployed.agents if deployed.gradient.level(nid) >= 3][:20]
     assert delivery_ratio(deployed, sources) == 1.0
 
 

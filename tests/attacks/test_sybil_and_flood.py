@@ -29,7 +29,7 @@ class TestSybil:
         rng = np.random.default_rng(1)
         adv = Adversary(deployed)
         victim = next(
-            nid for nid, a in deployed.agents.items() if 0 < a.state.hops_to_bs < 4
+            nid for nid in deployed.agents if 0 < deployed.gradient.level(nid) < 4
         )
         cap = adv.capture(victim)
         attacker = SybilAttacker(

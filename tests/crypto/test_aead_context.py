@@ -112,9 +112,7 @@ def delivered_frame():
     deployed, _ = deploy(60, 10.0, seed=3)
     frames: list[bytes] = []
     deployed.network.radio.monitors.append(lambda _t, _s, frame: frames.append(frame))
-    source = next(
-        nid for nid, agent in sorted(deployed.agents.items()) if agent.state.hops_to_bs > 1
-    )
+    source = next(nid for nid in deployed.gradient.routable() if deployed.gradient.level(nid) > 1)
     deployed.agents[source].send_reading(b"reading")
     run_for(deployed, 2.0)
     frame = next(f for f in frames if f[0] == messages.DATA)

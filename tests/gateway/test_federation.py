@@ -36,7 +36,7 @@ def sharded_pair(seed=3, n=40):
 def drive_workload(deployed, rounds=2):
     from repro.workloads import PeriodicReporting
 
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0]
+    sources = deployed.gradient.routable()
     workload = PeriodicReporting(deployed, sources, period_s=5.0, rounds=rounds)
     workload.start()
     deployed.run_for(workload.duration_s + 10.0)

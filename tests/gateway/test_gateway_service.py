@@ -12,7 +12,7 @@ from tests.conftest import run_for, small_deployment
 
 def reported_deployment(seed=70, rounds=1):
     deployed = small_deployment(n=60, seed=seed)
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0]
+    sources = deployed.gradient.routable()
     workload = PeriodicReporting(deployed, sources, period_s=5.0, rounds=rounds)
     workload.start()
     run_for(deployed, workload.duration_s + 10.0)

@@ -11,7 +11,7 @@ from tests.conftest import run_for
 
 def run_once(seed: int):
     deployed, metrics = deploy(120, 10.0, seed=seed)
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0][:5]
+    sources = deployed.gradient.routable()[:5]
     for src in sources:
         deployed.agents[src].send_reading(b"det")
     run_for(deployed, 30)

@@ -41,7 +41,7 @@ def test_cluster_consistency_under_loss():
 
 def test_data_plane_tolerates_loss_with_retries():
     deployed, _ = lossy_network(loss=0.1, seed=212)
-    src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+    src = deployed.gradient.routable()[0]
     # Send several; with multi-path forwarding and 10% loss, at least one
     # copy of at least one message should arrive.
     for _ in range(5):
@@ -62,11 +62,11 @@ def test_setup_with_collisions_enabled():
 def test_node_death_reroutes_traffic():
     net = Network.build(200, 14.0, seed=214)
     deployed, _ = run_key_setup(net)
-    src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs >= 3)
+    src = next(nid for nid in deployed.agents if deployed.gradient.level(nid) >= 3)
     # Kill one forwarder on the gradient path; density 14 leaves others.
     casualty = next(
         nid for nid, a in deployed.agents.items()
-        if a.state.hops_to_bs == 1 and nid != src
+        if deployed.gradient.level(nid) == 1 and nid != src
     )
     deployed.network.node(casualty).die()
     deployed.assign_gradient()
@@ -79,7 +79,7 @@ def test_counter_desync_recovers_within_window():
     config = ProtocolConfig(counter_window=16)
     net = Network.build(120, 10.0, seed=215)
     deployed, _ = run_key_setup(net, config)
-    src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+    src = deployed.gradient.routable()[0]
     agent = deployed.agents[src]
     for _ in range(15):  # 15 < window of 16
         agent.state.next_e2e_counter()

@@ -11,14 +11,14 @@ def test_full_lifecycle():
     ssn = SecureSensorNetwork.deploy(n=250, density=11.0, seed=200)
 
     # Phase 1: normal operation.
-    sources = [n for n in ssn.node_ids() if ssn.agent(n).state.hops_to_bs > 0][:8]
+    sources = ssn.deployed.gradient.routable()[:8]
     for src in sources:
         ssn.send_reading(src, b"phase1")
     ssn.run(30)
     assert len({r.source for r in ssn.readings()}) == len(sources)
 
     # Phase 2: compromise + clone.
-    victim = next(n for n in sources if ssn.agent(n).state.hops_to_bs > 1)
+    victim = next(n for n in sources if ssn.deployed.gradient.level(n) > 1)
     loot = Adversary(ssn.deployed).capture(victim)
     assert loot.master_key is None
     clone = insert_clone(
@@ -42,7 +42,7 @@ def test_full_lifecycle():
         n
         for n in ssn.node_ids()
         if ssn.agent(n).state.cid not in (*revoked, None)
-        and 0 < ssn.agent(n).state.hops_to_bs <= 4
+        and 0 < ssn.deployed.gradient.level(n) <= 4
         and ssn.agent(n).state.keyring.has(ssn.agent(n).state.cid)
     )
     replacement = ssn.add_node(
@@ -59,7 +59,7 @@ def test_full_lifecycle():
         for n in sources
         if n != victim and ssn.agent(n).state.cid is not None
         and ssn.agent(n).state.keyring.has(ssn.agent(n).state.cid)
-        and ssn.agent(n).state.hops_to_bs > 0
+        and ssn.deployed.gradient.level(n) > 0
     ]
     for src in survivors[:3]:
         ssn.send_reading(src, b"phase5")
@@ -71,7 +71,7 @@ def test_full_lifecycle():
 def test_energy_is_accounted_throughout():
     ssn = SecureSensorNetwork.deploy(n=150, density=10.0, seed=201)
     for src in ssn.node_ids()[:5]:
-        if ssn.agent(src).state.hops_to_bs > 0:
+        if ssn.deployed.gradient.level(src) > 0:
             ssn.send_reading(src, b"x")
     ssn.run(30)
     total_tx = sum(ssn.network.node(n).energy.tx_consumed for n in ssn.node_ids())
@@ -88,7 +88,7 @@ def test_two_networks_are_isolated():
     # K_MC): a frame recorded in network A fails everywhere in network B.
     a = SecureSensorNetwork.deploy(n=80, density=10.0, seed=202)
     b = SecureSensorNetwork.deploy(n=80, density=10.0, seed=203)
-    src = next(n for n in a.node_ids() if a.agent(n).state.hops_to_bs > 0)
+    src = a.deployed.gradient.routable()[0]
     frames = []
     a.network.radio.monitors.append(lambda t, s, f: frames.append(f))
     a.send_reading(src, b"cross-network")

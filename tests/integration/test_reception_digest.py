@@ -148,11 +148,7 @@ def _reception_record(config: ProtocolConfig, fault_plan: FaultPlan | None = Non
 
     network.bs.add_receive_listener(on_ingress)
 
-    by_hops = sorted(
-        (agent.state.hops_to_bs, nid)
-        for nid, agent in deployed.agents.items()
-        if agent.state.hops_to_bs > 0
-    )
+    by_hops = sorted((deployed.gradient.level(nid), nid) for nid in deployed.gradient.routable())
     # A forwarder two hops out runs on a battery that lasts about a second.
     battery_node = next(nid for hops, nid in by_hops if hops == 2)
     meter = network.nodes[battery_node].energy
@@ -176,7 +172,7 @@ def _reception_record(config: ProtocolConfig, fault_plan: FaultPlan | None = Non
             st.cid if st.cid is not None else revoked_cid,
             st.node_id,
             st.next_hop_seq(),
-            st.hops_to_bs,
+            deployed.gradient.level(st.node_id),
             deployed.now() - age_s,
             c1,
             deployed.config.aead,
@@ -190,7 +186,11 @@ def _reception_record(config: ProtocolConfig, fault_plan: FaultPlan | None = Non
     deployed.schedule(0.5, lambda: send(sender, own_key, 0.0, _c1(b"twice"), times=2))
     deployed.schedule(0.7, lambda: deployed.bs_agent.revoke_clusters([revoked_cid]))
     deployed.schedule(1.0, lambda: send(revoked, revoked_key, 0.0, _c1(b"revoked")))
-    workload = SoakWorkload(deployed, RATE, DURATION_S, warmup_s=0.2, seed=SEED)
+    # The recorder's node keeps its gradient level, but it has no agent.
+    sources = [nid for nid in deployed.gradient.routable() if nid != recorder_node]
+    workload = SoakWorkload(
+        deployed, RATE, DURATION_S, warmup_s=0.2, sources=sources, seed=SEED
+    )
     workload.start()
     deployed.run_for(DURATION_S + SETTLE_S)
     after = STATS.snapshot()

@@ -75,7 +75,7 @@ class TestRecovery:
         sources = [
             nid
             for nid in deployed.network.sensor_ids()
-            if deployed.agents[nid].state.hops_to_bs > 0
+            if deployed.gradient.level(nid) > 0
         ]
         for nid in sources[:5]:
             deployed.agents[nid].send_reading(b"doomed")

@@ -63,7 +63,7 @@ def test_finalize_join_fails_without_result():
 def test_joined_node_can_send_readings():
     deployed = small_deployment(seed=34)
     anchor = next(
-        nid for nid, a in deployed.agents.items() if 0 < a.state.hops_to_bs <= 3
+        nid for nid in deployed.agents if 0 < deployed.gradient.level(nid) <= 3
     )
     joiner = join_at(deployed, deployed.network.node(anchor).position + 0.5)
     agent = finalize_join(deployed, joiner)
@@ -90,7 +90,7 @@ def test_join_after_hash_refresh():
     ssn.refresh_keys()
     ssn.refresh_keys()
     anchor = next(
-        nid for nid in ssn.node_ids() if 0 < ssn.agent(nid).state.hops_to_bs <= 3
+        nid for nid in ssn.node_ids() if 0 < ssn.deployed.gradient.level(nid) <= 3
     )
     agent = ssn.add_node(ssn.network.node(anchor).position + 0.5)
     # Keys must match the *refreshed* cluster keys.

@@ -41,7 +41,7 @@ def join_near(deployed, anchor, offset=0.5, hash_epoch=0):
 
 def near_anchor(deployed):
     return next(
-        nid for nid, a in deployed.agents.items() if 0 < a.state.hops_to_bs <= 3
+        nid for nid in deployed.agents if 0 < deployed.gradient.level(nid) <= 3
     )
 
 
@@ -91,8 +91,7 @@ def test_refresh_rounds_survive_faults(faulted, coordinator):
     assert coordinator.epoch == 2
     # The data plane still works end-to-end on the refreshed keys.
     source = next(
-        nid for nid, a in faulted.agents.items()
-        if a.operational and a.state.hops_to_bs > 0
+        nid for nid in faulted.gradient.routable() if faulted.agents[nid].operational
     )
     faulted.agents[source].send_reading(b"post-refresh-data")
     faulted.run_for(30)

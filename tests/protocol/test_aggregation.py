@@ -67,7 +67,7 @@ def test_fusion_suppresses_duplicates_in_network():
     for agent in deployed.agents.values():
         agent.fusion = DuplicateEventFilter()
     trace = deployed.network.trace
-    reporters = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0][:6]
+    reporters = deployed.gradient.routable()[:6]
     for origin in reporters:
         deployed.agents[origin].send_reading(encode_reading(1, 20.0, origin))
     run_for(deployed, 60)
@@ -86,8 +86,7 @@ def test_fusion_saves_transmissions():
         if fused:
             for agent in deployed.agents.values():
                 agent.fusion = DuplicateEventFilter()
-        reporters = [nid for nid, a in deployed.agents.items()
-                     if a.state.hops_to_bs > 0][:8]
+        reporters = deployed.gradient.routable()[:8]
         for origin in reporters:
             deployed.agents[origin].send_reading(encode_reading(1, 20.0, origin))
         run_for(deployed, 60)
@@ -103,8 +102,7 @@ def test_fusion_cannot_inspect_encrypted_readings():
     f = DuplicateEventFilter()
     for agent in deployed.agents.values():
         agent.fusion = f
-    reporters = [nid for nid, a in deployed.agents.items()
-                 if a.state.hops_to_bs > 0][:4]
+    reporters = deployed.gradient.routable()[:4]
     for origin in reporters:
         deployed.agents[origin].send_reading(encode_reading(1, 20.0, origin))
     run_for(deployed, 60)

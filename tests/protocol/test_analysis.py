@@ -35,7 +35,7 @@ def test_delta_between_snapshots():
     deployed = small_deployment(seed=161)
     report = EnergyReport(deployed.network)
     before = report.snapshot()
-    src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+    src = deployed.gradient.routable()[0]
     deployed.agents[src].send_reading(b"x")
     run_for(deployed, 30)
     delta = report.snapshot().minus(before)

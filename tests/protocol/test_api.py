@@ -33,7 +33,7 @@ def test_agent_accessor(ssn):
 
 def test_send_and_receive():
     ssn = SecureSensorNetwork.deploy(n=150, density=10.0, seed=81)
-    src = next(n for n in ssn.node_ids() if ssn.agent(n).state.hops_to_bs > 0)
+    src = ssn.deployed.gradient.routable()[0]
     ssn.send_reading(src, b"api-test")
     ssn.run(30)
     assert any(r.data == b"api-test" for r in ssn.readings())

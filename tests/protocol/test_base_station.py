@@ -4,7 +4,7 @@ from tests.conftest import run_for, small_deployment
 
 
 def pick_source(deployed):
-    return next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+    return deployed.gradient.routable()[0]
 
 
 def test_cluster_key_derivation_matches_agents():
@@ -75,7 +75,8 @@ def test_unknown_source_rejected():
     c1 = build_inner(ghost, b"x", bytes(16), 1, deployed.config.aead)
     frame = wrap_hop(
         st.keyring.get(st.cid).material, st.cid, bs_neighbor, st.next_hop_seq(),
-        st.hops_to_bs, deployed.network.transport.now, c1, deployed.config.aead,
+        deployed.gradient.level(bs_neighbor), deployed.network.transport.now, c1,
+        deployed.config.aead,
     )
     deployed.network.node(bs_neighbor).broadcast(frame)
     run_for(deployed, 10)
@@ -84,8 +85,7 @@ def test_unknown_source_rejected():
 
 def test_readings_from_filters_by_source():
     deployed = small_deployment(seed=66)
-    sources = [nid for nid, a in deployed.agents.items()
-               if a.state.hops_to_bs > 0][:2]
+    sources = deployed.gradient.routable()[:2]
     for src in sources:
         deployed.agents[src].send_reading(b"tagged")
     run_for(deployed, 30)
@@ -170,8 +170,7 @@ def test_delivery_listeners_see_every_accepted_reading():
 
 def test_incremental_totals_track_the_delivery_log():
     deployed = small_deployment(seed=76)
-    sources = [nid for nid, a in deployed.agents.items()
-               if a.state.hops_to_bs > 0][:4]
+    sources = deployed.gradient.routable()[:4]
     for src in sources:
         deployed.agents[src].send_reading(b"count-me")
     run_for(deployed, 30)
@@ -185,7 +184,8 @@ def test_hop_seq_window_takes_an_overtaken_frame_once():
 
     deployed = small_deployment(seed=65)
     bs = deployed.bs_agent
-    st = next(a for a in deployed.agents.values() if a.state.hops_to_bs == 1).state
+    level_one = next(nid for nid in deployed.agents if deployed.gradient.level(nid) == 1)
+    st = deployed.agents[level_one].state
     key = st.keyring.get(st.cid).material
 
     def frame(seq: int, reading: bytes) -> bytes:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.crypto.aead import AeadConfig
+from repro.protocol import agent
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.setup import deploy
 
@@ -13,6 +14,12 @@ def test_defaults_valid():
     config = ProtocolConfig()
     assert config.aead == AeadConfig(cipher="speck64/128", tag_len=8)
     assert config.setup_end_s == 5.0 + 1.0 + 1.0
+
+
+def test_retransmit_schedule_constants_are_valid():
+    # Fixed in the agent module; no deployment tunes them.
+    assert agent.RETX_BACKOFF_FACTOR >= 1 and agent.RETX_BACKOFF_MAX_S > 0
+    assert agent.RETX_JITTER_S >= 0 and agent.RETX_QUEUE_LIMIT >= 1
 
 
 @pytest.mark.parametrize(

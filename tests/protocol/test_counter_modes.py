@@ -64,7 +64,7 @@ class TestDeployment:
         deployed = small_deployment(
             seed=150, config=ProtocolConfig(e2e_counter_mode="explicit")
         )
-        src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+        src = deployed.gradient.routable()[0]
         deployed.agents[src].send_reading(b"explicit-mode")
         run_for(deployed, 30)
         assert any(r.data == b"explicit-mode" for r in deployed.bs_agent.delivered)
@@ -73,7 +73,7 @@ class TestDeployment:
         deployed = small_deployment(
             seed=151, config=ProtocolConfig(e2e_counter_mode="explicit")
         )
-        src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+        src = deployed.gradient.routable()[0]
         agent = deployed.agents[src]
         for _ in range(500):  # way beyond any implicit window
             agent.state.next_e2e_counter()
@@ -85,7 +85,7 @@ class TestDeployment:
         deployed = small_deployment(
             seed=151, config=ProtocolConfig(e2e_counter_mode="implicit")
         )
-        src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+        src = deployed.gradient.routable()[0]
         agent = deployed.agents[src]
         for _ in range(500):
             agent.state.next_e2e_counter()

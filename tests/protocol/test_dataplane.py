@@ -11,7 +11,7 @@ from tests.conftest import run_for, small_deployment
 
 def routable_sources(deployed, count=5):
     """Pick well-spread sources that have a route to the base station."""
-    ids = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0]
+    ids = deployed.gradient.routable()
     step = max(1, len(ids) // count)
     return ids[::step][:count]
 
@@ -75,7 +75,7 @@ def test_one_transmission_per_broadcast(deployed):
 def test_forwarders_translate_between_clusters(deployed):
     # A delivered multi-hop reading must have crossed cluster boundaries:
     # at least one forwarder belongs to a different cluster than the source.
-    sources = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs >= 3]
+    sources = [nid for nid in deployed.agents if deployed.gradient.level(nid) >= 3]
     src = sources[0]
     deployed.agents[src].send_reading(b"multihop")
     run_for(deployed, 30)
@@ -89,7 +89,7 @@ def test_forwarders_translate_between_clusters(deployed):
 def test_unroutable_node_cannot_deliver():
     # Sparse network: some nodes have no path to the BS.
     deployed, _ = deploy(40, 2.0, seed=3)
-    unroutable = [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs < 0]
+    unroutable = [nid for nid in deployed.agents if deployed.gradient.level(nid) < 0]
     if not unroutable:
         pytest.skip("all nodes routable at this seed")
     src = unroutable[0]
@@ -110,7 +110,8 @@ def test_tampered_frame_dropped(deployed):
                      deployed.config.aead)
     frame = bytearray(
         wrap_hop(st.keyring.get(st.cid).material, st.cid, src, st.next_hop_seq(),
-                 st.hops_to_bs, deployed.network.transport.now, c1, deployed.config.aead)
+                 deployed.gradient.level(src), deployed.network.transport.now, c1,
+                 deployed.config.aead)
     )
     frame[-1] ^= 1
     before = trace["drop.data_bad_auth"]
@@ -133,7 +134,7 @@ def test_stale_frame_dropped():
                      config.aead)
     stale_tau = deployed.network.transport.now - 10.0
     frame = wrap_hop(st.keyring.get(st.cid).material, st.cid, src, st.next_hop_seq(),
-                     st.hops_to_bs, stale_tau, c1, config.aead)
+                     deployed.gradient.level(src), stale_tau, c1, config.aead)
     trace = deployed.network.trace
     before = trace["drop.data_stale"]
     deployed.network.node(src).broadcast(frame)

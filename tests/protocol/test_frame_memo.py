@@ -255,7 +255,7 @@ def _primed_frame(deployed, sender, receiver) -> bytes:
         st_.cid,
         st_.node_id,
         st_.next_hop_seq(),
-        receiver.state.hops_to_bs + 1,
+        deployed.gradient.level(receiver.state.node_id) + 1,
         deployed.network.transport.now,
         b"\x00" * 12,
         deployed.config.aead,

@@ -81,7 +81,7 @@ def _primed_data_frame() -> bytes:
         st_.cid,
         st_.node_id,
         st_.hop_seq + 1000,
-        st_.hops_to_bs,
+        _DEPLOYED.gradient.level(st_.node_id),
         _DEPLOYED.network.transport.now,
         c1,
         _DEPLOYED.config.aead,
@@ -149,7 +149,7 @@ def _keyed_hop_frame(deployed, agent, c1: bytes) -> bytes:
         st_.cid,
         st_.node_id,
         st_.next_hop_seq(),
-        st_.hops_to_bs,
+        deployed.gradient.level(st_.node_id),
         deployed.now(),
         c1,
         deployed.config.aead,
@@ -163,7 +163,7 @@ def _downhill_neighbour(deployed, sender):
         for nid in deployed.network.adjacency(sender.state.node_id)
         if nid in deployed.agents
         and deployed.agent(nid).state.keyring.has(sender.state.cid)
-        and 0 <= deployed.agent(nid).state.hops_to_bs < sender.state.hops_to_bs
+        and 0 <= deployed.gradient.level(nid) < deployed.gradient.level(sender.state.node_id)
     )
 
 
@@ -172,7 +172,7 @@ def test_a_short_authenticated_inner_blob_is_dropped_as_malformed():
     # the inner envelope's header: it authenticates, dedups as new, and
     # must then be dropped, not parsed into an exception.
     deployed = small_deployment(n=60, density=8.0, seed=242)
-    sender = next(a for a in deployed.agents.values() if a.state.hops_to_bs > 1)
+    sender = next(a for nid, a in deployed.agents.items() if deployed.gradient.level(nid) > 1)
     receiver = _downhill_neighbour(deployed, sender)
     trace = deployed.network.trace
     cases = [
@@ -194,7 +194,7 @@ def test_a_short_authenticated_inner_blob_is_dropped_as_malformed():
 def test_a_short_authenticated_inner_blob_does_not_stop_a_live_run():
     deployed, _ = deploy_live(60, 10.0, seed=1)
     deployed.assign_gradient()
-    sender = next(a for a in deployed.agents.values() if a.state.hops_to_bs > 1)
+    sender = next(a for nid, a in deployed.agents.items() if deployed.gradient.level(nid) > 1)
     sender.node.broadcast(_keyed_hop_frame(deployed, sender, b"\x00\x01"))
     start = deployed.now()
     assert deployed.run_for(1.0) == start + 1.0

@@ -3,19 +3,23 @@
 ``DeployedProtocol.assign_gradient`` counts the link ``u -> v`` iff ``v``
 is alive and holds ``u``'s cluster key, or ``v`` is the base station and
 ``u``'s cluster is not revoked. ``Network.hop_gradient`` stays radio-only.
+Each routable node's parent is the node through which the search first
+reached it: one parent per node, so the parents partition the routable
+nodes by construction.
 """
 
 from __future__ import annotations
 
 from repro.crypto.keys import SymmetricKey
-from repro.protocol.setup import deploy
+from repro.protocol.setup import DeployedProtocol, deploy
 from repro.runtime.faults import FaultPlan, LinkFaults
+from repro.runtime.lifecycle import ChurnScenario, run_churn
 from repro.sim.network import BS_ID
 from tests.conftest import small_deployment
 
 
 def _hops(deployed) -> dict[int, int]:
-    return {nid: agent.state.hops_to_bs for nid, agent in deployed.agents.items()}
+    return {nid: deployed.gradient.level(nid) for nid in deployed.agents}
 
 
 def _cid(deployed, nid: int) -> int:
@@ -53,6 +57,35 @@ def _assert_keyed_gradient(deployed) -> None:
         assert all(hops.get(v, -1) < 0 or hops[v] >= h - 1 for v in down), nid
 
 
+def assert_parents(deployed) -> None:
+    """Every node's parent in the gradient table, against the links.
+
+    A level-1 node neighbours the BS, which is its parent, and its
+    cluster is not revoked. A deeper routable node's parent is an alive
+    radio neighbour one level closer that holds the node's cluster key.
+    An unroutable node, or an id with no agent, has no parent.
+    """
+    gradient = deployed.gradient
+    network = deployed.network
+    assert (gradient.level(BS_ID), gradient.parent(BS_ID)) == (0, -1)
+    for nid in range(BS_ID + 1, len(gradient.levels)):
+        level, parent = gradient.level(nid), gradient.parent(nid)
+        agent = deployed.agents.get(nid)
+        if level < 0 or agent is None:
+            assert (level, parent) == (-1, -1), nid
+            continue
+        cid = agent.state.cid
+        assert network.nodes[nid].alive and agent.state.keyring.has(cid), nid
+        if level == 1:
+            assert parent == BS_ID and nid in network.adjacency(BS_ID), nid
+            assert cid not in deployed.bs_agent.revoked_cids, nid
+        else:
+            assert parent in network.adjacency(nid), nid
+            assert network.nodes[parent].alive, nid
+            assert gradient.level(parent) == level - 1, nid
+            assert deployed.agents[parent].state.keyring.has(cid), nid
+
+
 def _lossy_deployment():
     """Setup under 30% frame loss: lost LINKINFOs leave radio links keyless."""
     plan = FaultPlan(seed=3, defaults=LinkFaults(drop=0.3))
@@ -88,7 +121,7 @@ def test_node_without_own_cluster_key_is_unroutable():
     st = deployed.agent(nid).state
     st.keyring.remove(st.cid)
     deployed.assign_gradient()
-    assert st.hops_to_bs == -1
+    assert deployed.gradient.level(nid) == -1
     _assert_keyed_gradient(deployed)
 
 
@@ -107,7 +140,7 @@ def test_keyless_only_downhill_neighbour_gives_another_route_or_none():
         kept = SymmetricKey(bytes(keyring.get(cid).material), label="kept")
         keyring.remove(cid)
         deployed.assign_gradient()
-        new = deployed.agent(nid).state.hops_to_bs
+        new = deployed.gradient.level(nid)
         assert new == -1 or new > h
         _assert_keyed_gradient(deployed)
         outcomes.add("unroutable" if new == -1 else "rerouted")
@@ -126,7 +159,7 @@ def test_keyless_neighbourhood_is_unroutable():
         if v != nid and v in deployed.agents:
             deployed.agent(v).state.keyring.remove(cid)
     deployed.assign_gradient()
-    assert deployed.agent(nid).state.hops_to_bs == -1
+    assert deployed.gradient.level(nid) == -1
     assert network.hop_gradient()[nid] >= 2
     _assert_keyed_gradient(deployed)
 
@@ -139,7 +172,7 @@ def test_revoked_cluster_loses_its_base_station_link():
     deployed.bs_agent.revoked_cids.add(cid)
     deployed.assign_gradient()
     for nid in one_hop:
-        h = deployed.agent(nid).state.hops_to_bs
+        h = deployed.gradient.level(nid)
         if _cid(deployed, nid) == cid:
             assert h != 1
         else:
@@ -153,5 +186,23 @@ def test_dead_node_is_no_relay():
     relay = next(n for n, h in sorted(hops.items()) if h == 1)
     deployed.network.nodes[relay].die()
     deployed.assign_gradient()
-    assert deployed.agent(relay).state.hops_to_bs == -1
+    assert deployed.gradient.level(relay) == -1
     _assert_keyed_gradient(deployed)
+
+
+def test_parents_hold_after_every_recompute_under_churn_and_motion(monkeypatch):
+    # Waypoint motion recomputes the gradient at every step that changes
+    # a link, and every join, leave and revocation recomputes it too.
+    assign = DeployedProtocol.assign_gradient
+    depths: list[int] = []
+
+    def checked(deployed) -> None:
+        assign(deployed)
+        assert_parents(deployed)
+        depths.append(max(deployed.gradient.levels))
+
+    monkeypatch.setattr(DeployedProtocol, "assign_gradient", checked)
+    result = run_churn(ChurnScenario(seed=0, duration_s=30.0, settle_s=5.0))
+    assert result.joins_completed and result.leaves and result.clusters_revoked
+    assert len(depths) > result.joins_completed + result.leaves + result.clusters_revoked + 20
+    assert max(depths) >= 3

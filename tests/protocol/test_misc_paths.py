@@ -39,7 +39,7 @@ def test_api_recluster_strategy_roundtrip():
     )
     assert ssn.refresh_keys() == 1
     assert ssn._hash_epochs() == 0  # recluster epochs are not hash epochs
-    src = next(n for n in ssn.node_ids() if ssn.agent(n).state.hops_to_bs > 0)
+    src = ssn.deployed.gradient.routable()[0]
     ssn.send_reading(src, b"api-recluster")
     ssn.run(30)
     assert any(r.data == b"api-recluster" for r in ssn.readings())
@@ -54,7 +54,7 @@ def test_api_reelect_strategy_roundtrip():
     src = next(
         n
         for n in ssn.node_ids()
-        if ssn.agent(n).state.hops_to_bs > 0
+        if ssn.deployed.gradient.level(n) > 0
         and ssn.agent(n).state.keyring.has(ssn.agent(n).state.cid)
     )
     ssn.send_reading(src, b"api-reelect")
@@ -64,8 +64,7 @@ def test_api_reelect_strategy_roundtrip():
 
 def test_poisson_workload_with_no_routable_sources():
     deployed = small_deployment(n=40, density=8.0, seed=234)
-    for agent in deployed.agents.values():
-        agent.state.hops_to_bs = -1  # simulate a severed field
+    deployed.gradient.levels[1:] = [-1] * (len(deployed.gradient.levels) - 1)  # a severed field
     wl = PoissonEvents(deployed, rate_per_s=1.0, duration_s=5.0)
     wl.start()  # must not raise
     run_for(deployed, 10)
@@ -77,7 +76,7 @@ def test_zero_forward_jitter_still_delivers():
     deployed = small_deployment(
         n=100, density=10.0, seed=235, config=ProtocolConfig(forward_jitter_s=0.0)
     )
-    src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 1)
+    src = next(nid for nid in deployed.agents if deployed.gradient.level(nid) > 1)
     deployed.agents[src].send_reading(b"no-jitter")
     run_for(deployed, 30)
     assert any(r.data == b"no-jitter" for r in deployed.bs_agent.delivered)

@@ -1,8 +1,8 @@
 """Parent-first forwarding.
 
-Each routable node's gradient parent (``assign_gradient``) is its
-designated next hop. A node that accepts a reading from one of its
-``children`` forwards it at once; every other downhill receiver waits
+Each routable node's gradient parent (``deployed.gradient``) is its
+designated next hop. A node that accepts a reading from a hop sender
+whose parent it is forwards it at once; every other downhill receiver waits
 ``forward_jitter_s + U(0, forward_jitter_s)``, so it hears the parent
 and stands down (``forward.suppressed``). With hop ACKs on, a backup
 silenced by a same-level overtaker stands by: if that node retransmits
@@ -16,8 +16,8 @@ import pytest
 
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.forwarding import DedupCache, build_inner
-from repro.sim.network import BS_ID
 from tests.conftest import small_deployment
+from tests.protocol.test_gradient import assert_parents
 from tests.protocol.test_suppression import (
     PEER,
     UPHILL,
@@ -38,50 +38,24 @@ def _counter(deployed, name: str) -> int:
     return deployed.network.trace.counters.get(name, 0)
 
 
-def _parent_of(deployed) -> dict[int, int]:
-    """Every child's parent, from the agents' ``children``."""
-    parent: dict[int, int] = {}
-    for nid, agent in deployed.agents.items():
-        for child in agent.state.children:
-            assert child not in parent, child
-            parent[child] = nid
-    return parent
-
-
-def _assert_parents(deployed) -> None:
-    """``children`` partitions the routable nodes under their parents."""
-    network = deployed.network
-    parent = _parent_of(deployed)
-    for nid, agent in deployed.agents.items():
-        st = agent.state
-        if st.hops_to_bs < 0:
-            assert nid not in parent and not st.children
-        elif st.hops_to_bs == 1:
-            # The base station is the parent of the first hop.
-            assert nid not in parent and nid in network.adjacency(BS_ID)
-            assert st.cid not in deployed.bs_agent.revoked_cids
-        else:
-            p = deployed.agents[parent[nid]].state
-            assert parent[nid] in network.adjacency(nid)
-            assert network.nodes[parent[nid]].alive
-            assert p.hops_to_bs == st.hops_to_bs - 1
-            assert p.keyring.has(st.cid)
-
-
 def _family(deployed):
     """A parent, one of its children, and a backup: another downhill
     neighbour of the child that holds the child's key and hears the
     parent under the parent's key."""
     network = deployed.network
+    gradient = deployed.gradient
+    children: dict[int, list[int]] = {}
+    for nid in sorted(deployed.agents):
+        children.setdefault(gradient.parent(nid), []).append(nid)
     for pid, parent in sorted(deployed.agents.items()):
-        for cid in sorted(parent.state.children):
+        for cid in children.get(pid, ()):
             child = deployed.agents[cid].state
             for bid in sorted(network.adjacency(cid)):
                 backup = deployed.agents.get(bid)
                 if (
                     backup is not None
                     and bid != pid
-                    and backup.state.hops_to_bs == parent.state.hops_to_bs
+                    and gradient.level(bid) == gradient.level(pid)
                     and backup.state.keyring.has(child.cid)
                     and backup.state.keyring.has(parent.state.cid)
                     and pid in network.adjacency(bid)
@@ -99,7 +73,8 @@ def test_parent_forwards_within_the_reception():
     sent = _sent_by(deployed, parent.node.id)
     c1 = build_inner(4242, b"reading", None, None, deployed.config.aead)
     # A frame from the child, sealed under the child's cluster key.
-    frame = _copy(deployed, child, child.node.id, child.state.hops_to_bs, c1)
+    hops = deployed.gradient.level(child.node.id)
+    frame = _copy(deployed, child, child.node.id, hops, c1)
     parent.on_frame(child.node.id, frame)
     # On the air before the clock moves, with no timer left behind.
     assert len(_data(sent)) == 1
@@ -120,7 +95,7 @@ def test_non_parent_forward_fires_in_the_second_window(seed):
     start = deployed.now()
     for k in range(8):
         c1 = build_inner(4242, b"reading %d" % k, None, None, deployed.config.aead)
-        uphill = agent.state.hops_to_bs + 1
+        uphill = deployed.gradient.level(agent.node.id) + 1
         agent.on_frame(UPHILL, _copy(deployed, agent, UPHILL, uphill, c1, seq=k + 1))
     assert len(agent._pending) == 8 and times == []
     deployed.run_for(1.0)
@@ -151,15 +126,6 @@ def test_non_parent_that_hears_the_parent_stays_silent():
 # -- the gradient ------------------------------------------------------------
 
 
-def test_children_partition_the_routable_nodes():
-    deployed = small_deployment()
-    _assert_parents(deployed)
-    assert _parent_of(deployed)
-    # Leaves share the one empty tuple: no container per leaf.
-    leaves = [a.state.children for a in deployed.agents.values() if not a.state.children]
-    assert leaves and all(c is leaves[0] for c in leaves)
-
-
 def test_children_follow_a_revocation():
     deployed = small_deployment()
     parent, child, _backup = _family(deployed)
@@ -167,8 +133,9 @@ def test_children_follow_a_revocation():
     deployed.bs_agent.revoke_clusters([cid])
     deployed.run_for(1.0)
     deployed.assign_gradient()
-    _assert_parents(deployed)
-    assert parent.state.hops_to_bs == -1 and not parent.state.children
+    assert_parents(deployed)
+    pid = parent.node.id
+    assert deployed.gradient.level(pid) == -1 and pid not in deployed.gradient.parents
 
 
 def test_children_follow_a_topology_update():
@@ -184,9 +151,8 @@ def test_children_follow_a_topology_update():
         },
     )
     deployed.assign_gradient()
-    _assert_parents(deployed)
-    assert kid not in parent.state.children
-    assert kid in _parent_of(deployed) or child.state.hops_to_bs in (-1, 1)
+    assert_parents(deployed)
+    assert deployed.gradient.parent(kid) != pid
 
 
 # -- standby -----------------------------------------------------------------
@@ -198,7 +164,7 @@ def _suppressed_backup(deployed, overtaker_hops: int = 0):
     agent = _forwarder(deployed)
     sent = _sent_by(deployed, agent.node.id)
     c1, fp = _accept(deployed, agent)
-    h = agent.state.hops_to_bs
+    h = deployed.gradient.level(agent.node.id)
     agent.on_frame(PEER, _copy(deployed, agent, PEER, h - overtaker_hops, c1))
     assert fp not in agent._pending
     assert _counter(deployed, "forward.suppressed") == 1

@@ -4,7 +4,7 @@ With hop ACKs on, a node that takes custody of a reading sends no ACK:
 its own forward, overheard by the hop sender, is the acknowledgement.
 A sender that awaits custody of a reading cancels its retransmit timer
 when it overhears an authenticated, fresh copy of that reading from a
-node strictly closer to the base station (``0 <= hops_to_bs < own``),
+node strictly closer to the base station (``0 <= hops_to_bs < own level``),
 and counts ``net.retx.overheard``. Explicit ACKs are sent in two cases
 only: the base station ACKs everything it authenticates, and a
 custodian re-ACKs a retransmission of a reading it holds (a custodian
@@ -67,7 +67,7 @@ def test_taking_custody_sends_no_ack():
     agent = _forwarder(deployed)
     sent = _sent_by(deployed, agent.node.id)
     _c1, fp = _accept(deployed, agent)
-    assert agent._has_custody(fp) and fp in agent._pending
+    assert fp in agent._custody and fp in agent._pending
     assert sent == []
     deployed.run_for(1.0)
     # The forward went out; still no ACK from the custodian.
@@ -80,7 +80,7 @@ def test_downhill_forward_cancels_the_retransmit_once(below):
     deployed = small_deployment(config=HOP_ACKS)
     agent = _forwarder(deployed)
     c1, fp, timer = _tracked(agent)
-    h = agent.state.hops_to_bs
+    h = deployed.gradient.level(agent.node.id)
     agent.on_frame(DOWNHILL, _copy(deployed, agent, DOWNHILL, h - below, c1))
     assert fp not in agent._retx
     assert timer.cancelled == 1
@@ -100,7 +100,8 @@ def test_cancelled_sender_never_retransmits():
     # overhear one injected downhill forward.
     for nid in deployed.network.adjacency(agent.node.id):
         deployed.network.nodes[nid].die()
-    agent.on_frame(DOWNHILL, _copy(deployed, agent, DOWNHILL, agent.state.hops_to_bs - 1, c1))
+    downhill = deployed.gradient.level(agent.node.id) - 1
+    agent.on_frame(DOWNHILL, _copy(deployed, agent, DOWNHILL, downhill, c1))
     deployed.run_for(10.0)
     assert [f[0] for f in sent] == [messages.DATA]
     assert deployed.network.trace.counters.get("net.retx.sent", 0) == 0
@@ -111,7 +112,7 @@ def test_copy_not_closer_to_the_bs_does_not_cancel(hops):
     deployed = small_deployment(config=HOP_ACKS)
     agent = _forwarder(deployed)
     c1, fp, timer = _tracked(agent)
-    h = agent.state.hops_to_bs
+    h = deployed.gradient.level(agent.node.id)
     copy_hops = {"sideways": h, "uphill": h + 1, "unroutable": -1}[hops]
     agent.on_frame(OTHER, _copy(deployed, agent, OTHER, copy_hops, c1))
     assert fp in agent._retx
@@ -123,8 +124,8 @@ def test_unroutable_sender_is_not_cancelled():
     deployed = small_deployment(config=HOP_ACKS)
     agent = _forwarder(deployed)
     c1, fp, timer = _tracked(agent)
-    h = agent.state.hops_to_bs
-    agent.state.hops_to_bs = -1  # lost its route after sending
+    h = deployed.gradient.level(agent.node.id)
+    deployed.gradient.levels[agent.node.id] = -1  # lost its route after sending
     agent.on_frame(DOWNHILL, _copy(deployed, agent, DOWNHILL, h - 1, c1))
     assert fp in agent._retx and timer.cancelled == 0
     assert _overheard(deployed) == 0
@@ -137,7 +138,14 @@ def test_copy_under_the_wrong_key_does_not_cancel():
     st = agent.state
     wrong = bytes(len(st.keyring.get(st.cid).material))
     frame = wrap_hop(
-        wrong, st.cid, DOWNHILL, 1, st.hops_to_bs - 1, deployed.now(), c1, deployed.config.aead
+        wrong,
+        st.cid,
+        DOWNHILL,
+        1,
+        deployed.gradient.level(agent.node.id) - 1,
+        deployed.now(),
+        c1,
+        deployed.config.aead,
     )
     agent.on_frame(DOWNHILL, frame)
     assert deployed.network.trace.counters.get("drop.data_bad_auth", 0) == 1
@@ -149,7 +157,7 @@ def test_replayed_copy_does_not_cancel():
     deployed = small_deployment(config=HOP_ACKS)
     agent = _forwarder(deployed)
     c1, fp, timer = _tracked(agent)
-    h = agent.state.hops_to_bs
+    h = deployed.gradient.level(agent.node.id)
     # DOWNHILL's hop seq 5 is used up by another reading first.
     other = build_inner(4242, b"other", None, None, deployed.config.aead)
     agent.on_frame(DOWNHILL, _copy(deployed, agent, DOWNHILL, h - 1, other, seq=5))
@@ -166,7 +174,8 @@ def test_custodian_reacks_a_retransmission():
     c1, fp = _accept(deployed, agent)
     # The hop sender did not hear a forward yet and retransmits under a
     # fresh hop sequence number.
-    agent.on_frame(UPHILL, _copy(deployed, agent, UPHILL, agent.state.hops_to_bs + 1, c1, seq=2))
+    uphill = deployed.gradient.level(agent.node.id) + 1
+    agent.on_frame(UPHILL, _copy(deployed, agent, UPHILL, uphill, c1, seq=2))
     assert _acks(deployed, sent) == [(UPHILL, fp)]
 
 
@@ -174,7 +183,7 @@ def test_overhearer_without_custody_does_not_ack():
     deployed = small_deployment(config=HOP_ACKS)
     agent = _forwarder(deployed)
     sent = _sent_by(deployed, agent.node.id)
-    h = agent.state.hops_to_bs
+    h = deployed.gradient.level(agent.node.id)
     c1 = build_inner(4242, b"reading", None, None, deployed.config.aead)
     # Heard first from a sideways node: dropped, no custody taken.
     agent.on_frame(OTHER, _copy(deployed, agent, OTHER, h, c1))
@@ -184,7 +193,8 @@ def test_overhearer_without_custody_does_not_ack():
 
 def test_base_station_acks():
     deployed = small_deployment(config=HOP_ACKS)
-    agent = next(a for _, a in sorted(deployed.agents.items()) if a.state.hops_to_bs == 1)
+    level_one = next(nid for nid in sorted(deployed.agents) if deployed.gradient.level(nid) == 1)
+    agent = deployed.agents[level_one]
     bs_sent = _sent_by(deployed, deployed.bs_agent.node.id)
     _c1, fp, timer = _tracked(agent)
     deployed.run_for(0.2)  # inside ack_timeout_s

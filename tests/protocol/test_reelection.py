@@ -44,8 +44,8 @@ def test_data_flows_after_reelection():
     deployed = reelect_deployment(seed=192)
     RefreshCoordinator(deployed).run_round()
     far = max(
-        (nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0),
-        key=lambda n: deployed.agents[n].state.hops_to_bs,
+        deployed.gradient.routable(),
+        key=deployed.gradient.level,
     )
     deployed.agents[far].send_reading(b"post-reelection")
     run_for(deployed, 30)

@@ -35,7 +35,7 @@ class TestHashRefresh:
         coord = RefreshCoordinator(deployed)
         coord.run_round()
         coord.run_round()
-        src = next(nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0)
+        src = deployed.gradient.routable()[0]
         deployed.agents[src].send_reading(b"post-rehash")
         run_for(deployed, 30)
         assert any(r.data == b"post-rehash" for r in deployed.bs_agent.delivered)
@@ -97,8 +97,7 @@ class TestReclusterRefresh:
     def test_data_flows_after_recluster_refresh(self):
         deployed = self._deployed(seed=48)
         RefreshCoordinator(deployed).run_round(settle_s=5.0)
-        src = next(nid for nid, a in deployed.agents.items()
-                   if a.state.hops_to_bs > 0)
+        src = deployed.gradient.routable()[0]
         deployed.agents[src].send_reading(b"post-recluster")
         run_for(deployed, 30)
         assert any(r.data == b"post-recluster" for r in deployed.bs_agent.delivered)

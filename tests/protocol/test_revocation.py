@@ -171,7 +171,7 @@ def test_revoke_node_blocks_future_e2e_readings():
 
     ssn = SecureSensorNetwork.deploy(n=150, density=10.0, seed=29)
     victim = next(
-        nid for nid in ssn.node_ids() if ssn.agent(nid).state.hops_to_bs > 0
+        nid for nid in ssn.node_ids() if ssn.deployed.gradient.level(nid) > 0
     )
     ssn.revoke_node(victim)
     assert victim not in ssn.deployed.registry.node_keys

@@ -2,7 +2,7 @@
 
 While a jittered forward is pending, a copy of the same reading overheard
 from a node no farther from the base station (authenticated
-``hops_to_bs`` >= 0 and <= the node's own) cancels it and counts
+header ``hops_to_bs`` >= 0 and <= the node's own gradient level) cancels it and counts
 ``forward.suppressed``. Custody stays recorded, so an upstream
 retransmission is still re-ACKed.
 """
@@ -26,7 +26,7 @@ def _forwarder(deployed):
     return next(
         agent
         for _, agent in sorted(deployed.agents.items())
-        if agent.state.hops_to_bs >= 2
+        if deployed.gradient.level(agent.node.id) >= 2
     )
 
 
@@ -61,7 +61,8 @@ def _suppressed(deployed) -> int:
 def _accept(deployed, agent) -> tuple[bytes, bytes]:
     """Hand ``agent`` a reading from uphill: it accepts it for forwarding."""
     c1 = build_inner(4242, b"reading", None, None, deployed.config.aead)
-    agent.on_frame(UPHILL, _copy(deployed, agent, UPHILL, agent.state.hops_to_bs + 1, c1))
+    uphill = deployed.gradient.level(agent.node.id) + 1
+    agent.on_frame(UPHILL, _copy(deployed, agent, UPHILL, uphill, c1))
     return c1, DedupCache.fingerprint(c1)
 
 
@@ -76,7 +77,7 @@ def test_no_farther_copy_cancels_the_pending_forward(below):
     sent = _sent_by(deployed, agent.node.id)
     c1, fp = _accept(deployed, agent)
     assert fp in agent._pending
-    h = agent.state.hops_to_bs
+    h = deployed.gradient.level(agent.node.id)
     agent.on_frame(PEER, _copy(deployed, agent, PEER, h - below, c1))
     assert fp not in agent._pending
     assert _suppressed(deployed) == 1
@@ -94,7 +95,7 @@ def test_uphill_or_unroutable_copy_does_not_cancel(above):
     agent = _forwarder(deployed)
     sent = _sent_by(deployed, agent.node.id)
     c1, fp = _accept(deployed, agent)
-    hops = -1 if above is None else agent.state.hops_to_bs + above
+    hops = -1 if above is None else deployed.gradient.level(agent.node.id) + above
     agent.on_frame(PEER, _copy(deployed, agent, PEER, hops, c1))
     assert fp in agent._pending
     assert _suppressed(deployed) == 0
@@ -110,7 +111,8 @@ def test_zero_jitter_never_suppresses():
     c1, _fp = _accept(deployed, agent)
     # Forwarded inside the reception: nothing was ever pending.
     assert len(_data(sent)) == 1 and not agent._pending
-    agent.on_frame(PEER, _copy(deployed, agent, PEER, agent.state.hops_to_bs, c1))
+    h = deployed.gradient.level(agent.node.id)
+    agent.on_frame(PEER, _copy(deployed, agent, PEER, h, c1))
     workload = SoakWorkload(deployed, 150.0, 1.0, warmup_s=0.2, seed=0)
     workload.start()
     deployed.run_for(2.0)
@@ -123,7 +125,7 @@ def test_suppressed_custodian_still_reacks_upstream_retransmission():
     agent = _forwarder(deployed)
     sent = _sent_by(deployed, agent.node.id)
     c1, fp = _accept(deployed, agent)
-    h = agent.state.hops_to_bs
+    h = deployed.gradient.level(agent.node.id)
     agent.on_frame(PEER, _copy(deployed, agent, PEER, h, c1))
     assert _suppressed(deployed) == 1
     # Taking custody sent no ACK, and the suppressed forward never went
@@ -135,7 +137,7 @@ def test_suppressed_custodian_still_reacks_upstream_retransmission():
     assert [(hop_sender, ack_fp) for _cid, hop_sender, ack_fp, _tag in acks] == [
         (UPHILL, fp),
     ]
-    assert agent._has_custody(fp)
+    assert fp in agent._custody
     deployed.run_for(1.0)
     assert _data(sent) == []
 

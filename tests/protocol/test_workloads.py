@@ -13,7 +13,7 @@ def loaded():
 
 
 def routable(deployed, k):
-    return [nid for nid, a in deployed.agents.items() if a.state.hops_to_bs > 0][:k]
+    return deployed.gradient.routable()[:k]
 
 
 class TestPeriodicReporting:
@@ -92,13 +92,12 @@ class TestContinuousReporting:
 
     def test_unroutable_sources_are_skipped_and_counted(self, loaded):
         sources = routable(loaded, 3)
-        cut_off = loaded.agent(sources[0])
         wl = ContinuousReporting(loaded, lambda: sources, period_s=5.0, duration_s=20.0)
         wl.start()
         run_for(loaded, 7)
         ticks = wl.unroutable
         cut_at = loaded.now()
-        cut_off.state.hops_to_bs = -1
+        loaded.gradient.levels[sources[0]] = -1
         run_for(loaded, 33)
         assert ticks == 0 and wl.unroutable == 2  # the ticks at 10 s and 15 s
         # Sends already scheduled at the cut land within half a period.

@@ -30,7 +30,7 @@ def counters(deployed) -> dict[str, int]:
 def far_agent(deployed, skip=()):
     return next(
         a for a in deployed.agents.values()
-        if a.operational and a.state.hops_to_bs >= 2
+        if a.operational and deployed.gradient.level(a.state.node_id) >= 2
         and a.state.node_id not in skip
     )
 
