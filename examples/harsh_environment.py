@@ -51,7 +51,7 @@ def run_field(loss: float) -> None:
         f"loss={loss:4.0%}  clusters={metrics.cluster_count:3d} "
         f"keys/node={metrics.mean_keys_per_node:4.2f}  "
         f"invariant violations={len(problems)}  "
-        f"collisions={net.radio.frames_collided:4d}  "
+        f"collisions={net.trace['net.frames_collided']:4d}  "
         f"csma deferrals={net.radio.csma_deferrals:4d}  "
         f"delivery={got}/{len(sources)}"
     )

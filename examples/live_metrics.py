@@ -30,7 +30,7 @@ def main() -> None:
     deployed, metrics = deploy_live(
         n=60, density=10.0, seed=7, transport="loopback", event_log_limit=1024
     )
-    telemetry = deployed.network.trace.telemetry
+    trace = deployed.network.trace
     print(
         f"deployed: {metrics.n} nodes, {metrics.cluster_count} clusters, "
         f"{metrics.mean_keys_per_node:.2f} keys/node"
@@ -41,13 +41,13 @@ def main() -> None:
         where = f"node {event.node}" if event.node is not None else "network"
         print(f"  [t={event.time:7.2f}s] {event.kind:<14} ({where}) {event.details}")
 
-    unsubscribe = telemetry.events.subscribe(tail)
+    unsubscribe = trace.events.subscribe(tail)
 
     out = Path(tempfile.gettempdir()) / "live_metrics.jsonl"
     print(f"\nstreaming telemetry to {out}:")
     with JsonlWriter(out) as writer:
-        writer.subscribe_to(telemetry.events)  # replays the buffered setup events
-        sampler = PeriodicSampler(deployed, telemetry.registry, writer, period_s=10.0)
+        writer.subscribe_to(trace.events)  # replays the buffered setup events
+        sampler = PeriodicSampler(deployed, trace.registry, writer, period_s=10.0)
         sampler.start()
 
         sources = sorted(deployed.agents)[::6][:10]
@@ -61,10 +61,10 @@ def main() -> None:
         sampler.stop()
         writer.write_summary(
             deployed.now(),
-            telemetry.registry,
+            trace.registry,
             transport="loopback",
             nodes=len(deployed.agents),
-            events_dropped=telemetry.events.dropped,
+            events_dropped=trace.events.dropped,
         )
     unsubscribe()
 

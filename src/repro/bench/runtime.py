@@ -87,7 +87,7 @@ def run_setup_row(variant: str, n: int, seed: int = 0) -> dict:
             (
                 _events_executed(deployed),
                 metrics.cluster_count,
-                deployed.network.transport.frames_sent,
+                deployed.network.trace["net.frames_sent"],
             )
         )
         del deployed, metrics

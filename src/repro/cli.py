@@ -215,20 +215,20 @@ def _cmd_run_live(args: argparse.Namespace) -> int:
         print("hint: pick a different --base-port")
         return 1
 
-    telemetry = deployed.network.trace.telemetry
+    trace = deployed.network.trace
     writer = sampler = None
     if args.metrics_out:
         from repro.telemetry import JsonlWriter, PeriodicSampler
 
         writer = JsonlWriter(args.metrics_out)
         # Replays the buffered setup-phase events, then streams live ones.
-        writer.subscribe_to(telemetry.events)
+        writer.subscribe_to(trace.events)
         sampler = PeriodicSampler(
             deployed,
-            telemetry.registry,
+            trace.registry,
             writer,
             args.sample_period,
-            before_sample=telemetry.crypto.publish,
+            before_sample=trace.crypto.publish,
         )
         sampler.start()
 
@@ -241,13 +241,13 @@ def _cmd_run_live(args: argparse.Namespace) -> int:
 
     if writer is not None and sampler is not None:
         sampler.stop()
-        telemetry.crypto.publish()
+        trace.crypto.publish()
         writer.write_summary(
             deployed.now(),
-            telemetry.registry,
+            trace.registry,
             transport=args.transport,
             nodes=len(deployed.agents),
-            events_dropped=telemetry.events.dropped,
+            events_dropped=trace.events.dropped,
         )
         writer.close()
 

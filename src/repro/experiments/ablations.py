@@ -125,9 +125,10 @@ def run_refresh(n: int = 300, density: float = 12.0, seed: int = 0) -> Experimen
         deployed, _ = deploy(n, density, seed=seed, config=config)
         victim = sorted(deployed.agents)[5]
         cap = Adversary(deployed).capture(victim)
-        frames_before = deployed.network.radio.frames_sent
+        trace = deployed.network.trace
+        frames_before = trace["net.frames_sent"]
         RefreshCoordinator(deployed).run_round(settle_s=5.0)
-        messages = deployed.network.radio.frames_sent - frames_before
+        messages = trace["net.frames_sent"] - frames_before
         survives = any(
             deployed.agents[victim].state.keyring.get(cid).material == key
             for cid, key in cap.cluster_keys.items()
@@ -166,13 +167,13 @@ def run_counter_mode(n: int = 200, density: float = 12.0, seed: int = 0) -> Expe
     for mode in ("implicit", "explicit"):
         config = ProtocolConfig(e2e_counter_mode=mode)
         deployed, _ = deploy(n, density, seed=seed, config=config)
-        radio = deployed.network.radio
+        trace = deployed.network.trace
         src = deployed.gradient.routable()[0]
         agent = deployed.agents[src]
-        frames0, bytes0 = radio.frames_sent, radio.bytes_sent
+        frames0, bytes0 = trace["net.frames_sent"], trace["net.bytes_sent"]
         agent.send_reading(b"0123456789")
         deployed.run_for(30)
-        per_frame = (radio.bytes_sent - bytes0) / (radio.frames_sent - frames0)
+        per_frame = (trace["net.bytes_sent"] - bytes0) / (trace["net.frames_sent"] - frames0)
         for _ in range(500):
             agent.state.next_e2e_counter()
         agent.send_reading(b"after-desync")

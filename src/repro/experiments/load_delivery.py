@@ -64,7 +64,7 @@ def run(
             deployed, sources, period_s=period, rounds=rounds,
             rng=np.random.default_rng(seed),
         )
-        collisions_before = deployed.network.radio.frames_collided
+        collisions_before = deployed.network.trace["net.frames_collided"]
         workload.start()
         deployed.run_until(deployed.now() + workload.duration_s + 30.0)
         lat = sorted(workload.latencies())
@@ -74,7 +74,7 @@ def run(
             workload.delivery_ratio(),
             lat[len(lat) // 2] if lat else float("nan"),
             lat[int(len(lat) * 0.95)] if lat else float("nan"),
-            deployed.network.radio.frames_collided - collisions_before,
+            deployed.network.trace["net.frames_collided"] - collisions_before,
         )
     table.notes.append(
         "expected shape: high delivery at low load decaying as the channel "

@@ -64,7 +64,7 @@ def measure_km_window(
     for agent in deployed.agents.values():
         agent.start_setup()
     network.transport.run(until=config.setup_end_s)
-    return last_setup_tx, config.setup_end_s, network.radio.frames_sent
+    return last_setup_tx, config.setup_end_s, network.trace["net.frames_sent"]
 
 
 def run(

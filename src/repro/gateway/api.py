@@ -77,8 +77,8 @@ def deployment_status(deployed: "DeployedProtocol") -> dict:
     """One JSON-serializable snapshot of a deployment's health.
 
     Clusters formed, node liveness, the base station's delivery and
-    rejection totals, the transport's frame counters, and under
-    ``telemetry`` exactly :meth:`repro.telemetry.Telemetry.snapshot` —
+    rejection totals, the trace's ``net.*`` frame counters, and under
+    ``telemetry`` exactly :meth:`repro.sim.trace.Trace.snapshot` —
     the same structure JSONL ``sample`` records embed, so console and
     stream consumers read one schema (docs/TELEMETRY.md). ``repro
     run-live`` prints it; ``/status`` serves it without ``telemetry``.
@@ -89,9 +89,9 @@ def deployment_status(deployed: "DeployedProtocol") -> dict:
     per request.
     """
     bs = deployed.bs_agent
-    transport = deployed.network.transport
+    trace = deployed.network.trace
     return {
-        "transport": transport.name,
+        "transport": deployed.network.transport.name,
         "clock_s": round(deployed.now(), 6),
         "nodes": len(deployed.agents),
         "nodes_alive": sum(1 for a in deployed.agents.values() if a.node.alive),
@@ -101,11 +101,11 @@ def deployment_status(deployed: "DeployedProtocol") -> dict:
         "readings_rejected": bs.rejected,
         "revoked_clusters": sorted(bs.revoked_cids),
         "suspicious_clusters": bs.suspicious_clusters(),
-        "telemetry": deployed.network.trace.telemetry.snapshot(),
+        "telemetry": trace.snapshot(),
         "frames": {
-            "sent": transport.frames_sent,
-            "delivered": transport.frames_delivered,
-            "bytes_sent": transport.bytes_sent,
+            "sent": trace["net.frames_sent"],
+            "delivered": trace["net.frames_delivered"],
+            "bytes_sent": trace["net.bytes_sent"],
         },
     }
 
@@ -222,7 +222,7 @@ class GatewayApp:
         """The registry snapshot (deployment-wide when one is wired)."""
         if self.deployed is not None:
             with self.run_lock:
-                return self.deployed.network.trace.telemetry.snapshot()
+                return self.deployed.network.trace.snapshot()
         return {"metrics": self.registry.snapshot()}
 
     def _node_detail(self, raw_id: str) -> tuple[int, dict]:

@@ -124,7 +124,7 @@ class LiveGateway:
             seed=options.seed,
             transport=options.transport,
         )
-        registry = deployed.network.trace.telemetry.registry
+        registry = deployed.network.trace.registry
         store = GatewayStateStore(
             options.gateway_id,
             region=parse_region(options.region),

@@ -159,7 +159,7 @@ class GatewayStateStore:
     """Thread-safe LWW map of per-node latest readings, with history.
 
     ``registry`` receives the ``gateway.*`` store metrics (pass the
-    deployment's ``trace.telemetry.registry`` to co-locate them with the
+    deployment's ``trace.registry`` to co-locate them with the
     mesh's counters; omitted, the store owns a private registry).
     """
 

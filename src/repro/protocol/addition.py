@@ -25,7 +25,7 @@ from repro.crypto.keys import SymmetricKey
 from repro.crypto.mac import verify
 from repro.protocol import messages
 from repro.protocol.agent import ProtocolAgent
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import JOIN_WINDOW_S, ProtocolConfig
 from repro.protocol.state import Gradient, Preload, Role
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,7 +71,7 @@ class JoiningNodeAgent:
         """Broadcast the join hello and arm the collection window."""
         self._trace.count("tx.join_req")
         self.node.broadcast(messages.encode_join_req(self.node.id))
-        self.node.schedule(self.config.join_window_s, self._complete)
+        self.node.schedule(JOIN_WINDOW_S, self._complete)
 
     def on_frame(self, sender_id: int, frame: bytes) -> None:
         """Collect JOIN_RESP frames; everything else is ignored."""
@@ -129,7 +129,7 @@ def deploy_new_node(
 
     Manufactures fresh ``K_i`` (registered with the base station), a copy
     of ``K_MC`` and the *current* chain commitment, then starts the join
-    handshake. Run the simulator past ``config.join_window_s`` and read
+    handshake. Run the simulator past ``JOIN_WINDOW_S`` and read
     :attr:`JoiningNodeAgent.result`; on success, call
     ``deployed.assign_gradient()`` and register the agent via
     :func:`finalize_join`.

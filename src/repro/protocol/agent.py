@@ -29,7 +29,13 @@ from repro.crypto.keys import KeyErasedError, SymmetricKey
 from repro.crypto.mac import mac, verify
 from repro.crypto.stats import STATS
 from repro.protocol import messages
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import (
+    DEDUP_CACHE_SIZE,
+    JOIN_RESPONSE_JITTER_S,
+    LINK_JITTER_S,
+    REVOCATION_CHAIN_LENGTH,
+    ProtocolConfig,
+)
 from repro.protocol.forwarding import (
     INNER_HEADER_SIZE,
     DedupCache,
@@ -50,8 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 #: Retransmit schedule (:meth:`ProtocolAgent._track_retx`): the delay is
-#: ``ack_timeout_s`` times the factor per attempt, up to the cap, plus a
-#: uniform jitter that desynchronizes neighbours which lost the same frame.
+#: the base wait for a downhill forward or an ACK times the factor per
+#: attempt, up to the cap, plus a uniform jitter that desynchronizes
+#: neighbours which lost the same frame.
+ACK_TIMEOUT_S = 0.3
 RETX_BACKOFF_FACTOR = 2.0
 RETX_BACKOFF_MAX_S = 2.0
 RETX_JITTER_S = 0.05
@@ -93,7 +101,7 @@ class ProtocolAgent:
         self._gradient = gradient
         self._rng = timer_rng
         self._trace = node.trace
-        self._dedup = DedupCache(config.dedup_cache_size, trace=self._trace)
+        self._dedup = DedupCache(DEDUP_CACHE_SIZE, trace=self._trace)
         self._hello_timer = None
         self.operational = False
         #: Optional in-network data-fusion hook (Sec. II, "intermediate
@@ -137,7 +145,7 @@ class ProtocolAgent:
         # itself head when phase 2 begins (the paper's singleton case).
         delay = min(delay, cfg.cluster_phase_duration_s * 0.999)
         self._hello_timer = self.node.schedule(delay, self._fire_hello)
-        link_at = cfg.cluster_phase_duration_s + float(self._rng.uniform(0.0, cfg.link_jitter_s))
+        link_at = cfg.cluster_phase_duration_s + float(self._rng.uniform(0.0, LINK_JITTER_S))
         self.node.schedule(link_at, self._broadcast_linkinfo)
         self.node.schedule(cfg.setup_end_s, self._finish_setup)
 
@@ -330,7 +338,6 @@ class ProtocolAgent:
         alike): the first call creates the queue entry, later calls only
         re-arm the timer with the next backoff step.
         """
-        cfg = self.config
         entry = self._retx.get(fp)
         if entry is None:
             if len(self._retx) >= RETX_QUEUE_LIMIT:
@@ -339,7 +346,7 @@ class ProtocolAgent:
                 return
             entry = self._retx[fp] = _RetxEntry(c1)
         delay = min(
-            cfg.ack_timeout_s * RETX_BACKOFF_FACTOR**entry.attempt,
+            ACK_TIMEOUT_S * RETX_BACKOFF_FACTOR**entry.attempt,
             RETX_BACKOFF_MAX_S,
         ) + float(self._rng.uniform(0.0, RETX_JITTER_S))
         entry.timer = self.node.schedule(delay, lambda: self._retx_fire(fp))
@@ -398,7 +405,7 @@ class ProtocolAgent:
         """Record that this node owns forwarding the message ``fp`` (bounded set)."""
         self._custody[fp] = None
         self._custody.move_to_end(fp)
-        if len(self._custody) > self.config.dedup_cache_size:
+        if len(self._custody) > DEDUP_CACHE_SIZE:
             self._custody.popitem(last=False)
 
     def _send_ack(self, cid: int, hop_sender: int, fp: bytes) -> None:
@@ -414,9 +421,22 @@ class ProtocolAgent:
         self._trace.count("tx.ack")
         self.node.broadcast(messages.encode_ack(cid, hop_sender, fp, tag))
 
-    def _is_custodian(self, header: messages.DataHeader) -> bool:
-        """Downhill of the hop sender — the node an ACK is expected from."""
-        return 0 <= self._gradient.level(self.state.node_id) < header.hops_to_bs
+    def _reack(self, header: messages.DataHeader, fp: bytes) -> None:
+        """Re-ACK a copy of ``fp`` this node already holds custody of.
+
+        The hop sender may be retransmitting because it heard neither our
+        forward nor an ACK. "Seen" includes messages merely overheard and
+        dropped (e.g. uphill receptions), so only a node that took custody
+        and is downhill of the hop sender (the node an ACK is expected
+        from) may re-ACK; anything else would cancel the sender's
+        retransmissions without anyone owning the message.
+        """
+        if (
+            self.config.hop_ack_enabled
+            and fp in self._custody
+            and 0 <= self._gradient.level(self.state.node_id) < header.hops_to_bs
+        ):
+            self._send_ack(header.cid, header.sender, fp)
 
     def _on_ack(self, frame: bytes) -> None:
         if not self.config.hop_ack_enabled:
@@ -493,14 +513,7 @@ class ProtocolAgent:
         if not st.accept_hop_seq(header.sender, header.seq):
             # Authenticated but already-seen hop sequence (a link-layer
             # duplicate, or an out-of-order seq carrying a new message).
-            # Re-ACK only if we genuinely hold custody of this inner blob
-            # — the sender may be retransmitting because our ACK was lost.
-            if (
-                self.config.hop_ack_enabled
-                and fp in self._custody
-                and self._is_custodian(header)
-            ):
-                self._send_ack(header.cid, header.sender, fp)
+            self._reack(header, fp)
             return "drop.data_replay"
         if fp in self._retx and 0 <= header.hops_to_bs < self._gradient.level(st.node_id):
             # The forward is the ACK: a node closer to the BS sent on a
@@ -530,16 +543,7 @@ class ProtocolAgent:
                 self._custody[fp] = None
                 self._trace.count("forward.standby")
                 self._forward_later(c1, fp)
-            # Already seen — but "seen" includes messages merely overheard
-            # and dropped (e.g. uphill receptions). Only a node that took
-            # custody may re-ACK; anything else would cancel the sender's
-            # retransmissions without anyone owning the message.
-            if (
-                self.config.hop_ack_enabled
-                and fp in self._custody
-                and self._is_custodian(header)
-            ):
-                self._send_ack(header.cid, header.sender, fp)
+            self._reack(header, fp)
             return "drop.data_duplicate"
         return self._process_inner(header, c1, fp)
 
@@ -619,7 +623,7 @@ class ProtocolAgent:
             # An echo of a flood already applied (or a replay of one).
             self._trace.count("drop.revoke_duplicate")
             return
-        if index > self.config.revocation_chain_length or not st.chain.verify(
+        if index > REVOCATION_CHAIN_LENGTH or not st.chain.verify(
             index, chain_key
         ):
             # A key that does not hash to the commitment. An index past
@@ -663,7 +667,7 @@ class ProtocolAgent:
             self.config.tag_len,
         )
         resp = messages.encode_join_resp(cid, tag)
-        delay = float(self._rng.uniform(0.0, self.config.join_response_jitter_s))
+        delay = float(self._rng.uniform(0.0, JOIN_RESPONSE_JITTER_S))
         self.node.schedule(delay, lambda: self._send_join_resp(resp))
 
     def _send_join_resp(self, resp: bytes) -> None:
@@ -772,7 +776,7 @@ class ProtocolAgent:
             phase_duration_s * 0.999,
         )
         self._reelect_timer = self.node.schedule(delay, self._fire_reelect_hello)
-        link_at = phase_duration_s + float(self._rng.uniform(0.0, self.config.link_jitter_s))
+        link_at = phase_duration_s + float(self._rng.uniform(0.0, LINK_JITTER_S))
         self.node.schedule(link_at, self._broadcast_reelect_link)
 
     def _fire_reelect_hello(self) -> None:

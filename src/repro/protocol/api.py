@@ -22,7 +22,7 @@ import numpy as np
 from repro.protocol.addition import JoiningNodeAgent, deploy_new_node, finalize_join
 from repro.protocol.agent import ProtocolAgent
 from repro.protocol.base_station import DeliveredReading
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import JOIN_RESPONSE_JITTER_S, JOIN_WINDOW_S, ProtocolConfig
 from repro.protocol.metrics import SetupMetrics
 from repro.protocol.refresh import RefreshCoordinator
 from repro.protocol.setup import DeployedProtocol, deploy as _deploy, run_key_setup
@@ -151,7 +151,7 @@ class SecureSensorNetwork:
         joiner: JoiningNodeAgent = deploy_new_node(
             self._deployed, np.asarray(position, dtype=float), hash_epoch=self._hash_epochs()
         )
-        self.run(self.config.join_window_s + self.config.join_response_jitter_s + 0.5)
+        self.run(JOIN_WINDOW_S + JOIN_RESPONSE_JITTER_S + 0.5)
         return finalize_join(self._deployed, joiner)
 
     def _hash_epochs(self) -> int:

@@ -26,7 +26,7 @@ from repro.crypto.keychain import KeyChain
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.mac import mac
 from repro.protocol import messages
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import DEDUP_CACHE_SIZE, ProtocolConfig
 from repro.protocol.forwarding import (
     CounterWindow,
     DedupCache,
@@ -82,7 +82,7 @@ class BaseStationAgent:
         self.config = config
         self.registry = registry
         self._trace = node.trace
-        self._dedup = DedupCache(config.dedup_cache_size, trace=self._trace)
+        self._dedup = DedupCache(DEDUP_CACHE_SIZE, trace=self._trace)
         #: Cached current cluster keys, kept in step with refreshes.
         self._cluster_keys: dict[int, bytes] = {}
         #: Whether unknown cids may still be derived from K_MC (turned off

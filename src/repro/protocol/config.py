@@ -2,7 +2,8 @@
 
 All tunables of the paper's protocol in one frozen dataclass, validated at
 construction. The defaults reproduce the paper's simulation setting; the
-ablation benches sweep individual fields.
+ablation benches sweep individual fields. Values no deployment, bench or
+experiment sets are module constants instead.
 """
 
 from __future__ import annotations
@@ -21,6 +22,18 @@ from repro.util.validate import check_positive
 #: current cluster keys — kept to demonstrate the Sec. VI HELLO-flood
 #: vulnerability that motivates the other two.
 REFRESH_STRATEGIES = ("rehash", "recluster", "reelect")
+
+#: Link-info broadcasts are jittered uniformly over this window (seconds)
+#: to avoid synchronized collisions.
+LINK_JITTER_S = 1.0
+#: Bound on the per-node duplicate-suppression cache (and custody set).
+DEDUP_CACHE_SIZE = 4096
+#: Length of the base station's revocation key chain.
+REVOCATION_CHAIN_LENGTH = 64
+#: How long a joining node collects JOIN_RESP messages (seconds).
+JOIN_WINDOW_S = 1.0
+#: Max delay of a JOIN_RESP (responders jitter to avoid collisions).
+JOIN_RESPONSE_JITTER_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -46,9 +59,6 @@ class ProtocolConfig:
     #: exceed the election delays plus HELLO airtime so every node has
     #: decided its role.
     cluster_phase_duration_s: float = 5.0
-    #: Link-info broadcasts are jittered uniformly over this window to
-    #: avoid synchronized collisions.
-    link_jitter_s: float = 1.0
     #: Extra settling time after the last possible link broadcast before
     #: K_m is erased and the network is declared operational.
     settle_margin_s: float = 1.0
@@ -77,8 +87,6 @@ class ProtocolConfig:
     #: forwarder send at once (useful for step-debug tests); has no
     #: effect on the single transmission a source makes.
     forward_jitter_s: float = 0.05
-    #: Bound on the per-node duplicate-suppression cache.
-    dedup_cache_size: int = 4096
 
     # -- hop-by-hop reliability (live-runtime extension, default off) --------
     #: Per-hop custody + retransmission: a sender stops on an overheard
@@ -87,9 +95,6 @@ class ProtocolConfig:
     #: protocol has no ACKs, and the runtime parity tests pin the default
     #: behavior. Enable for lossy live fabrics (see docs/RUNTIME.md).
     hop_ack_enabled: bool = False
-    #: Base wait for a downhill forward or an ACK before the first
-    #: retransmission.
-    ack_timeout_s: float = 0.3
     #: Retransmissions per message before giving up (``forward.giveup``).
     max_retransmits: int = 3
     #: Times each HELLO / LINKINFO setup broadcast is re-announced so
@@ -103,12 +108,6 @@ class ProtocolConfig:
 
     # -- maintenance ----------------------------------------------------------
     refresh_strategy: str = "rehash"
-    #: Length of the base station's revocation key chain.
-    revocation_chain_length: int = 64
-    #: How long a joining node collects JOIN_RESP messages.
-    join_window_s: float = 1.0
-    #: Max delay of a JOIN_RESP (responders jitter to avoid collisions).
-    join_response_jitter_s: float = 0.5
 
     def __post_init__(self) -> None:
         # cipher, tag_len and crypto_backend are validated by the AEAD
@@ -116,11 +115,8 @@ class ProtocolConfig:
         self.aead
         check_positive("mean_hello_delay_s", self.mean_hello_delay_s)
         check_positive("cluster_phase_duration_s", self.cluster_phase_duration_s)
-        check_positive("link_jitter_s", self.link_jitter_s)
         check_positive("settle_margin_s", self.settle_margin_s)
         check_positive("freshness_window_s", self.freshness_window_s)
-        check_positive("join_window_s", self.join_window_s)
-        check_positive("join_response_jitter_s", self.join_response_jitter_s)
         if self.counter_window < 1:
             raise ValueError("counter_window must be >= 1")
         if self.e2e_counter_mode not in ("implicit", "explicit"):
@@ -128,8 +124,6 @@ class ProtocolConfig:
                 f"e2e_counter_mode must be 'implicit' or 'explicit', "
                 f"got {self.e2e_counter_mode!r}"
             )
-        if self.dedup_cache_size < 1:
-            raise ValueError("dedup_cache_size must be >= 1")
         if self.forward_jitter_s < 0:
             raise ValueError("forward_jitter_s must be >= 0")
         if self.refresh_strategy not in REFRESH_STRATEGIES:
@@ -137,9 +131,6 @@ class ProtocolConfig:
                 f"refresh_strategy must be one of {REFRESH_STRATEGIES}, "
                 f"got {self.refresh_strategy!r}"
             )
-        if self.revocation_chain_length < 1:
-            raise ValueError("revocation_chain_length must be >= 1")
-        check_positive("ack_timeout_s", self.ack_timeout_s)
         check_positive("setup_reannounce_interval_s", self.setup_reannounce_interval_s)
         if self.max_retransmits < 0:
             raise ValueError("max_retransmits must be >= 0")
@@ -165,4 +156,4 @@ class ProtocolConfig:
     @property
     def setup_end_s(self) -> float:
         """Simulation time at which key setup completes and K_m is erased."""
-        return self.cluster_phase_duration_s + self.link_jitter_s + self.settle_margin_s
+        return self.cluster_phase_duration_s + LINK_JITTER_S + self.settle_margin_s

@@ -23,6 +23,7 @@ from repro.util.stats import Histogram, histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.setup import DeployedProtocol
+    from repro.telemetry import MetricsRegistry
 
 
 @dataclass
@@ -89,15 +90,14 @@ class SetupMetrics:
         """Fig. 1: fraction of clusters at each size."""
         return self.cluster_size_hist.fractions()
 
-    def publish(self, telemetry) -> None:
-        """Publish these measurements into a telemetry registry.
+    def publish(self, registry: "MetricsRegistry") -> None:
+        """Publish these measurements into a metrics registry.
 
         Writes the ``setup.*`` gauges and the ``setup.cluster_size``
         histogram documented in ``docs/TELEMETRY.md``, so live runs can
         export figure-equivalent numbers over JSONL. Idempotent per run:
         gauges overwrite and the histogram is replaced, not accumulated.
         """
-        registry = telemetry.registry
         registry.gauge("setup.nodes", self.n)
         registry.gauge("setup.measured_density", self.measured_density)
         registry.gauge("setup.clusters", self.cluster_count)
@@ -139,7 +139,7 @@ def compute_setup_metrics(deployed: "DeployedProtocol") -> SetupMetrics:
         hello_messages=trace["tx.hello"],
         linkinfo_messages=trace["tx.linkinfo"],
     )
-    metrics.publish(trace.telemetry)
+    metrics.publish(trace.registry)
     return metrics
 
 

@@ -45,7 +45,7 @@ class RefreshCoordinator:
             self._reelect()
         trace = self.deployed.network.trace
         trace.count("refresh.round")
-        trace.telemetry.emit(
+        trace.record(
             self.deployed.now(),
             "refresh.round",
             phase="refresh",

@@ -23,7 +23,7 @@ from repro.crypto.keys import SymmetricKey
 from repro.protocol import messages
 from repro.protocol.agent import DataReception, LinkinfoReception, ProtocolAgent
 from repro.protocol.base_station import BaseStationAgent, KeyRegistry
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import REVOCATION_CHAIN_LENGTH, ProtocolConfig
 from repro.protocol.metrics import SetupMetrics, compute_setup_metrics
 from repro.protocol.state import Gradient, Preload
 from repro.sim.network import BS_ID, Network
@@ -137,7 +137,7 @@ def provision(network: Network, config: ProtocolConfig | None = None) -> Deploye
     km_material = key_rng.integers(0, 256, size=16, dtype="uint8").tobytes()
     kmc = SymmetricKey.generate(key_rng, label="K_MC")
     chain_seed = key_rng.integers(0, 256, size=16, dtype="uint8").tobytes()
-    chain = KeyChain(config.revocation_chain_length, seed=chain_seed)
+    chain = KeyChain(REVOCATION_CHAIN_LENGTH, seed=chain_seed)
 
     node_keys: dict[int, SymmetricKey] = {}
     agents: dict[int, ProtocolAgent] = {}
@@ -179,8 +179,8 @@ def run_key_setup(
     plane is live.
     """
     deployed = provision(network, config)
-    telemetry = network.trace.telemetry
-    telemetry.emit(
+    trace = network.trace
+    trace.record(
         deployed.now(), "setup.begin", phase="setup", nodes=len(deployed.agents)
     )
     for agent in deployed.agents.values():
@@ -188,7 +188,7 @@ def run_key_setup(
     deployed.run_until(deployed.config.setup_end_s)
     deployed.assign_gradient()
     metrics = compute_setup_metrics(deployed)
-    telemetry.emit(
+    trace.record(
         deployed.now(),
         "setup.end",
         phase="setup",

@@ -266,13 +266,11 @@ class FaultInjectingTransport(Transport):
     reorder / corrupt / delay) to each delivery before it reaches the
     node; crash and restart timers are armed on the inner transport's
     clock when :meth:`run` is first called. Clock, timers and the
-    broadcast path are forwarded verbatim. The send-side counters read
-    through to ``inner``, so every layer reports one ``frames_sent`` /
-    ``bytes_sent``.
+    broadcast path are forwarded verbatim.
     """
 
     def __init__(self, inner: Transport, plan: FaultPlan) -> None:
-        """Wrap ``inner``; its trace/telemetry store is shared."""
+        """Wrap ``inner``; its trace is shared."""
         super().__init__(trace=inner.trace)
         self.inner = inner
         #: The plan in force; may be reassigned mid-run.
@@ -284,16 +282,6 @@ class FaultInjectingTransport(Transport):
         if isinstance(inner, LoopbackTransport):
             # Loopback decides each delivery in its fan-out loop.
             inner.inject = self.inject
-
-    @property
-    def frames_sent(self) -> int:  # type: ignore[override]
-        """Frames the inner fabric put on the air."""
-        return self.inner.frames_sent
-
-    @property
-    def bytes_sent(self) -> int:  # type: ignore[override]
-        """Bytes the inner fabric put on the air, link header included."""
-        return self.inner.bytes_sent
 
     # -- Transport interface -------------------------------------------------
 
@@ -406,7 +394,6 @@ class FaultInjectingTransport(Transport):
     ) -> None:
         if not node.alive:
             return
-        self.frames_delivered += 1
         node.receive(sender_id, frame, reception)
 
     def _corrupt(self, frame: bytes) -> bytes:

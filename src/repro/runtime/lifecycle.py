@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.gateway.store import GatewayStateStore
 from repro.protocol.addition import deploy_new_node, finalize_join
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import JOIN_RESPONSE_JITTER_S, JOIN_WINDOW_S, ProtocolConfig
 from repro.protocol.refresh import RefreshCoordinator
 from repro.runtime.cluster import deploy_live
 from repro.runtime.faults import FaultPlan, LinkFaults
@@ -241,8 +241,7 @@ class ChurnDriver:
         joiner = deploy_new_node(self._deployed, position, hash_epoch=epoch)
         self._topology.add(joiner.node.id, np.asarray(position, dtype=float))
         trace.count("lifecycle.join.started")
-        config = self._deployed.config
-        delay = config.join_window_s + config.join_response_jitter_s + 0.5
+        delay = JOIN_WINDOW_S + JOIN_RESPONSE_JITTER_S + 0.5
         self._deployed.schedule(delay, lambda: self._finalize_join(joiner))
 
     def _finalize_join(self, joiner: "JoiningNodeAgent") -> None:
@@ -409,7 +408,7 @@ class ConvergenceTracker:
             return
         now = self._deployed.now()
         live = self._deployed.network
-        registry = live.trace.telemetry.registry
+        registry = live.trace.registry
         orphans: set[int] = set()
         unroutable = 0
         gradient = self._deployed.gradient
@@ -624,7 +623,7 @@ def run_churn(scenario: ChurnScenario) -> ChurnResult:
 
     # One full-region gateway store rides along: the BS delivery stream
     # feeds it live, churn evicts departed nodes from it.
-    store = GatewayStateStore("gw-churn", registry=trace.telemetry.registry)
+    store = GatewayStateStore("gw-churn", registry=trace.registry)
     deployed.bs_agent.add_delivery_listener(store.ingest)
 
     topology = MobileTopology(

@@ -91,8 +91,6 @@ class LoopbackTransport(Transport):
         sent = radio.transmit(self, sender_id, frame, _attempt)
         if sent is None:
             return
-        self.frames_sent += 1
-        self.bytes_sent += len(frame) + radio.config.header_bytes
         arrival, receivers = sent
         if receivers:
             self.schedule(
@@ -161,6 +159,6 @@ class _FanoutDelivery:
         transport.events_executed += len(receivers) - 1
         radio = transport.radio
         assert radio is not None
-        transport.frames_delivered += radio.deliver(
+        radio.deliver(
             transport._nodes, receivers, self.sender_id, self.frame, transport.inject
         )

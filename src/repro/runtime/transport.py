@@ -32,7 +32,6 @@ from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
-    from repro.telemetry import Telemetry
 
 __all__ = ["TimerHandle", "ReceiveEndpoint", "Transport"]
 
@@ -70,21 +69,11 @@ class Transport(ABC):
     #: Human-readable backend name ("loopback" or "udp").
     name: str = "abstract"
 
-    #: Frames put on the air, frames handed to endpoints, and bytes sent.
-    frames_sent = 0
-    frames_delivered = 0
-    bytes_sent = 0
-
     def __init__(self, trace: Trace | None = None) -> None:
         """``trace`` shares an existing counter/event store; omitted, the
         transport owns a fresh one. A network built on this transport
         uses the transport's store as its own."""
         self.trace = trace if trace is not None else Trace()
-
-    @property
-    def telemetry(self) -> "Telemetry":
-        """The deployment's metrics registry + event stream."""
-        return self.trace.telemetry
 
     # -- node attachment ---------------------------------------------------
 

@@ -155,8 +155,6 @@ class UdpTransport(Transport):
         if endpoint is None or endpoint.is_closing():
             self.send_errors += 1
             return
-        self.frames_sent += 1
-        self.bytes_sent += len(datagram)
         self.trace.count("net.frames_sent")
         self.trace.count("net.bytes_sent", len(datagram))
         network = self._network
@@ -214,9 +212,13 @@ class UdpTransport(Transport):
             # pumping until deliveries go quiescent (bounded), instead of
             # closing sockets on a backlog.
             drain_deadline = loop.time() + self.drain_wall_s
+            counters = self.trace.counters
             last_delivered = -1
-            while loop.time() < drain_deadline and self.frames_delivered != last_delivered:
-                last_delivered = self.frames_delivered
+            while (
+                loop.time() < drain_deadline
+                and counters["net.frames_delivered"] != last_delivered
+            ):
+                last_delivered = counters["net.frames_delivered"]
                 await asyncio.sleep(0.01)
         finally:
             self._now = until
@@ -265,7 +267,6 @@ class _NodeDatagramProtocol(asyncio.DatagramProtocol):
         if decoded is None:
             return
         sender_id, frame = decoded
-        self._transport.frames_delivered += 1
         self._transport.trace.count("net.frames_delivered")
         self._node.receive(sender_id, frame)
 

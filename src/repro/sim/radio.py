@@ -105,12 +105,8 @@ class Radio:
         #: receptions here (one open per broadcast, see
         #: :class:`repro.protocol.agent.SharedReception`).
         self.receptions: dict[int, Callable[[bytes, float, Trace], Any]] = {}
-        self.frames_sent = 0
-        self.frames_delivered = 0
-        self.frames_collided = 0
         self.csma_deferrals = 0
         self.csma_drops = 0
-        self.bytes_sent = 0
 
     def transmit(
         self, fabric: "LoopbackTransport", sender_id: int, frame: bytes, attempt: int = 0
@@ -142,8 +138,6 @@ class Radio:
             return None
         nbytes = len(frame) + config.header_bytes
         sender.energy.charge_tx(nbytes)
-        self.frames_sent += 1
-        self.bytes_sent += nbytes
         trace = net.trace
         trace.count("net.frames_sent")
         trace.count("net.bytes_sent", nbytes)
@@ -169,7 +163,6 @@ class Radio:
             # Receiver is mid-reception of another frame: the new
             # frame is destroyed (we keep the earlier one, modeling
             # capture of the stronger first arrival).
-            self.frames_collided += 1
             self._network.trace.count("net.frames_collided")
             return False
         self._rx_busy_until[receiver_id] = arrival
@@ -182,7 +175,7 @@ class Radio:
         sender_id: int,
         frame: bytes,
         inject: "Callable[[ReceiveEndpoint, int, bytes, Any], None] | None" = None,
-    ) -> int:
+    ) -> None:
         """Hand ``frame`` to each receiver still alive at arrival.
 
         ``endpoints`` are the fabric's registered receive endpoints by
@@ -190,8 +183,9 @@ class Radio:
         handles it, by ``inject(endpoint, sender_id, frame, reception)``
         in place of ``receive`` when given. A frame whose type has a
         registered reception (:attr:`receptions`) is received in one
-        shared pass (``reception``; None for other frames). Returns the
-        number of receptions (before ``inject``).
+        shared pass (``reception``; None for other frames). The
+        receptions (before ``inject``) are counted in
+        ``net.frames_delivered``.
         """
         nodes = self._network.nodes
         nbytes = len(frame) + self.config.header_bytes
@@ -217,9 +211,7 @@ class Radio:
             if reception is not None:
                 reception.close()
         if delivered:
-            self.frames_delivered += delivered
             self._network.trace.count("net.frames_delivered", delivered)
-        return delivered
 
 
 class _Retry:

@@ -1,75 +1,65 @@
-"""Counter/event facade over :mod:`repro.telemetry` (legacy surface).
+"""One deployment's telemetry: counters, gauges, histograms and events.
 
 Figure 9 of the paper reports *messages exchanged per node* during key
 setup; the protocol increments named counters here so experiments read
-totals without instrumenting every handler. Since the telemetry layer
-landed, :class:`Trace` is a thin compatibility facade: ``count`` feeds
-the deployment's :class:`~repro.telemetry.registry.MetricsRegistry` and
-``record`` its :class:`~repro.telemetry.events.EventStream`, so the
-seed-era API keeps working while every counter and event is visible to
-JSONL export, periodic sampling and the gateway snapshot. New code
-should prefer ``trace.telemetry`` directly (gauges and histograms only
-exist there).
+totals without instrumenting every handler. A :class:`Trace` is shared
+by a deployment's network, transport and nodes. It holds the
+deployment's :class:`~repro.telemetry.MetricsRegistry`
+(``registry``), its :class:`~repro.telemetry.EventStream`
+(``events``) and the crypto-counter publisher (``crypto``), so every
+counter and event is visible to JSONL export, periodic sampling and the
+gateway snapshot.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-from repro.telemetry import Telemetry
+from repro.telemetry import CryptoMetricsPublisher, EventStream, MetricsRegistry, TelemetryEvent
 
 __all__ = ["Trace"]
 
 
 class Trace:
-    """Named counters plus an optional bounded event log."""
+    """The deployment's metrics registry and event stream."""
 
-    def __init__(self, log_limit: int = 0, telemetry: Telemetry | None = None) -> None:
-        """``log_limit`` bounds the event log (0 = logging disabled);
-        ``telemetry`` attaches to an existing backing store instead of
-        creating a fresh one."""
-        self.telemetry = telemetry if telemetry is not None else Telemetry(log_limit)
-
-    @property
-    def log_limit(self) -> int:
-        """Event-buffer bound (0 = event logging disabled)."""
-        return self.telemetry.events.limit
-
-    @property
-    def counters(self) -> Counter:
-        """The shared named-counter map (the registry's ``Counter``)."""
-        return self.telemetry.registry.counters
-
-    @property
-    def events(self) -> list[tuple[float, str, dict]]:
-        """Buffered events in seed-era tuple form ``(time, kind, details)``."""
-        return [(e.time, e.kind, e.details) for e in self.telemetry.events.events]
-
-    @property
-    def dropped(self) -> int:
-        """Events that arrived after the log filled up. Experiments check
-        this to detect a truncated log instead of silently analyzing a
-        prefix."""
-        return self.telemetry.events.dropped
+    def __init__(self, log_limit: int = 0) -> None:
+        """``log_limit`` bounds the event buffer (0 = no buffering; live
+        subscribers on :attr:`events` still see every record)."""
+        self.registry = MetricsRegistry()
+        #: The registry's named-counter map (a :class:`collections.Counter`).
+        self.counters = self.registry.counters
+        self.events = EventStream(limit=log_limit)
+        self.crypto = CryptoMetricsPublisher(self.registry)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name``."""
-        self.telemetry.registry.inc(name, amount)
+        self.counters[name] += amount
 
-    def record(self, time: float, kind: str, **details) -> None:
-        """Emit an event; buffer it if logging is enabled (log_limit > 0).
+    def record(
+        self,
+        time: float,
+        kind: str,
+        node: int | None = None,
+        phase: str | None = None,
+        **details,
+    ) -> TelemetryEvent:
+        """Build and emit one :class:`TelemetryEvent`; returns it."""
+        event = TelemetryEvent(
+            time=time, kind=kind, node=node, phase=phase, details=details
+        )
+        self.events.emit(event)
+        return event
 
-        Once ``log_limit`` events are stored, further events are counted
-        in :attr:`dropped` rather than appended (with logging disabled
-        entirely, nothing is stored or counted — but live subscribers on
-        ``telemetry.events`` still see every record).
+    def snapshot(self) -> dict:
+        """JSON-serializable state: metrics plus event-buffer accounting.
+
+        Publishes pending ``crypto.*`` counter deltas first, so the
+        snapshot reflects all crypto work done up to this call.
         """
-        self.telemetry.emit(time, kind, **details)
-
-    @property
-    def truncated(self) -> bool:
-        """True when at least one event was discarded for space."""
-        return self.dropped > 0
+        self.crypto.publish()
+        snap = self.registry.snapshot()
+        snap["events_logged"] = len(self.events)
+        snap["events_dropped"] = self.events.dropped
+        return snap
 
     def __getitem__(self, name: str) -> int:
         """Current total of counter ``name``."""

@@ -1,10 +1,7 @@
-"""repro.telemetry — one observability layer for sim and live runs.
+"""repro.telemetry — the parts of one observability layer for sim and live runs.
 
-Before this package existed the repo had two disjoint ways to observe a
-run: the sim-only ``Trace`` counter buffer (post-hoc) and the runtime's
-JSON status snapshot (point-in-time, now
-:func:`repro.gateway.deployment_status`). Both now publish into a
-single :class:`Telemetry` object per deployment:
+Each deployment has one :class:`~repro.sim.trace.Trace`, shared by its
+network, transport and nodes, built from this package's parts:
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges
   and histograms, shared by every protocol agent, the base station, the
@@ -20,10 +17,9 @@ single :class:`Telemetry` object per deployment:
   stream back into the shape ``SetupMetrics`` reports
   (``python -m repro metrics summarize m.jsonl``).
 
-``repro.sim.trace.Trace`` is now a thin compatibility facade over this
-package, so all existing ``trace.count(...)`` call sites feed the
-registry unchanged. The metric-name/JSONL contract is documented in
-``docs/TELEMETRY.md``.
+``trace.count(...)`` adds to the registry's counters and
+``trace.record(...)`` emits on the event stream. The metric-name/JSONL
+contract is documented in ``docs/TELEMETRY.md``.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.summary import RunSummary, render_summary, summarize_records
 
 __all__ = [
-    "Telemetry",
     "CryptoMetricsPublisher",
     "MetricsRegistry",
     "EventStream",
@@ -47,45 +42,3 @@ __all__ = [
     "summarize_records",
     "render_summary",
 ]
-
-
-class Telemetry:
-    """One deployment's registry + event stream, bundled.
-
-    Created by ``Trace`` (one per deployment, shared by the network and
-    its transport) and reachable from any node as
-    ``node.trace.telemetry``.
-    """
-
-    def __init__(self, event_limit: int = 0) -> None:
-        """``event_limit`` bounds the event buffer (0 = no buffering)."""
-        self.registry = MetricsRegistry()
-        self.events = EventStream(limit=event_limit)
-        self.crypto = CryptoMetricsPublisher(self.registry)
-
-    def emit(
-        self,
-        time: float,
-        kind: str,
-        node: int | None = None,
-        phase: str | None = None,
-        **details,
-    ) -> TelemetryEvent:
-        """Build and emit one :class:`TelemetryEvent`; returns it."""
-        event = TelemetryEvent(
-            time=time, kind=kind, node=node, phase=phase, details=details
-        )
-        self.events.emit(event)
-        return event
-
-    def snapshot(self) -> dict:
-        """JSON-serializable state: metrics plus event-buffer accounting.
-
-        Publishes pending ``crypto.*`` counter deltas first, so the
-        snapshot reflects all crypto work done up to this call.
-        """
-        self.crypto.publish()
-        snap = self.registry.snapshot()
-        snap["events_logged"] = len(self.events)
-        snap["events_dropped"] = self.events.dropped
-        return snap

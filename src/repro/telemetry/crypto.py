@@ -33,7 +33,7 @@ class CryptoMetricsPublisher:
     Construction snapshots the global counters as the baseline, so work
     done by *earlier* deployments in the same process is excluded. Call
     :meth:`publish` before reading or exporting the registry (the
-    ``Telemetry`` snapshot and the periodic sampler both do).
+    ``Trace`` snapshot and the periodic sampler both do).
     """
 
     def __init__(self, registry: "MetricsRegistry") -> None:

@@ -1,8 +1,8 @@
 """The metrics registry: named counters, gauges and histograms.
 
 One :class:`MetricsRegistry` exists per deployment (owned by its
-:class:`~repro.telemetry.Telemetry`, reachable as ``trace.telemetry.registry``
-from every node). Three metric kinds, mirroring the usual observability
+:class:`~repro.sim.trace.Trace`, reachable as ``trace.registry`` from
+every node). Three metric kinds, mirroring the usual observability
 vocabulary:
 
 * **counters** — monotonically increasing integers (``tx.hello``,

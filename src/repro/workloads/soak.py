@@ -146,7 +146,7 @@ class SoakWorkload(_WorkloadBase):
             for nid in self.sources
         }
         self.deployed.bs_agent.add_delivery_listener(self._on_delivery)
-        registry = self._trace.telemetry.registry
+        registry = self._trace.registry
         registry.gauge("forward.soak.offered_load_fps", self.offered_load_fps)
         interval = 1.0 / self.offered_load_fps
         n_sends = int(self.duration_s * self.offered_load_fps)
@@ -175,7 +175,7 @@ class SoakWorkload(_WorkloadBase):
             return  # not ours, or a duplicate accept we already timed
         self._delivered_at[key] = reading.time
         self._trace.count("forward.soak.delivered")
-        self._trace.telemetry.registry.observe(
+        self._trace.registry.observe(
             "forward.soak.latency_ms", int(1e3 * (reading.time - sent_at))
         )
 
@@ -219,7 +219,7 @@ class SoakWorkload(_WorkloadBase):
             latencies_s=tuple(latencies),
             hop_latencies_s=tuple(hop_latencies),
         )
-        registry = self._trace.telemetry.registry
+        registry = self._trace.registry
         registry.gauge("forward.soak.delivery_ratio", stats.delivery_ratio)
         registry.gauge("forward.soak.p50_latency_ms", stats.latency_percentile_ms(50))
         registry.gauge("forward.soak.p99_latency_ms", stats.latency_percentile_ms(99))

@@ -216,7 +216,8 @@ def _soak(shared: bool = True) -> tuple:
     assert bool(deployed.network.radio.receptions) == shared
     deployed.assign_gradient()
     transport = deployed.network.transport
-    sent_before = transport.frames_sent
+    trace = deployed.network.trace
+    sent_before = trace["net.frames_sent"]
     events_before = transport.events_executed
     workload = SoakWorkload(deployed, offered_load_fps=150.0, duration_s=1.0, seed=4)
     workload.start()
@@ -224,7 +225,7 @@ def _soak(shared: bool = True) -> tuple:
     after = STATS.snapshot()
     return (
         [(r.time, r.source, r.data) for r in deployed.bs_agent.delivered],
-        transport.frames_sent - sent_before,
+        trace["net.frames_sent"] - sent_before,
         transport.events_executed - events_before,
         {name: after[name] - before[name] for name in after},
     )

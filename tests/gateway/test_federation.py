@@ -25,7 +25,7 @@ KEY = derive_federation_key(b"test-master-secret")
 def sharded_pair(seed=3, n=40):
     """One deployment, two gateways each ingesting half the sources."""
     deployed, _ = deploy(n, 10.0, seed=seed)
-    registry = deployed.network.trace.telemetry.registry
+    registry = deployed.network.trace.registry
     a = GatewayStateStore("gwA", region=parse_region("mod:0/2"), registry=registry)
     b = GatewayStateStore("gwB", region=parse_region("mod:1/2"), registry=MetricsRegistry())
     deployed.bs_agent.add_delivery_listener(a.ingest)
@@ -62,7 +62,7 @@ def test_sharded_gateways_converge_to_identical_state():
     assert a.vector_snapshot() == b.vector_snapshot()
     assert set(a.node_ids()) == set(a.node_ids()) | set(b.node_ids())
     # The gateway.* metric contract: emitted into the deployment registry.
-    counters = deployed.network.trace.telemetry.registry.counters
+    counters = deployed.network.trace.registry.counters
     for name in (
         "gateway.ingest.readings",
         "gateway.ingest.filtered",

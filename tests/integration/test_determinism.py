@@ -19,7 +19,7 @@ def run_once(seed: int):
         metrics.clusters,
         dict(deployed.network.trace.counters),
         [(r.time, r.source, r.data) for r in deployed.bs_agent.delivered],
-        deployed.network.radio.frames_sent,
+        deployed.network.trace["net.frames_sent"],
     )
 
 

@@ -55,7 +55,7 @@ def test_setup_with_collisions_enabled():
     for agent in deployed.agents.values():
         assert agent.state.decided
     # Collisions occurred (synchronized link phase) but the protocol held.
-    assert deployed.network.radio.frames_collided > 0
+    assert deployed.network.trace["net.frames_collided"] > 0
     assert metrics.cluster_count > 0
 
 

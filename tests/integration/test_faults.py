@@ -181,3 +181,4 @@ def test_faulted_status_frames_match_the_trace_counters():
     assert trace.get("fault.drop", 0) > 0
     assert frames["sent"] == trace["net.frames_sent"]
     assert frames["bytes_sent"] == trace["net.bytes_sent"]
+    assert frames["delivered"] == trace["net.frames_delivered"]

@@ -137,7 +137,7 @@ def _reception_record(config: ProtocolConfig, fault_plan: FaultPlan | None = Non
     deployed.assign_gradient()
     network = deployed.network
     transport = getattr(network.transport, "inner", network.transport)
-    registry = network.trace.telemetry.registry
+    registry = network.trace.registry
     events_before = transport.events_executed
 
     ingress: list[tuple[float, int, int]] = []

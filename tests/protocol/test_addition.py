@@ -5,14 +5,14 @@ import pytest
 
 from repro.protocol.addition import deploy_new_node, finalize_join
 from repro.protocol.api import SecureSensorNetwork
+from repro.protocol.config import JOIN_RESPONSE_JITTER_S, JOIN_WINDOW_S
 from repro.protocol.state import Role
 from tests.conftest import run_for, small_deployment
 
 
 def join_at(deployed, position, hash_epoch=0):
     joiner = deploy_new_node(deployed, position, hash_epoch=hash_epoch)
-    run_for(deployed, deployed.config.join_window_s
-            + deployed.config.join_response_jitter_s + 0.5)
+    run_for(deployed, JOIN_WINDOW_S + JOIN_RESPONSE_JITTER_S + 0.5)
     return joiner
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.protocol.addition import deploy_new_node, finalize_join
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import JOIN_RESPONSE_JITTER_S, JOIN_WINDOW_S, ProtocolConfig
 from repro.protocol.refresh import RefreshCoordinator
 from repro.runtime import deploy_live
 from repro.runtime.faults import FaultPlan, LinkFaults
@@ -33,9 +33,7 @@ def faulted_deployment(seed=11):
 def join_near(deployed, anchor, offset=0.5, hash_epoch=0):
     pos = np.asarray(deployed.network.nodes[anchor].position) + offset
     joiner = deploy_new_node(deployed, pos, hash_epoch=hash_epoch)
-    deployed.run_for(
-        deployed.config.join_window_s + deployed.config.join_response_jitter_s + 0.5
-    )
+    deployed.run_for(JOIN_WINDOW_S + JOIN_RESPONSE_JITTER_S + 0.5)
     return joiner
 
 

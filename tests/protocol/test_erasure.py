@@ -11,16 +11,14 @@ added after the initial rollout.
 import numpy as np
 
 from repro.protocol.addition import deploy_new_node, finalize_join
+from repro.protocol.config import JOIN_RESPONSE_JITTER_S, JOIN_WINDOW_S
 
 from tests.conftest import run_for, small_deployment
 
 
 def join_at(deployed, position):
     joiner = deploy_new_node(deployed, position)
-    run_for(
-        deployed,
-        deployed.config.join_window_s + deployed.config.join_response_jitter_s + 0.5,
-    )
+    run_for(deployed, JOIN_WINDOW_S + JOIN_RESPONSE_JITTER_S + 0.5)
     return joiner
 
 

@@ -468,7 +468,8 @@ def _soak(fault_plan: FaultPlan | None, shared: bool) -> tuple:
         deployed.network.radio.receptions.clear()
     transport = deployed.network.transport
     loopback = getattr(transport, "inner", transport)
-    sent_before = transport.frames_sent
+    trace = deployed.network.trace
+    sent_before = trace["net.frames_sent"]
     events_before = loopback.events_executed
     workload = SoakWorkload(deployed, offered_load_fps=150.0, duration_s=1.0, seed=5)
     workload.start()
@@ -477,9 +478,9 @@ def _soak(fault_plan: FaultPlan | None, shared: bool) -> tuple:
     return (
         [(r.time, r.source, r.data) for r in deployed.bs_agent.delivered],
         [node.frames_received for _, node in sorted(deployed.network.nodes.items())],
-        transport.frames_sent - sent_before,
+        trace["net.frames_sent"] - sent_before,
         loopback.events_executed - events_before,
-        dict(deployed.network.trace.counters),
+        dict(trace.counters),
         {name: after[name] - before[name] for name in after},
     )
 

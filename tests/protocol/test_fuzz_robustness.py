@@ -14,6 +14,7 @@ from repro.crypto import aead
 from repro.protocol import messages
 from repro.protocol.addition import deploy_new_node
 from repro.protocol.aggregation import DuplicateEventFilter
+from repro.protocol.config import JOIN_WINDOW_S
 from repro.protocol.forwarding import build_inner, wrap_hop
 from repro.runtime.cluster import deploy_live
 from tests.conftest import small_deployment
@@ -125,7 +126,7 @@ def test_joining_node_survives_garbage():
     joiner.on_frame(0, bytes(100))
     # And it still completes its handshake afterwards.
     sim = deployed.network.transport
-    sim.run(until=sim.now + deployed.config.join_window_s + 1.0)
+    sim.run(until=sim.now + JOIN_WINDOW_S + 1.0)
     assert joiner.completed
 
 

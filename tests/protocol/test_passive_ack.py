@@ -197,7 +197,7 @@ def test_base_station_acks():
     agent = deployed.agents[level_one]
     bs_sent = _sent_by(deployed, deployed.bs_agent.node.id)
     _c1, fp, timer = _tracked(agent)
-    deployed.run_for(0.2)  # inside ack_timeout_s
+    deployed.run_for(0.2)  # inside ACK_TIMEOUT_S
     assert (agent.node.id, fp) in _acks(deployed, bs_sent)
     assert fp not in agent._retx and timer.cancelled == 1
     assert deployed.network.trace.counters.get("net.retx.acked", 0) >= 1

@@ -50,9 +50,9 @@ class TestHashRefresh:
 
     def test_requires_zero_messages(self):
         deployed = small_deployment(seed=43)
-        sent_before = deployed.network.radio.frames_sent
+        sent_before = deployed.network.trace["net.frames_sent"]
         RefreshCoordinator(deployed).run_round()
-        assert deployed.network.radio.frames_sent == sent_before
+        assert deployed.network.trace["net.frames_sent"] == sent_before
 
     def test_epoch_counts(self):
         deployed = small_deployment(seed=44)

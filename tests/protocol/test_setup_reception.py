@@ -375,7 +375,7 @@ def _soak(shared: bool, fault_plan: FaultPlan | None = None) -> tuple:
             for nid, agent in deployed.agents.items()
         },
         [node.frames_received for _, node in sorted(deployed.network.nodes.items())],
-        transport.frames_sent,
+        deployed.network.trace["net.frames_sent"],
         loopback.events_executed,
         dict(deployed.network.trace.counters),
         {name: setup_stats[name] - before[name] for name in after},

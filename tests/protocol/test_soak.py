@@ -95,7 +95,7 @@ class TestTelemetry:
         assert counters["forward.soak.sent"] == 80
         assert counters["forward.soak.delivered"] == 80
         stats = wl.stats()
-        snapshot = deployed.network.trace.telemetry.registry.snapshot()
+        snapshot = deployed.network.trace.registry.snapshot()
         gauges = snapshot["gauges"]
         assert gauges["forward.soak.offered_load_fps"] == 40.0
         assert gauges["forward.soak.delivery_ratio"] == stats.delivery_ratio

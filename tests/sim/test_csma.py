@@ -33,7 +33,7 @@ def test_csma_defers_second_transmission():
     net.node(1).broadcast(b"b" * 30)
     net.transport.run()
     assert net.radio.csma_deferrals > 0
-    assert net.radio.frames_collided == 0
+    assert net.trace["net.frames_collided"] == 0
     # Both frames eventually arrive at node 2's neighbor set.
     frames_at_2 = [f for _, f in net.node(2).app.frames]
     assert b"b" * 30 in frames_at_2
@@ -45,7 +45,7 @@ def test_ideal_mac_collides_at_common_receiver():
     net.node(1).broadcast(b"a" * 30)
     net.node(3).broadcast(b"b" * 30)
     net.transport.run()
-    assert net.radio.frames_collided > 0
+    assert net.trace["net.frames_collided"] > 0
 
 
 def test_csma_hidden_terminal_still_collides():
@@ -56,7 +56,7 @@ def test_csma_hidden_terminal_still_collides():
     net.node(3).broadcast(b"b" * 30)
     net.transport.run()
     assert net.radio.csma_deferrals == 0
-    assert net.radio.frames_collided > 0
+    assert net.trace["net.frames_collided"] > 0
 
 
 def test_csma_gives_up_after_max_attempts():
@@ -89,7 +89,7 @@ def test_key_setup_under_csma_with_collisions():
     # Hidden-terminal collisions do happen during the jittered link phase;
     # the protocol's structure survives them (nodes just miss some
     # neighbor-cluster keys, never hold wrong ones).
-    assert net.radio.frames_collided > 0
+    assert net.trace["net.frames_collided"] > 0
     assert metrics.cluster_count > 0
 
 

@@ -107,7 +107,7 @@ def test_collisions_drop_overlapping_receptions():
     net.node(1).broadcast(b"a" * 20)
     net.node(3).broadcast(b"b" * 20)
     net.transport.run()
-    assert net.radio.frames_collided > 0
+    assert net.trace["net.frames_collided"] > 0
     assert len(net.node(2).app.frames) == 1
 
 
@@ -117,7 +117,7 @@ def test_no_collision_when_spaced():
     net.transport.run()
     net.node(3).broadcast(b"b")
     net.transport.run()
-    assert net.radio.frames_collided == 0
+    assert net.trace["net.frames_collided"] == 0
     assert len(net.node(2).app.frames) == 2
 
 
@@ -135,9 +135,9 @@ def test_counters():
     net = line_network()
     net.node(2).broadcast(b"msg")
     net.transport.run()
-    assert net.radio.frames_sent == 1
-    assert net.radio.frames_delivered == 2
-    assert net.radio.bytes_sent == 3 + RadioConfig().header_bytes
+    assert net.trace["net.frames_sent"] == 1
+    assert net.trace["net.frames_delivered"] == 2
+    assert net.trace["net.bytes_sent"] == 3 + RadioConfig().header_bytes
 
 
 def test_config_validation():
@@ -154,7 +154,7 @@ def test_receiver_down_at_send_time_is_left_out_of_the_fan_out():
     net.transport.run()
     # One fan-out event for the one surviving receiver (node 3).
     assert net.transport.events_executed == 1
-    assert net.radio.frames_delivered == 1
+    assert net.trace["net.frames_delivered"] == 1
 
 
 def test_receiver_dying_in_flight_gets_nothing():

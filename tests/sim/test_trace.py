@@ -1,6 +1,7 @@
 """Trace counters and bounded event log."""
 
 from repro.sim.trace import Trace
+from repro.telemetry import TelemetryEvent
 
 
 def test_counters():
@@ -9,12 +10,13 @@ def test_counters():
     trace.count("tx.hello", 2)
     assert trace["tx.hello"] == 3
     assert trace["never.seen"] == 0  # Counter semantics: default 0
+    assert trace.registry.counter("tx.hello") == 3
 
 
 def test_log_disabled_by_default():
     trace = Trace()
     trace.record(1.0, "evt", detail="x")
-    assert trace.events == []
+    assert trace.events.events == []
 
 
 def test_log_bounded():
@@ -22,20 +24,20 @@ def test_log_bounded():
     for i in range(5):
         trace.record(float(i), "evt", i=i)
     assert len(trace.events) == 2
-    assert trace.events[0] == (0.0, "evt", {"i": 0})
+    assert trace.events.events[0] == TelemetryEvent(0.0, "evt", details={"i": 0})
 
 
 def test_overflow_is_counted_not_silent():
     trace = Trace(log_limit=2)
-    assert not trace.truncated
+    assert not trace.events.truncated
     for i in range(5):
         trace.record(float(i), "evt", i=i)
-    assert trace.dropped == 3
-    assert trace.truncated
+    assert trace.events.dropped == 3
+    assert trace.events.truncated
 
 
 def test_disabled_log_counts_nothing_as_dropped():
     trace = Trace()  # log_limit=0: logging off, not a full log
     trace.record(1.0, "evt")
-    assert trace.dropped == 0
-    assert not trace.truncated
+    assert trace.events.dropped == 0
+    assert not trace.events.truncated

@@ -6,7 +6,8 @@ from repro.crypto import aead
 from repro.crypto.aead import AeadConfig, open_, seal
 from repro.crypto.kernels import active_backend, set_backend
 from repro.crypto.stats import STATS
-from repro.telemetry import CryptoMetricsPublisher, MetricsRegistry, Telemetry
+from repro.sim.trace import Trace
+from repro.telemetry import CryptoMetricsPublisher, MetricsRegistry
 
 KEY = bytes(range(16))
 
@@ -72,9 +73,9 @@ def test_publisher_gauges_active_backend():
 
 
 def test_telemetry_snapshot_publishes_crypto():
-    telemetry = Telemetry()
+    trace = Trace()
     seal(KEY, 6, b"reading")
-    snap = telemetry.snapshot()
+    snap = trace.snapshot()
     assert snap["counters"]["crypto.seals"] >= 1
     assert "crypto.keystream_blocks" in snap["counters"]
     assert "crypto.backend_vector" in snap["gauges"]

@@ -2,7 +2,7 @@
 
 Extracts every literal metric/event name from the source tree — counter
 names passed to ``trace.count(...)`` / ``registry.inc(...)``, gauge
-names, histogram keys, and event kinds passed to ``telemetry.emit`` —
+names, histogram keys, and event kinds passed to ``trace.record`` —
 and asserts each appears verbatim in ``docs/TELEMETRY.md``. Also runs
 the repo's doc link checker so a broken cross-reference fails the same
 suite that guards the names.
@@ -21,14 +21,14 @@ NAME_CALL = re.compile(
     r"\.(?:count|inc|gauge|observe)\(\s*['\"]([A-Za-z0-9_.]+)['\"]"
 )
 HIST_KEY = re.compile(r"histograms\[\s*['\"]([A-Za-z0-9_.]+)['\"]\s*\]")
-EMIT_KIND = re.compile(r"\.emit\(\s*[^,]+,\s*['\"]([A-Za-z0-9_.]+)['\"]")
+RECORD_KIND = re.compile(r"\.record\(\s*[^,]+,\s*['\"]([A-Za-z0-9_.]+)['\"]")
 
 
 def source_metric_names() -> set[str]:
     names: set[str] = set()
     for path in SRC.rglob("*.py"):
         text = path.read_text(encoding="utf-8")
-        for pattern in (NAME_CALL, HIST_KEY, EMIT_KIND):
+        for pattern in (NAME_CALL, HIST_KEY, RECORD_KIND):
             names.update(pattern.findall(text))
     return names
 

@@ -1,8 +1,9 @@
-"""EventStream semantics: bounded buffer, subscribers, Telemetry.emit."""
+"""EventStream semantics: bounded buffer, subscribers, Trace.record."""
 
 import pytest
 
-from repro.telemetry import EventStream, Telemetry, TelemetryEvent
+from repro.sim.trace import Trace
+from repro.telemetry import EventStream, TelemetryEvent
 
 
 def ev(i: float) -> TelemetryEvent:
@@ -62,8 +63,8 @@ class TestSubscribers:
 
 class TestTelemetryEmit:
     def test_emit_builds_typed_event(self):
-        tel = Telemetry(event_limit=8)
-        event = tel.emit(3.5, "setup.end", phase="setup", clusters=4)
+        tel = Trace(log_limit=8)
+        event = tel.record(3.5, "setup.end", phase="setup", clusters=4)
         assert event.time == 3.5
         assert event.kind == "setup.end"
         assert event.phase == "setup"
@@ -81,9 +82,9 @@ class TestTelemetryEmit:
         assert full["details"] == {"x": 1}
 
     def test_snapshot_accounts_for_buffer(self):
-        tel = Telemetry(event_limit=1)
-        tel.emit(0.0, "a")
-        tel.emit(1.0, "b")
+        tel = Trace(log_limit=1)
+        tel.record(0.0, "a")
+        tel.record(1.0, "b")
         snap = tel.snapshot()
         assert snap["events_logged"] == 1
         assert snap["events_dropped"] == 1

@@ -28,8 +28,8 @@ def test_sim_and_loopback_counter_totals_identical():
 def test_setup_gauges_published_identically():
     sim_deployed, _ = deploy(N, DENSITY, seed=SEED)
     lb_deployed, _ = deploy_live(N, DENSITY, seed=SEED, transport="loopback")
-    sim_reg = sim_deployed.network.trace.telemetry.registry
-    lb_reg = lb_deployed.network.trace.telemetry.registry
+    sim_reg = sim_deployed.network.trace.registry
+    lb_reg = lb_deployed.network.trace.registry
     assert sim_reg.gauges == lb_reg.gauges
     assert sim_reg.gauges["setup.nodes"] == N
     assert sim_reg.snapshot()["histograms"] == lb_reg.snapshot()["histograms"]
@@ -41,7 +41,7 @@ def test_setup_events_emitted_on_both_backends():
     lb_deployed, metrics = deploy_live(
         N, DENSITY, seed=SEED, transport="loopback", event_log_limit=64
     )
-    events = lb_deployed.network.trace.telemetry.events.events
+    events = lb_deployed.network.trace.events.events
     kinds = [e.kind for e in events]
     assert kinds[0] == "setup.begin"
     assert "setup.end" in kinds

@@ -64,21 +64,21 @@ def test_deployment_holds_keys_to_check(deployment):
 
 
 def test_trace_events_never_contain_key_material(deployment):
-    events = deployment.network.trace.events
+    events = deployment.network.trace.events.events
     assert events, "event logging was enabled; setup must have recorded events"
-    blob = json.dumps(events, default=repr)
+    blob = json.dumps([event.to_record() for event in events], default=repr)
     for needle in _leak_needles(_live_keys(deployment)):
         assert needle not in blob
 
 
 def test_jsonl_export_never_contains_key_material(deployment, tmp_path):
     path = tmp_path / "metrics.jsonl"
-    telemetry = deployment.network.trace.telemetry
+    trace = deployment.network.trace
     with JsonlWriter(path, wall_clock=lambda: 0.0) as writer:
-        for event in telemetry.events.events:
+        for event in trace.events.events:
             writer.write_event(event)
-        writer.write_sample(1.0, telemetry.registry)
-        writer.write_summary(2.0, telemetry.registry, nodes=12)
+        writer.write_sample(1.0, trace.registry)
+        writer.write_summary(2.0, trace.registry, nodes=12)
     blob = path.read_text(encoding="utf-8")
     assert blob.count("\n") >= 3
     for needle in _leak_needles(_live_keys(deployment)):
