@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 from repro.crypto import (
+    AeadConfig,
     Speck64_128,
     Xtea,
     ctr_encrypt,
@@ -20,6 +21,7 @@ from repro.crypto import (
     sha256,
     sha256_fast,
 )
+from repro.crypto import kernels
 
 KEY = bytes(range(16))
 PAYLOAD = bytes(range(41))  # a TinySec-sized sensor frame
@@ -31,8 +33,18 @@ PAYLOAD = bytes(range(41))  # a TinySec-sized sensor frame
 _COUNTERS = itertools.count(1)
 
 
-def _ctr_fresh(cipher, payload, backend):
-    return ctr_encrypt(cipher, next(_COUNTERS), payload, backend)
+@pytest.fixture
+def backend(request):
+    """The keystream backend the test is parametrized with, switched on
+    for its duration and restored afterwards."""
+    saved = kernels.active_backend()
+    kernels.set_backend(request.param)
+    yield request.param
+    kernels.set_backend(saved)
+
+
+def _ctr_fresh(cipher, payload):
+    return ctr_encrypt(cipher, next(_COUNTERS), payload)
 
 
 def _seal_fresh(payload, config):
@@ -46,19 +58,19 @@ def test_block_encrypt(benchmark, cipher_cls):
     benchmark(cipher.encrypt_block, block)
 
 
-@pytest.mark.parametrize("backend", ["pure", "vector"])
+@pytest.mark.parametrize("backend", ["pure", "vector"], indirect=True)
 def test_ctr_frame_encrypt(benchmark, backend):
     cipher = get_cipher("speck64/128", KEY)
-    benchmark(_ctr_fresh, cipher, PAYLOAD, backend)
+    benchmark(_ctr_fresh, cipher, PAYLOAD)
 
 
 @pytest.mark.parametrize("n_blocks", [3, 64])
-@pytest.mark.parametrize("backend", ["pure", "vector"])
+@pytest.mark.parametrize("backend", ["pure", "vector"], indirect=True)
 def test_keystream_batch(benchmark, backend, n_blocks):
     """Scalar vs batched keystream at the frame size and the lane peak."""
     cipher = get_cipher("speck64/128", KEY)
     payload = bytes(8 * n_blocks)
-    benchmark(_ctr_fresh, cipher, payload, backend)
+    benchmark(_ctr_fresh, cipher, payload)
 
 
 def test_hmac_frame(benchmark):
@@ -69,11 +81,9 @@ def test_truncated_mac_frame(benchmark):
     benchmark(mac, KEY, PAYLOAD)
 
 
-@pytest.mark.parametrize("backend", ["pure", "vector"])
+@pytest.mark.parametrize("backend", ["pure", "vector"], indirect=True)
 def test_seal_frame(benchmark, backend):
-    from repro.crypto import AeadConfig
-
-    benchmark(_seal_fresh, PAYLOAD, AeadConfig(backend=backend))
+    benchmark(_seal_fresh, PAYLOAD, AeadConfig())
 
 
 def test_pure_python_sha256(benchmark):

@@ -142,14 +142,6 @@ class CallGraph:
         for info in functions:
             self.by_name.setdefault(info.name, []).append(info)
 
-    def callees(self, qualname: str) -> Iterator[FunctionInfo]:
-        """Every definition a function's call sites may resolve to."""
-        info = self.functions.get(qualname)
-        if info is None:
-            return
-        for called in sorted(info.calls):
-            yield from self.by_name.get(called, ())
-
     def callers(self, qualname: str) -> Iterator[FunctionInfo]:
         """Every function containing a call that may resolve here."""
         target = self.functions.get(qualname)
@@ -516,15 +508,6 @@ class ProjectIndex:
             for info in self.call_graph.by_name.get(name, ())
         )
 
-    def function_returns_key(self, name: str | None) -> bool:
-        """Whether calling bare name ``name`` may return key material."""
-        if name is None:
-            return False
-        return any(
-            info.qualname in self.key_returners
-            for info in self.call_graph.by_name.get(name, ())
-        )
-
     def key_returner_names(self) -> frozenset[str]:
         """Bare names of every function returning key material.
 
@@ -544,11 +527,6 @@ class ProjectIndex:
             info.qualname in self.blocking
             for info in self.call_graph.by_name.get(name, ())
         )
-
-    def guard_for(self, class_name: str, attr: str) -> str | None:
-        """The declared lock for ``class_name.attr``, resolved through
-        Condition aliases (holding the Condition == holding its lock)."""
-        return self.guarded_fields.get(class_name, {}).get(attr)
 
     def canonical_lock(self, class_name: str, attr: str) -> str:
         """Collapse a Condition alias onto its underlying lock attr."""

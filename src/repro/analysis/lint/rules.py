@@ -228,7 +228,8 @@ class Crypt002LiteralCounter(Rule):
     rationale = (
         "A (key, counter) pair must never encrypt two messages (Sec. IV-C); "
         "literal counters hardcode exactly that reuse. Counters come from "
-        "CounterState or the checked constructors in repro.crypto.modes."
+        "NodeState.next_hop_seq / next_e2e_counter or the checked "
+        "constructors in repro.crypto.modes."
     )
 
     #: CTR entry points taking ``counter`` as the second positional arg:
@@ -253,7 +254,7 @@ class Crypt002LiteralCounter(Rule):
                     ctx,
                     counter,
                     "literal CTR counter; use repro.crypto.modes.message_counter() "
-                    "or a CounterState allocation",
+                    "or a NodeState.next_hop_seq()/next_e2e_counter() allocation",
                 )
 
     @staticmethod

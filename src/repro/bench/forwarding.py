@@ -4,7 +4,7 @@ Two sections feed ``BENCH_forwarding.json``:
 
 * **codec** — microbenchmark of the per-frame Step-2 path: a
   ``wrap_hop`` loop (cached hop key and per-key AEAD context,
-  midstate-resumed MACs, and the zero-alloc frame assembler) over bursts
+  midstate-resumed MACs, and one-pack frame encoding) over bursts
   of sensor-sized inner blobs, one seal per frame as every forwarding
   node runs it.
 * **soak** — the end-to-end number: a live loopback deployment at n=100

@@ -40,7 +40,7 @@ from typing import Any, NamedTuple
 
 from repro.crypto.block import BlockCipher, available_ciphers, get_cipher, is_registered
 from repro.crypto.kdf import ENCRYPT_USAGE, MAC_USAGE, derive_usage_key
-from repro.crypto.kernels import BACKENDS, active_backend
+from repro.crypto.kernels import active_backend
 from repro.crypto.mac import DEFAULT_TAG_LEN, hmac_midstates
 from repro.crypto.modes import ctr_decrypt, ctr_encrypt
 from repro.crypto.stats import STATS
@@ -54,7 +54,7 @@ KEY_CONTEXT_CACHE_SIZE = 4096
 #: seal even on a lossy soak with retransmits.
 OPEN_MEMO_SIZE = 512
 
-#: (key, cipher name, resolved backend, counter, associated data,
+#: (key, cipher name, active backend, counter, associated data,
 #: ciphertext) -> (full HMAC tag, plaintext, keystream block count,
 #: whether the batched kernel made the keystream), in insertion order. It
 #: takes no lock: every caller of seal/open runs on its deployment's
@@ -74,22 +74,15 @@ class AuthenticationError(Exception):
 
 @dataclass(frozen=True)
 class AeadConfig:
-    """Cipher selection, tag size and kernel backend for the composition.
-
-    ``backend`` picks the keystream kernel backend per deployment
-    (``None`` = the process-wide default; see
-    :mod:`repro.crypto.kernels`). It never changes bytes on the wire —
-    the ``pure`` and ``vector`` backends are byte-identical by the
-    parity property tests.
+    """Cipher selection and tag size for the composition.
 
     Raises:
-        ValueError: at construction, for an unregistered cipher name, a
-            ``tag_len`` outside [1, 32] or an unknown backend.
+        ValueError: at construction, for an unregistered cipher name or a
+            ``tag_len`` outside [1, 32].
     """
 
     cipher: str = "speck64/128"
     tag_len: int = DEFAULT_TAG_LEN
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if not is_registered(self.cipher):
@@ -98,10 +91,6 @@ class AeadConfig:
             )
         if not 1 <= self.tag_len <= 32:
             raise ValueError(f"tag_len must be in [1, 32], got {self.tag_len}")
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ValueError(
-                f"crypto_backend must be one of {BACKENDS} or None, got {self.backend!r}"
-            )
 
 
 class _KeyContext(NamedTuple):
@@ -196,10 +185,9 @@ def seal(
     STATS.seals += 1
     context = _key_context(key, config.cipher)
     blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
-    ct = ctr_encrypt(context.cipher, counter, plaintext, config.backend)
+    ct = ctr_encrypt(context.cipher, counter, plaintext)
     tag = _mac(context, associated_data, counter, ct)
-    backend = active_backend() if config.backend is None else config.backend
-    memo_key = (key, config.cipher, backend, counter, associated_data, ct)
+    memo_key = (key, config.cipher, active_backend(), counter, associated_data, ct)
     _remember(memo_key, tag, bytes(plaintext), blocks, vector_blocks)
     return ct + tag[: config.tag_len]
 
@@ -227,8 +215,7 @@ def open_(
         raise AuthenticationError("message shorter than its MAC tag")
     sealed = bytes(sealed)
     ct = sealed[:-tag_len]
-    backend = active_backend() if config.backend is None else config.backend
-    memo_key = (key, config.cipher, backend, counter, associated_data, ct)
+    memo_key = (key, config.cipher, active_backend(), counter, associated_data, ct)
     hit = _opened.get(memo_key)
     if hit is not None:
         tag, plaintext, n_blocks, vector = hit
@@ -244,6 +231,6 @@ def open_(
     if not compare_digest(tag[:tag_len], sealed[-tag_len:]):
         raise AuthenticationError("MAC verification failed")
     blocks, vector_blocks = STATS.keystream_blocks, STATS.keystream_vector_blocks
-    plaintext = ctr_decrypt(context.cipher, counter, ct, config.backend)
+    plaintext = ctr_decrypt(context.cipher, counter, ct)
     _remember(memo_key, tag, plaintext, blocks, vector_blocks)
     return plaintext

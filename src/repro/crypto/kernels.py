@@ -43,17 +43,17 @@ costs far less per lane over 64 lanes than over 7, so a batch of nine
 Counters that form no stream (the setup frames sealed under ``K_m`` in
 random node order) pay nothing extra.
 
-The active backend defaults to ``"vector"`` and can be forced per
-process with ``REPRO_CRYPTO_BACKEND=pure|vector``, per deployment with
-``ProtocolConfig(crypto_backend=...)``, or per call via the ``backend``
-argument that :func:`repro.crypto.modes.ctr_encrypt` threads through.
-The lane kernels are pure Python, so the ``vector`` backend works even
-where numpy is unavailable — only RC5 then degrades to the scalar path.
+The active backend is ``"vector"``; :func:`set_backend` is the one
+switch, kept to reach the ``pure`` oracle (the tests and the ``pure``
+rows of ``repro bench crypto``). Within ``vector``, lanes, numpy or the
+scalar loop is picked from the block count and from whether numpy is
+present, never by the caller. The lane kernels are pure Python, so the
+``vector`` backend works even where numpy is unavailable — only RC5
+then degrades to the scalar path.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 try:  # numpy is a declared dependency, but the kernels degrade without it
@@ -71,7 +71,6 @@ __all__ = [
     "LANES_MAX_BLOCKS",
     "active_backend",
     "set_backend",
-    "resolve_backend",
     "use_vector",
     "has_kernel",
     "get_kernel",
@@ -95,21 +94,16 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _env_default() -> str:
-    backend = os.environ.get("REPRO_CRYPTO_BACKEND", "vector")
-    return backend if backend in BACKENDS else "vector"
-
-
-_active = _env_default()
+_active = "vector"
 
 
 def active_backend() -> str:
-    """The process-wide default backend name."""
+    """The process-wide keystream backend name."""
     return _active
 
 
 def set_backend(name: str) -> None:
-    """Set the process-wide default backend.
+    """Set the process-wide keystream backend.
 
     Raises:
         ValueError: for a name not in :data:`BACKENDS`.
@@ -120,18 +114,9 @@ def set_backend(name: str) -> None:
     _active = name
 
 
-def resolve_backend(override: str | None) -> str:
-    """Fold an optional per-call/per-deployment override into a backend name."""
-    if override is None:
-        return _active
-    if override not in BACKENDS:
-        raise ValueError(f"unknown crypto backend {override!r}; choose from {BACKENDS}")
-    return override
-
-
-def use_vector(cipher_name: str, n_blocks: int, override: str | None = None) -> bool:
+def use_vector(cipher_name: str, n_blocks: int) -> bool:
     """Whether a batch of ``n_blocks`` for ``cipher_name`` should go batched."""
-    if resolve_backend(override) != "vector":
+    if _active != "vector":
         return False
     kernel_cls = _KERNELS.get(cipher_name)
     if kernel_cls is None:

@@ -19,7 +19,8 @@ Keystream generation is the measured hot path of the whole stack (every
 frame is sealed/opened twice per hop), so :func:`_keystream` dispatches
 the entire block range to a batched kernel
 (:mod:`repro.crypto.kernels`) when the active backend allows it; the
-scalar per-block loop remains as the ``pure`` reference oracle.
+scalar per-block loop remains as the ``pure`` reference oracle, reached
+only through :func:`repro.crypto.kernels.set_backend`.
 
 Nothing here is memoised. The batched kernels make the keystreams of a
 sequential run of message counters in one lane pass and serve the run
@@ -48,7 +49,8 @@ def message_counter(value: int) -> int:
     """Validate and bless a fixed message counter (the approved constructor).
 
     Protocol code allocates counters from
-    :class:`repro.protocol.forwarding.CounterState`; benchmarks, tests and
+    :meth:`repro.protocol.state.NodeState.next_hop_seq` and
+    :meth:`~repro.protocol.state.NodeState.next_e2e_counter`; benchmarks, tests and
     tools that genuinely need a *fixed* counter construct it here so the
     range check runs and static analysis (ldplint CRYPT002) can tell a
     deliberate fixed counter from an accidental keystream-reusing literal.
@@ -61,18 +63,12 @@ def message_counter(value: int) -> int:
     return value
 
 
-def _keystream(
-    cipher: BlockCipher, counter: int, length: int, backend: str | None = None
-) -> bytes:
-    """Generate ``length`` keystream bytes for message ``counter``.
-
-    ``backend`` overrides the process-wide kernel backend for this call
-    (``None`` = use the active default, see :mod:`repro.crypto.kernels`).
-    """
+def _keystream(cipher: BlockCipher, counter: int, length: int) -> bytes:
+    """Generate ``length`` keystream bytes for message ``counter``."""
     n_blocks = -(-length // cipher.block_size)
     if n_blocks > _MAX_BLOCKS:
         raise ValueError(f"message too long: {length} bytes exceeds the counter segment")
-    vector = kernels.use_vector(cipher.name, n_blocks, backend)
+    vector = kernels.use_vector(cipher.name, n_blocks)
     STATS.keystream_blocks += n_blocks
     if vector:
         STATS.keystream_vector_blocks += n_blocks
@@ -88,24 +84,20 @@ def _keystream(
     return ks
 
 
-def ctr_encrypt(
-    cipher: BlockCipher, counter: int, plaintext: bytes, backend: str | None = None
-) -> bytes:
+def ctr_encrypt(cipher: BlockCipher, counter: int, plaintext: bytes) -> bytes:
     """Encrypt ``plaintext`` under message ``counter``.
 
     ``counter`` is the message counter maintained at both ends; each
     message must use a fresh value under a given key or keystream reuse
     destroys confidentiality. Counter hygiene is the caller's job (see
-    :class:`repro.protocol.forwarding.CounterState`). ``backend``
-    optionally forces the keystream kernel backend for this call.
+    :meth:`repro.protocol.state.NodeState.next_hop_seq` and
+    :meth:`~repro.protocol.state.NodeState.next_e2e_counter`).
     """
     if not 0 <= counter < MAX_COUNTER:
         raise ValueError(f"counter must be in [0, 2**48), got {counter}")
-    return xor_bytes(plaintext, _keystream(cipher, counter, len(plaintext), backend))
+    return xor_bytes(plaintext, _keystream(cipher, counter, len(plaintext)))
 
 
-def ctr_decrypt(
-    cipher: BlockCipher, counter: int, ciphertext: bytes, backend: str | None = None
-) -> bytes:
+def ctr_decrypt(cipher: BlockCipher, counter: int, ciphertext: bytes) -> bytes:
     """Invert :func:`ctr_encrypt` (CTR is an involution given the counter)."""
-    return ctr_encrypt(cipher, counter, ciphertext, backend)
+    return ctr_encrypt(cipher, counter, ciphertext)

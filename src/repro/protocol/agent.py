@@ -66,6 +66,8 @@ RETX_JITTER_S = 0.05
 #: Messages awaiting custody at once; beyond it a transmission is
 #: send-and-pray (``net.retx.queue_full``).
 RETX_QUEUE_LIMIT = 128
+#: Retransmissions per message before giving up (``forward.giveup``).
+MAX_RETRANSMITS = 3
 
 
 class ProtocolError(RuntimeError):
@@ -364,7 +366,7 @@ class ProtocolAgent:
             self._custody.pop(fp, None)
             return
         entry.attempt += 1
-        if entry.attempt > self.config.max_retransmits:
+        if entry.attempt > MAX_RETRANSMITS:
             del self._retx[fp]
             # Custody is renounced: an upstream retransmit must not be
             # re-ACKed by a node that failed to progress the message.
@@ -379,16 +381,20 @@ class ProtocolAgent:
         self._transmit_hop(entry.c1, fp)
 
     def on_offline(self) -> None:
-        """Crash hook: flush the retransmit queue and renounce custody.
+        """Crash hook: flush the forwarding queues and renounce custody.
 
         Called by :meth:`repro.runtime.node.NodeRuntime.offline` (and
         ``die``). A crashed mote loses its volatile queues: every pending
-        retransmit timer is cancelled so it cannot fire into a restarted
-        — possibly key-refreshed — epoch, and custody is renounced so a
-        later upstream retransmit is never re-ACKed by a node that lost
-        the message. Keys and protocol state survive (a reboot, not a
-        reprovision).
+        retransmit timer and jittered forward is cancelled so it cannot
+        fire into a restarted — possibly key-refreshed — epoch, and
+        custody is renounced so a later upstream retransmit is never
+        re-ACKed by a node that lost the message. The cancelled forwards
+        are not counted as drops: the node went away, not the reading.
+        Keys and protocol state survive (a reboot, not a reprovision).
         """
+        for timer in self._pending.values():
+            timer.cancel()
+        self._pending.clear()
         if not self._retx and not self._custody:
             return
         flushed = 0

@@ -26,7 +26,7 @@ from repro.crypto.keychain import KeyChain
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.mac import mac
 from repro.protocol import messages
-from repro.protocol.config import DEDUP_CACHE_SIZE, ProtocolConfig
+from repro.protocol.config import COUNTER_WINDOW, DEDUP_CACHE_SIZE, ProtocolConfig
 from repro.protocol.forwarding import (
     CounterWindow,
     DedupCache,
@@ -293,9 +293,7 @@ class BaseStationAgent:
             return
         window = self._e2e_windows.get(envelope.source)
         if window is None:
-            window = self._e2e_windows[envelope.source] = CounterWindow(
-                self.config.counter_window
-            )
+            window = self._e2e_windows[envelope.source] = CounterWindow(COUNTER_WINDOW)
         try:
             reading, _counter = open_inner_windowed(
                 envelope, node_key, window, self.config.aead

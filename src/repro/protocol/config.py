@@ -30,6 +30,10 @@ LINK_JITTER_S = 1.0
 DEDUP_CACHE_SIZE = 4096
 #: Length of the base station's revocation key chain.
 REVOCATION_CHAIN_LENGTH = 64
+#: How many counter values past the last synchronized one the base
+#: station tries when decrypting Step-1 payloads in the ``"implicit"``
+#: counter mode ("the receiver can try a small window of counter values").
+COUNTER_WINDOW = 32
 #: How long a joining node collects JOIN_RESP messages (seconds).
 JOIN_WINDOW_S = 1.0
 #: Max delay of a JOIN_RESP (responders jitter to avoid collisions).
@@ -43,12 +47,6 @@ class ProtocolConfig:
     # -- crypto -------------------------------------------------------------
     cipher: str = "speck64/128"
     tag_len: int = 8
-    #: Keystream kernel backend: ``"pure"`` (scalar reference oracle),
-    #: ``"vector"`` (batched kernels), or ``None`` to use the process-wide
-    #: default (``REPRO_CRYPTO_BACKEND``, defaulting to ``"vector"``).
-    #: Backends are byte-identical on the wire; this only selects the
-    #: implementation (see docs/PERFORMANCE.md).
-    crypto_backend: str | None = None
 
     # -- cluster key setup (Sec. IV-B) ---------------------------------------
     #: Mean of the exponential clusterhead-election delay. The *rate* is
@@ -70,12 +68,9 @@ class ProtocolConfig:
     #: Counter handling for Step 1 (Sec. IV-C leaves "the choice to the
     #: particular deployment scenario"): "implicit" maintains the counter
     #: at both ends and recovers desync with a trial window; "explicit"
-    #: transmits the counter (6 extra bytes/message) and never desyncs.
+    #: transmits the counter (6 extra bytes/message) and never desyncs;
+    #: the implicit window is :data:`COUNTER_WINDOW`.
     e2e_counter_mode: str = "implicit"
-    #: How many counter values past the last synchronized one the base
-    #: station tries when decrypting Step-1 payloads ("the receiver can
-    #: try a small window of counter values").
-    counter_window: int = 32
     #: Hop-layer freshness: frames whose timestamp τ is older are dropped.
     freshness_window_s: float = 30.0
     #: Forwarding backoff window. One reception triggers several
@@ -95,8 +90,6 @@ class ProtocolConfig:
     #: protocol has no ACKs, and the runtime parity tests pin the default
     #: behavior. Enable for lossy live fabrics (see docs/RUNTIME.md).
     hop_ack_enabled: bool = False
-    #: Retransmissions per message before giving up (``forward.giveup``).
-    max_retransmits: int = 3
     #: Times each HELLO / LINKINFO setup broadcast is re-announced so
     #: clustering converges on a lossy channel. 0 (default) disables;
     #: re-announcements are verbatim re-broadcasts (same sealed bytes, so
@@ -110,15 +103,13 @@ class ProtocolConfig:
     refresh_strategy: str = "rehash"
 
     def __post_init__(self) -> None:
-        # cipher, tag_len and crypto_backend are validated by the AEAD
-        # parameters they build, which this access constructs and caches.
+        # cipher and tag_len are validated by the AEAD parameters they
+        # build, which this access constructs and caches.
         self.aead
         check_positive("mean_hello_delay_s", self.mean_hello_delay_s)
         check_positive("cluster_phase_duration_s", self.cluster_phase_duration_s)
         check_positive("settle_margin_s", self.settle_margin_s)
         check_positive("freshness_window_s", self.freshness_window_s)
-        if self.counter_window < 1:
-            raise ValueError("counter_window must be >= 1")
         if self.e2e_counter_mode not in ("implicit", "explicit"):
             raise ValueError(
                 f"e2e_counter_mode must be 'implicit' or 'explicit', "
@@ -132,8 +123,6 @@ class ProtocolConfig:
                 f"got {self.refresh_strategy!r}"
             )
         check_positive("setup_reannounce_interval_s", self.setup_reannounce_interval_s)
-        if self.max_retransmits < 0:
-            raise ValueError("max_retransmits must be >= 0")
         if self.setup_reannounce_count < 0:
             raise ValueError("setup_reannounce_count must be >= 0")
         if self.cluster_phase_duration_s < 4 * self.mean_hello_delay_s:
@@ -149,9 +138,7 @@ class ProtocolConfig:
         Built once per configuration: every seal and open on the data
         plane reads it.
         """
-        return AeadConfig(
-            cipher=self.cipher, tag_len=self.tag_len, backend=self.crypto_backend
-        )
+        return AeadConfig(cipher=self.cipher, tag_len=self.tag_len)
 
     @property
     def setup_end_s(self) -> float:

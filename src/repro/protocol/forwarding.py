@@ -46,7 +46,7 @@ from functools import lru_cache
 from repro.crypto.aead import AeadConfig, AuthenticationError, open_, seal
 from repro.crypto.kdf import prf
 from repro.crypto.sha256 import sha256_fast
-from repro.protocol.messages import DataFrameAssembler, DataHeader, data_associated_data
+from repro.protocol.messages import DataHeader, data_associated_data, encode_data
 
 _AD_E2E = b"e2e"
 _HOP_LABEL = b"hop"
@@ -226,12 +226,6 @@ def hop_key(cluster_key: bytes, sender: int) -> bytes:
     return prf(cluster_key, _HOP_LABEL + struct.pack(">I", sender))
 
 
-#: Shared frame-assembly scratch for the forwarding hot path. The runtime
-#: is single-threaded per deployment (event-loop driven), which is what
-#: makes one module-level scratch buffer safe; see DataFrameAssembler.
-_ASSEMBLER = DataFrameAssembler()
-
-
 def wrap_hop(
     cluster_key: bytes,
     cid: int,
@@ -252,7 +246,7 @@ def wrap_hop(
     sealed = seal(
         hop_key(cluster_key, sender), seq, plaintext, data_associated_data(header), aead
     )
-    return _ASSEMBLER.assemble(header, sealed)
+    return encode_data(header, sealed)
 
 
 def unwrap_hop(

@@ -203,10 +203,6 @@ class RandKpAgent:
         """Ring keys + established link keys (live storage metric)."""
         return len(self.ring) + len(self.link_keys)
 
-    def secured_neighbors(self) -> tuple[int, ...]:
-        """Neighbors this node can talk to securely, sorted."""
-        return tuple(sorted(self.link_keys))
-
     def on_frame(self, sender_id: int, frame: bytes) -> None:
         """Link-layer dispatch (sender id untrusted and unused)."""
         if not frame:

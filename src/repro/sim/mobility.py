@@ -157,10 +157,6 @@ class MobileTopology:
         """Copy of every node's current position."""
         return {nid: p.copy() for nid, p in self._pos.items()}
 
-    def neighbors_of(self, nid: int) -> list[int]:
-        """Current unit-disk neighbors of ``nid``, sorted."""
-        return sorted(self._neighbors[nid])
-
     def neighbor_map(self, ids: Iterable[int] | None = None) -> dict[int, list[int]]:
         """Sorted neighbor lists for ``ids`` (default: every node)."""
         wanted = self._pos.keys() if ids is None else ids

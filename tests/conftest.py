@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto import kernels
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.setup import DeployedProtocol, deploy
 
@@ -17,6 +18,15 @@ def small_deployment(
     """A fresh, operational small network (each caller gets its own copy)."""
     deployed, _ = deploy(n, density, seed=seed, config=config)
     return deployed
+
+
+@pytest.fixture
+def keystream_backend():
+    """:func:`repro.crypto.kernels.set_backend`, with the process-wide
+    keystream backend restored after the test."""
+    saved = kernels.active_backend()
+    yield kernels.set_backend
+    kernels.set_backend(saved)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto import kernels
 from repro.crypto.aead import AeadConfig, open_, seal
@@ -24,13 +24,11 @@ from repro.crypto.kernels import (
     get_kernel,
     has_kernel,
     keystream,
-    resolve_backend,
     set_backend,
     use_vector,
 )
 from repro.crypto.modes import MAX_COUNTER, ctr_encrypt
 from repro.crypto.stats import STATS
-from repro.protocol.config import ProtocolConfig
 
 np = pytest.importorskip("numpy")
 
@@ -53,14 +51,6 @@ def _scalar(cipher, base: int, n: int) -> bytes:
     return b"".join(
         cipher.encrypt_block(struct.pack(">Q", base + i)) for i in range(n)
     )
-
-
-@pytest.fixture()
-def restore_backend():
-    """Snapshot and restore the process-wide backend around a test."""
-    saved = active_backend()
-    yield
-    set_backend(saved)
 
 
 # -- parity with the scalar oracle -------------------------------------------
@@ -216,14 +206,20 @@ def test_lane_batches_match_per_counter_keystreams(cipher_name, keys, firsts, st
         _assert_one_batch(kernel)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     key=st.binary(min_size=16, max_size=16),
     first=first_counters,
     lengths=st.lists(st.integers(1, 8 * LANES_MAX_BLOCKS), min_size=1, max_size=30),
 )
 @pytest.mark.parametrize("cipher_name", LANE_CIPHERS)
-def test_batched_ctr_counts_what_per_call_computation_counts(cipher_name, key, first, lengths):
+def test_batched_ctr_counts_what_per_call_computation_counts(
+    cipher_name, key, first, lengths, keystream_backend
+):
     """Property: CTR over a sequential stream gives the pure oracle's
     bytes and counts, per call, the blocks a lone keystream would."""
     cipher = get_cipher(cipher_name, key)
@@ -232,9 +228,10 @@ def test_batched_ctr_counts_what_per_call_computation_counts(cipher_name, key, f
     for offset, length in enumerate(lengths):
         counter = min(first + offset, MAX_COUNTER - 1)
         payload = bytes(length)
-        assert ctr_encrypt(cipher, counter, payload, "vector") == ctr_encrypt(
-            cipher, counter, payload, "pure"
-        )
+        keystream_backend("vector")
+        vector = ctr_encrypt(cipher, counter, payload)
+        keystream_backend("pure")
+        assert vector == ctr_encrypt(cipher, counter, payload)
         blocks += -(-length // 8)
     after = STATS.snapshot()
     # Each block counted once by the vector call and once by the pure one.
@@ -245,17 +242,19 @@ def test_batched_ctr_counts_what_per_call_computation_counts(cipher_name, key, f
 
 
 @pytest.mark.parametrize("cipher_name", LANE_CIPHERS)
-def test_the_pure_backend_bypasses_lane_batches(cipher_name):
+def test_the_pure_backend_bypasses_lane_batches(cipher_name, keystream_backend):
     cipher = get_cipher(cipher_name, bytes(range(100, 116)))
     kernel = get_kernel(cipher)
     state = (kernel._last, kernel._batch)
+    keystream_backend("pure")
     for counter in range(1, 20):
-        ctr_encrypt(cipher, counter, bytes(40), "pure")
+        ctr_encrypt(cipher, counter, bytes(40))
     assert (kernel._last, kernel._batch) == state
     # The same stream on the vector backend starts a batch at its
     # second counter and serves the following ones from it.
+    keystream_backend("vector")
     for counter in range(1, 4):
-        ctr_encrypt(cipher, counter, bytes(40), "vector")
+        ctr_encrypt(cipher, counter, bytes(40))
     first, depth, width, _ = kernel._batch
     assert (first, depth, width) == (2, LANES_MAX_BLOCKS // 5, 5)
 
@@ -280,32 +279,21 @@ def test_backend_registry_names():
     assert active_backend() in BACKENDS
 
 
-def test_set_backend_round_trip(restore_backend):
+def test_set_backend_round_trip(keystream_backend):
     set_backend("pure")
     assert active_backend() == "pure"
-    assert resolve_backend(None) == "pure"
-    assert resolve_backend("vector") == "vector"
     set_backend("vector")
     assert active_backend() == "vector"
 
 
-def test_set_backend_rejects_unknown(restore_backend):
+def test_set_backend_rejects_unknown(keystream_backend):
+    before = active_backend()
     with pytest.raises(ValueError, match="unknown crypto backend"):
         set_backend("simd")
-    with pytest.raises(ValueError, match="unknown crypto backend"):
-        resolve_backend("simd")
+    assert active_backend() == before
 
 
-def test_env_var_default(monkeypatch):
-    monkeypatch.setenv("REPRO_CRYPTO_BACKEND", "pure")
-    assert kernels._env_default() == "pure"
-    monkeypatch.setenv("REPRO_CRYPTO_BACKEND", "nonsense")
-    assert kernels._env_default() == "vector"
-    monkeypatch.delenv("REPRO_CRYPTO_BACKEND")
-    assert kernels._env_default() == "vector"
-
-
-def test_use_vector_dispatch(restore_backend):
+def test_use_vector_dispatch(keystream_backend):
     set_backend("vector")
     assert use_vector("speck64/128", 1)
     assert use_vector("xtea", 3)
@@ -314,11 +302,9 @@ def test_use_vector_dispatch(restore_backend):
     assert use_vector("rc5-32/12/16", 64)
     # No kernel registered -> scalar.
     assert not use_vector("nonexistent-cipher", 1000)
-    # Backend override beats the process default in both directions.
-    assert not use_vector("speck64/128", 64, "pure")
+    # The pure backend sends every batch down the scalar loop.
     set_backend("pure")
     assert not use_vector("speck64/128", 64)
-    assert use_vector("speck64/128", 64, "vector")
 
 
 def test_has_kernel():
@@ -336,23 +322,14 @@ def test_get_kernel_unknown_cipher():
         get_kernel(FakeCipher())
 
 
-def test_protocol_config_backend_validation():
-    assert ProtocolConfig(crypto_backend="pure").aead.backend == "pure"
-    assert ProtocolConfig().aead.backend is None
-    with pytest.raises(ValueError, match="crypto_backend"):
-        ProtocolConfig(crypto_backend="simd")
-
-
-def test_ctr_encrypt_rejects_unknown_backend():
-    cipher = get_cipher("speck64/128", bytes(16))
-    with pytest.raises(ValueError, match="unknown crypto backend"):
-        ctr_encrypt(cipher, 1, b"payload", "simd")
-
-
 # -- end-to-end: both backends on the wire ------------------------------------
 
 
-@settings(max_examples=25, deadline=None)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     key=st.binary(min_size=16, max_size=16),
     counter=st.integers(min_value=0, max_value=(1 << 48) - 1),
@@ -360,12 +337,16 @@ def test_ctr_encrypt_rejects_unknown_backend():
     ad=st.binary(max_size=20),
 )
 @pytest.mark.parametrize("cipher_name", CIPHERS)
-def test_seal_byte_identical_across_backends(cipher_name, key, counter, payload, ad):
+def test_seal_byte_identical_across_backends(
+    cipher_name, key, counter, payload, ad, keystream_backend
+):
     """Backends never change bytes on the wire, and cross-open works."""
-    pure = AeadConfig(cipher=cipher_name, backend="pure")
-    vector = AeadConfig(cipher=cipher_name, backend="vector")
-    sealed_pure = seal(key, counter, payload, ad, pure)
-    sealed_vector = seal(key, counter, payload, ad, vector)
+    config = AeadConfig(cipher=cipher_name)
+    keystream_backend("pure")
+    sealed_pure = seal(key, counter, payload, ad, config)
+    keystream_backend("vector")
+    sealed_vector = seal(key, counter, payload, ad, config)
     assert sealed_pure == sealed_vector
-    assert open_(key, counter, sealed_pure, ad, vector) == payload
-    assert open_(key, counter, sealed_vector, ad, pure) == payload
+    assert open_(key, counter, sealed_pure, ad, config) == payload
+    keystream_backend("pure")
+    assert open_(key, counter, sealed_vector, ad, config) == payload

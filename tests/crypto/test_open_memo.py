@@ -63,11 +63,12 @@ def _stats_delta(call) -> dict[str, int]:
     return {name: after[name] - before[name] for name in after}
 
 
-def test_hit_returns_the_pure_oracle_plaintext():
+def test_hit_returns_the_pure_oracle_plaintext(keystream_backend):
+    keystream_backend("vector")
     counter = message_counter(11)
-    sealed = seal(KEY_A, counter, PAYLOAD, AD, AeadConfig(backend="vector"))
+    sealed = seal(KEY_A, counter, PAYLOAD, AD)
     reused_before = STATS.keystream_reused_blocks
-    plaintext = open_(KEY_A, counter, sealed, AD, AeadConfig(backend="vector"))
+    plaintext = open_(KEY_A, counter, sealed, AD)
     assert STATS.keystream_reused_blocks - reused_before == -(-len(PAYLOAD) // 8)  # a hit
     ct = sealed[:-TAG_LEN]
     oracle = bytes(a ^ b for a, b in zip(ct, _oracle_keystream(KEY_A, counter, len(ct))))
@@ -77,11 +78,13 @@ def test_hit_returns_the_pure_oracle_plaintext():
 @pytest.mark.parametrize("backend", [None, "pure", "vector"])
 @pytest.mark.parametrize("cipher_name", ["speck64/128", "rc5-32/12/16"])
 @pytest.mark.parametrize("length", [41, 200])
-def test_hit_counts_what_its_miss_counted(backend, cipher_name, length):
+def test_hit_counts_what_its_miss_counted(backend, cipher_name, length, keystream_backend):
     # The hit path reads the block count and kernel choice stored with the
     # entry; apart from keystream_reused_blocks, STATS must not tell a hit
-    # from a miss.
-    config = AeadConfig(cipher=cipher_name, backend=backend)
+    # from a miss. ``None`` leaves the process default in place.
+    if backend is not None:
+        keystream_backend(backend)
+    config = AeadConfig(cipher=cipher_name)
     counter = message_counter(17)
     sealed = seal(KEY_A, counter, bytes(length), AD, config)
     aead._opened.clear()
@@ -161,13 +164,17 @@ def test_forged_opens_leave_the_memo_unchanged():
     assert list(aead._opened.items()) == memo
 
 
-def test_pure_and_vector_never_share_an_entry():
+def test_pure_and_vector_never_share_an_entry(keystream_backend):
+    # The switch flipped between a seal and an open keys another entry.
     counter = message_counter(9)
-    sealed = seal(KEY_A, counter, PAYLOAD, AD, AeadConfig(backend="pure"))
-    vector = _stats_delta(lambda: open_(KEY_A, counter, sealed, AD, AeadConfig(backend="vector")))
+    keystream_backend("pure")
+    sealed = seal(KEY_A, counter, PAYLOAD, AD)
+    keystream_backend("vector")
+    vector = _stats_delta(lambda: open_(KEY_A, counter, sealed, AD))
     assert vector["keystream_reused_blocks"] == 0
     assert vector["keystream_vector_blocks"] == vector["keystream_blocks"] > 0
-    pure = _stats_delta(lambda: open_(KEY_A, counter, sealed, AD, AeadConfig(backend="pure")))
+    keystream_backend("pure")
+    pure = _stats_delta(lambda: open_(KEY_A, counter, sealed, AD))
     assert pure["keystream_reused_blocks"] == pure["keystream_blocks"]
     assert pure["keystream_vector_blocks"] == 0
     assert {key[2] for key in aead._opened} == {"pure", "vector"}

@@ -1,6 +1,6 @@
 """Failure injection: lossy links, collisions, node death, desync."""
 
-from repro.protocol.config import ProtocolConfig
+from repro.protocol import base_station
 from repro.protocol.setup import deploy, run_key_setup
 from repro.runtime.faults import FaultPlan, LinkFaults
 from repro.sim.network import Network
@@ -75,10 +75,10 @@ def test_node_death_reroutes_traffic():
     assert any(r.data == b"around-the-gap" for r in deployed.bs_agent.delivered)
 
 
-def test_counter_desync_recovers_within_window():
-    config = ProtocolConfig(counter_window=16)
+def test_counter_desync_recovers_within_window(monkeypatch):
+    monkeypatch.setattr(base_station, "COUNTER_WINDOW", 16)
     net = Network.build(120, 10.0, seed=215)
-    deployed, _ = run_key_setup(net, config)
+    deployed, _ = run_key_setup(net)
     src = deployed.gradient.routable()[0]
     agent = deployed.agents[src]
     for _ in range(15):  # 15 < window of 16

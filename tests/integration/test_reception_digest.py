@@ -73,7 +73,7 @@ EXPECTED = {
     "default": ("ff0848771dbdd7f96c195ba74e6a89a5d07e58ad3eddf6e6a3819ac0eea74203", 202),
     "hop_acks": ("c66f3944bd6c32deccb8a8684ffddccfc0f339f5b8d446fd4e04632685538032", 202),
     "no_jitter": ("52967d85089784af5124499da28bc6e6665a04d0ef7a6e882cd47df1035080c3", 202),
-    "faulted": ("da4bac9ab62fa88de1ae0e8e975f65a582fe3c421f1cb1499c2f50a30403407c", 191),
+    "faulted": ("23fb32d937598efd077418a02cdcab45a7c8c2288586d852239dea882d541068", 191),
     # A fault plan that injects nothing changes nothing: the default's digest.
     "noop_faults": ("ff0848771dbdd7f96c195ba74e6a89a5d07e58ad3eddf6e6a3819ac0eea74203", 202),
 }

@@ -6,10 +6,11 @@ byte-identical behavior; here we pin the absence of ACK/retransmit
 traffic). With ``hop_ack_enabled`` on, every forwarded DATA frame is
 tracked until a custody ACK addressed to this sender arrives or a
 downhill node's forward of it is overheard, and is retransmitted under
-capped exponential backoff until then or until ``max_retransmits`` is
+capped exponential backoff until then or until ``MAX_RETRANSMITS`` is
 exhausted (``forward.giveup``).
 """
 
+from repro.protocol import agent
 from repro.protocol.config import ProtocolConfig
 from repro.runtime import deploy_live
 from repro.runtime.chaos import ChaosScenario, run_chaos
@@ -61,10 +62,11 @@ class TestRecovery:
         assert result.counter("forward.giveup") == 0
         assert result.counter("tx.ack") > 0
 
-    def test_giveup_after_max_retransmits(self):
+    def test_giveup_after_max_retransmits(self, monkeypatch):
         # Sever every path outright: each tracked frame must burn its
         # retry budget and give up, not retry forever.
-        config = ProtocolConfig(hop_ack_enabled=True, max_retransmits=2)
+        monkeypatch.setattr(agent, "MAX_RETRANSMITS", 2)
+        config = ProtocolConfig(hop_ack_enabled=True)
         deployed, _ = deploy_live(
             20, 8.0, seed=1, transport="loopback", config=config,
             fault_plan=FaultPlan(),  # no-op during setup

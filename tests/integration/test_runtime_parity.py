@@ -9,10 +9,16 @@ no matter which entry point or backend carries the frames:
   executed-event count are identical, and wrapping the fabric in a no-op
   ``FaultPlan`` changes none of them;
 * ``UdpTransport`` runs on real sockets in scaled wall time and is
-  inherently racy — it only has to form a valid clustering (smoke test).
+  inherently racy — it only has to form a valid clustering (smoke test);
+* the keystream backend (:func:`repro.crypto.kernels.set_backend`) moves
+  nothing in the ``run-live`` snapshot but the two metrics that report it.
 """
 
+import json
+
 import pytest
+
+from repro.cli import main
 
 from repro.protocol.metrics import validate_clusters
 from repro.protocol.setup import deploy
@@ -69,3 +75,33 @@ def test_unknown_transport_is_rejected_with_the_valid_names():
         build_transport("tcp")
     with pytest.raises(ValueError, match="udp"):
         deploy_live(10, 6.0, seed=0, transport="sim")
+
+
+def _flat(snapshot: dict, prefix: str = "") -> dict[str, object]:
+    flat: dict[str, object] = {}
+    for key, value in snapshot.items():
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{key}/"))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def test_run_live_differs_across_backends_only_in_the_backend_metrics(
+    capsys, keystream_backend
+):
+    snapshots = {}
+    for backend in ("vector", "pure"):
+        keystream_backend(backend)
+        assert main(["run-live", "--n", "40", "--rounds", "2"]) == 0
+        snapshots[backend] = _flat(json.loads(capsys.readouterr().out))
+    vector, pure = snapshots["vector"], snapshots["pure"]
+    differing = {key for key in vector.keys() | pure.keys() if vector.get(key) != pure.get(key)}
+    assert differing == {
+        "telemetry/gauges/crypto.backend_vector",
+        "telemetry/counters/crypto.keystream_vector_blocks",
+    }
+    assert vector["telemetry/gauges/crypto.backend_vector"] == 1.0
+    assert pure["telemetry/gauges/crypto.backend_vector"] == 0.0
+    assert vector["telemetry/counters/crypto.keystream_vector_blocks"] > 0
+    assert pure.get("telemetry/counters/crypto.keystream_vector_blocks", 0) == 0

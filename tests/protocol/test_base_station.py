@@ -1,5 +1,6 @@
 """Base-station behaviour: counter recovery, replay, key derivation."""
 
+from repro.protocol.config import COUNTER_WINDOW
 from tests.conftest import run_for, small_deployment
 
 
@@ -33,7 +34,7 @@ def test_desync_beyond_window_rejected():
     deployed = small_deployment(seed=62)
     src = pick_source(deployed)
     agent = deployed.agents[src]
-    for _ in range(deployed.config.counter_window + 5):
+    for _ in range(COUNTER_WINDOW + 5):
         agent.state.next_e2e_counter()
     agent.send_reading(b"too-far-ahead")
     run_for(deployed, 30)

@@ -20,13 +20,14 @@ def test_retransmit_schedule_constants_are_valid():
     # Fixed in the agent module; no deployment tunes them.
     assert agent.RETX_BACKOFF_FACTOR >= 1 and agent.RETX_BACKOFF_MAX_S > 0
     assert agent.RETX_JITTER_S >= 0 and agent.RETX_QUEUE_LIMIT >= 1
+    assert agent.MAX_RETRANSMITS >= 0
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"mean_hello_delay_s": 0},
-        {"counter_window": 0},
+        {"setup_reannounce_count": -1},
         {"refresh_strategy": "bogus"},
         {"freshness_window_s": -1},
     ],
@@ -54,7 +55,7 @@ def test_refresh_strategies():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"tag_len": 0}, {"tag_len": 33}, {"cipher": "aes"}, {"crypto_backend": "simd"}],
+    [{"tag_len": 0}, {"tag_len": 33}, {"cipher": "aes"}, {"cipher": ""}],
 )
 def test_invalid_aead_settings_rejected_at_construction(kwargs):
     with pytest.raises(ValueError):
@@ -68,7 +69,7 @@ def test_tag_len_zero_fails_before_deployment_starts():
 
 
 def test_aead_is_built_once_per_config():
-    config = ProtocolConfig(cipher="xtea", tag_len=4, crypto_backend="pure")
+    config = ProtocolConfig(cipher="xtea", tag_len=4)
     assert config.aead is config.aead
-    assert config.aead == AeadConfig(cipher="xtea", tag_len=4, backend="pure")
+    assert config.aead == AeadConfig(cipher="xtea", tag_len=4)
     assert replace(config, tag_len=6).aead.tag_len == 6

@@ -132,7 +132,9 @@ def test_a_receiver_with_another_cluster_key_is_refused():
     assert _shared(reception, CLUSTER_KEY)[0] == C1
 
 
-def test_a_receiver_with_other_aead_settings_does_not_share_the_entry(monkeypatch):
+def test_a_receiver_with_other_aead_settings_does_not_share_the_entry(
+    monkeypatch, keystream_backend
+):
     frame = _wrap()
     reception = DataReception(frame, TAU, Trace())
     assert reception.unwrap(CLUSTER_KEY, CONFIG)[0] == C1
@@ -143,19 +145,20 @@ def test_a_receiver_with_other_aead_settings_does_not_share_the_entry(monkeypatc
         reception.unwrap(
             CLUSTER_KEY, ProtocolConfig(freshness_window_s=30.0, tag_len=CONFIG.tag_len - 1)
         )
-    pure = ProtocolConfig(freshness_window_s=30.0, crypto_backend="pure")
 
     def hit_then_pure():
         reception.unwrap(CLUSTER_KEY, CONFIG)  # served by the shared open
-        return _shared(reception, CLUSTER_KEY, pure)
+        keystream_backend("pure")
+        return _shared(reception, CLUSTER_KEY, ProtocolConfig(freshness_window_s=30.0))
 
     _, stats = _stats_delta(hit_then_pure)
-    # The shared hit counts on the batched kernel that made its open; the
-    # pure receiver's own open does not.
+    # Equal settings in another object are not the same settings object:
+    # that receiver opens the frame itself. The shared hit counts on the
+    # batched kernel that made its open; the pure receiver's own open
+    # does not.
     assert stats["opens"] == 2
     assert stats["keystream_vector_blocks"] * 2 == stats["keystream_blocks"] > 0
-    # Equal settings in another object are not the same settings object:
-    # that receiver opens the frame itself.
+    keystream_backend("vector")
     assert _shared(reception, CLUSTER_KEY, ProtocolConfig(freshness_window_s=30.0))[0] == C1
     assert len(unwraps) == 4
 

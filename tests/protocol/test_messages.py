@@ -85,31 +85,6 @@ class TestData:
         assert m.data_associated_data(h1) != m.data_associated_data(h2)
 
 
-class TestDataFrameAssembler:
-    @given(node_ids, node_ids, st.integers(min_value=0, max_value=2**31),
-           st.integers(min_value=-1, max_value=2**14), st.binary(max_size=60))
-    def test_matches_encode_data(self, cid, sender, seq, hops, sealed):
-        header = m.DataHeader(cid, sender, seq, hops)
-        assembler = m.DataFrameAssembler()
-        assert assembler.assemble(header, sealed) == m.encode_data(header, sealed)
-
-    def test_buffer_growth_past_capacity(self):
-        assembler = m.DataFrameAssembler(capacity=32)
-        header = m.DataHeader(1, 2, 3, 4)
-        big = bytes(range(256)) * 4
-        assert assembler.assemble(header, big) == m.encode_data(header, big)
-        # The grown buffer must still produce correct small frames.
-        assert assembler.assemble(header, b"x") == m.encode_data(header, b"x")
-
-    def test_reuse_does_not_alias_previous_frames(self):
-        assembler = m.DataFrameAssembler()
-        header = m.DataHeader(1, 2, 3, 4)
-        first = assembler.assemble(header, b"AAAA")
-        second = assembler.assemble(header, b"BBBB")
-        assert first != second
-        assert first == m.encode_data(header, b"AAAA")
-
-
 class TestDecodeDataView:
     @given(node_ids, node_ids, st.integers(min_value=0, max_value=2**31),
            st.integers(min_value=-1, max_value=2**14), st.binary(max_size=60))

@@ -147,12 +147,12 @@ def test_a_receiver_with_another_km_never_reuses_the_shared_decode(monkeypatch, 
 
 def _mixed_settings(deployed) -> list[ProtocolAgent]:
     """Receivers with the deployment's AEAD settings object and with others."""
-    first, same, equal, other_cipher, last, pure = _receivers(deployed, 6)
+    first, same, equal, other_cipher, last, other_tag = _receivers(deployed, 6)
     # Equal settings in another object are not the same settings object.
     equal.config = ProtocolConfig()
     other_cipher.config = ProtocolConfig(cipher="rc5-32/12/16")
-    pure.config = ProtocolConfig(crypto_backend="pure")
-    return [first, same, equal, other_cipher, last, pure]
+    other_tag.config = ProtocolConfig(tag_len=ProtocolConfig().tag_len - 1)
+    return [first, same, equal, other_cipher, last, other_tag]
 
 
 def test_other_aead_settings_are_not_shared(monkeypatch):
@@ -164,24 +164,21 @@ def test_other_aead_settings_are_not_shared(monkeypatch):
     assert equal.config.aead is not first.config.aead
     frame = _linkinfo(deployed)
     alone = _alone(frame, _mixed_settings(_provisioned()))
-    # The pure receiver's own decode filled a memo entry; start again
-    # from the seal's.
     aead._opened.clear()
     assert _linkinfo(deployed) == frame
     decodes = _count_decodes(monkeypatch)
     shared = _stats_delta(lambda: _receive(deployed, frame, receivers))
-    # ``first`` decoded and served ``same``; the equal settings and the
-    # other cipher each decoded on their own (the latter failing),
-    # ``last`` decoded again after them, and so did the pure backend.
+    # ``first`` decoded and served ``same``; the equal settings, the
+    # other cipher and the other tag length each decoded on their own
+    # (the last two failing), and ``last`` decoded again after them.
     assert len(decodes) == 5
-    assert [_held(r) for r in receivers] == [CLUSTER_KEY] * 3 + [None] + [CLUSTER_KEY] * 2
-    assert trace["drop.linkinfo_bad_auth"] == 1
-    assert trace["link.neighbor_cluster"] == 5
-    # The shared decode counts on the batched kernel that made it, even
-    # though decodes of its own replaced it before the close, the last
-    # on the pure kernel.
+    assert [_held(r) for r in receivers] == [CLUSTER_KEY] * 3 + [None, CLUSTER_KEY, None]
+    assert trace["drop.linkinfo_bad_auth"] == 2
+    assert trace["link.neighbor_cluster"] == 4
+    # The shared decode counts what the receivers' own decodes count,
+    # though decodes of their own replaced it before the close.
     assert shared == alone
-    assert 0 < shared["keystream_vector_blocks"] < shared["keystream_blocks"]
+    assert 0 < shared["keystream_vector_blocks"] == shared["keystream_blocks"]
 
 
 def test_an_erased_km_drops_per_receiver(monkeypatch):

@@ -1,10 +1,13 @@
-"""Crash hygiene for the reliability layer's retransmit timers.
+"""Crash hygiene for the reliability layer's retransmit timers and the
+jittered forwards.
 
 A node that goes offline (crash or death) loses its volatile queues:
 every armed custody-ACK retransmit timer must be cancelled and custody
 renounced, counted under ``net.retx.flushed``. Without this, a timer
 armed before a crash fires into the restarted — possibly key-refreshed
-— epoch and retransmits frames the node no longer has custody of.
+— epoch and retransmits frames the node no longer has custody of. A
+backup forwarder's jittered forward is cancelled too, and counted as no
+drop: the node went away, not the reading.
 """
 
 import pytest
@@ -96,3 +99,34 @@ def test_no_retransmit_resurrection_after_reboot(reliable):
     reliable.run_for(60)
     assert not agent._retx
     assert counters(reliable).get("net.retx.sent", 0) == before
+
+
+def _pending_forwarder():
+    """A clean deployment stepped until some backup holds a jittered forward."""
+    deployed, _ = deploy_live(40, 10.0, seed=2, transport="loopback")
+    deployed.assign_gradient()
+    far_agent(deployed).send_reading(b"jittered")
+    for _ in range(200):
+        deployed.run_for(0.001)
+        waiting = [a for a in deployed.agents.values() if a._pending]
+        if waiting:
+            return deployed, waiting[0]
+    raise AssertionError("no backup forwarder ever waited")
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["down", "restarted"])
+def test_offline_cancels_jittered_forwards(monkeypatch, restart):
+    deployed, backup = _pending_forwarder()
+    sent = []
+    monkeypatch.setattr(backup, "_transmit_hop", lambda c1, fp: sent.append(fp))
+    node = deployed.network.nodes[backup.state.node_id]
+    before = counters(deployed).get("drop.data_no_cluster_key", 0)
+    node.offline()
+    assert not backup._pending
+    if restart:
+        # Back inside the jitter window: the reading's custody went with
+        # the crash, so the node must not forward it now.
+        node.online()
+    deployed.run_for(5)
+    assert sent == []
+    assert counters(deployed).get("drop.data_no_cluster_key", 0) == before

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from repro.crypto import aead
-from repro.crypto.aead import AeadConfig, open_, seal
-from repro.crypto.kernels import active_backend, set_backend
+from repro.crypto.aead import open_, seal
 from repro.crypto.stats import STATS
 from repro.sim.trace import Trace
 from repro.telemetry import CryptoMetricsPublisher, MetricsRegistry
@@ -22,13 +21,15 @@ def test_stats_count_seals_and_opens():
     assert after["keystream_blocks"] > before["keystream_blocks"]
 
 
-def test_vector_blocks_counted_only_on_vector_backend():
+def test_vector_blocks_counted_only_on_vector_backend(keystream_backend):
+    keystream_backend("pure")
     pure_before = STATS.snapshot()
-    seal(KEY, 1, b"reading", config=AeadConfig(backend="pure"))
+    seal(KEY, 1, b"reading")
     pure_after = STATS.snapshot()
     assert pure_after["keystream_vector_blocks"] == pure_before["keystream_vector_blocks"]
 
-    seal(KEY, 1, b"reading", config=AeadConfig(backend="vector"))
+    keystream_backend("vector")
+    seal(KEY, 1, b"reading")
     vec_after = STATS.snapshot()
     assert vec_after["keystream_vector_blocks"] > pure_after["keystream_vector_blocks"]
 
@@ -57,19 +58,15 @@ def test_publisher_baseline_excludes_prior_work():
     assert registry.counter("crypto.seals") == 0
 
 
-def test_publisher_gauges_active_backend():
+def test_publisher_gauges_active_backend(keystream_backend):
     registry = MetricsRegistry()
     publisher = CryptoMetricsPublisher(registry)
-    saved = active_backend()
-    try:
-        set_backend("vector")
-        publisher.publish()
-        assert registry.snapshot()["gauges"]["crypto.backend_vector"] == 1.0
-        set_backend("pure")
-        publisher.publish()
-        assert registry.snapshot()["gauges"]["crypto.backend_vector"] == 0.0
-    finally:
-        set_backend(saved)
+    keystream_backend("vector")
+    publisher.publish()
+    assert registry.snapshot()["gauges"]["crypto.backend_vector"] == 1.0
+    keystream_backend("pure")
+    publisher.publish()
+    assert registry.snapshot()["gauges"]["crypto.backend_vector"] == 0.0
 
 
 def test_telemetry_snapshot_publishes_crypto():
